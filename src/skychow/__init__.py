@@ -13,7 +13,6 @@ from .chowring import (
     degree_integral,
     from_divisor,
     graded_rank,
-    mul,
     normal_form,
     rho,
     strict_presentation,

@@ -9,7 +9,7 @@ confluent as rewrite rules, so every class has a unique canonical form
 
 with the top slot holding the coefficient of x_0^n, whose integral against
 the fundamental class is 1.  ChowElement stores exactly that data; strict
-transform input is converted at the boundary by the proximity matrices.
+transform input is converted at the boundary by the proximity change of basis.
 """
 
 from __future__ import annotations
@@ -221,10 +221,6 @@ def normal_form(config: ProximityConfig, p: Polynomial) -> ChowElement:
             top += coef if i == 0 else sign * coef
         # d > n: the pure power already lies in the ideal
     return ChowElement(n, s, deg0, graded, top)
-
-
-def mul(a: ChowElement, b: ChowElement) -> ChowElement:
-    return a * b
 
 
 def from_divisor(config: ProximityConfig, v: DivisorVector) -> ChowElement:

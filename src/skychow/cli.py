@@ -27,6 +27,7 @@ from .chowring import (
     strict_presentation,
     total_presentation,
 )
+from .finality import DivisorFinality, FinalityReport
 from .finality import final_by_chow, final_by_proximity, finality_report
 from .poly import Polynomial, format_polynomial, random_homogeneous
 from .proximity import (
@@ -56,6 +57,8 @@ def load_config(path: str) -> ProximityConfig:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InvalidConfigError("config is not valid JSON: %s" % exc) from exc
+        except UnicodeDecodeError as exc:
+            raise InvalidConfigError("config is not UTF-8 text: %s" % exc) from exc
     if not isinstance(doc, dict):
         raise InvalidConfigError("config must be a JSON object")
     try:
@@ -160,43 +163,30 @@ def cmd_intersect(args) -> int:
 
 def cmd_final(args) -> int:
     config = load_config(args.config)
-    if args.method == "proximity":
-        rows = [
-            (i, final_by_proximity(config, i), None, None)
-            for i in range(1, config.s + 1)
-        ]
-        disagree = False
-    elif args.method == "chow":
-        rows = [
-            (i, None, final_by_chow(config, i), None) for i in range(1, config.s + 1)
-        ]
-        disagree = False
-    else:
+    if args.method == "both":
         report = finality_report(config)
-        rows = [
-            (d.index, d.final_proximity, d.final_chow, d.witness)
-            for d in report.divisors
-        ]
-        disagree = not report.all_agree
+    else:
+        report = FinalityReport(
+            config,
+            tuple(
+                DivisorFinality(
+                    i,
+                    final_by_proximity(config, i) if args.method == "proximity" else None,
+                    final_by_chow(config, i) if args.method == "chow" else None,
+                    None,
+                )
+                for i in range(1, config.s + 1)
+            ),
+        )
     if args.format == "json":
-        doc = {
-            "divisors": [
-                {
-                    "i": i,
-                    "final_proximity": p,
-                    "final_chow": c,
-                    "witness": w,
-                }
-                for i, p, c, w in rows
-            ]
-        }
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(report.to_json_dict(), indent=2))
     else:
         fmt = lambda v: "-" if v is None else ("final" if v else "non-final")
         print("i  proximity  chow       witness")
-        for i, p, c, w in rows:
-            print("%-2d %-10s %-10s %s" % (i, fmt(p), fmt(c), w or ""))
-    if disagree:
+        for d in report.divisors:
+            p, c = fmt(d.final_proximity), fmt(d.final_chow)
+            print("%-2d %-10s %-10s %s" % (d.index, p, c, d.witness or ""))
+    if args.method == "both" and not report.all_agree:
         print("error: the two finality deciders disagree", file=sys.stderr)
         return EXIT_DISAGREEMENT
     return EXIT_OK
@@ -282,6 +272,9 @@ def _verify_checks(config, samples, seed):
 
 
 def cmd_verify(args) -> int:
+    if args.samples < 1:
+        print("error: --samples must be at least 1, got %d" % args.samples, file=sys.stderr)
+        return EXIT_USER_ERROR
     config = load_config(args.config)
     failed = 0
     for ok, name, detail in _verify_checks(config, args.samples, args.seed):

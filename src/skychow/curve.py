@@ -120,10 +120,7 @@ def curve_ideal_generators(params: CurveRingParams) -> tuple:
 # outrank w1, so oracle-side exponent vectors use the order (x0, w1, x1).
 
 def _to_oracle(p: Polynomial) -> Polynomial:
-    return Polynomial(3, {(a, c, b): k for (a, b, c), k in p.terms.items()})
-
-
-def _from_oracle(p: Polynomial) -> Polynomial:
+    # swapping the last two exponents is an involution: this also maps back
     return Polynomial(3, {(a, c, b): k for (a, b, c), k in p.terms.items()})
 
 
@@ -262,7 +259,7 @@ def curve_ring_checks(params: CurveRingParams) -> CurveCheckReport:
         for exps in monomials_of_degree(3, d, CURVE_WEIGHTS):
             mono = Polynomial.monomial(3, exps)
             rewrite = curve_normal_form(params, mono).to_polynomial()
-            residue = _from_oracle(oracle.reduce(ideal, _to_oracle(mono)))
+            residue = _to_oracle(oracle.reduce(ideal, _to_oracle(mono)))
             if rewrite == residue:
                 continue
             diff = _to_oracle(rewrite - residue)

@@ -2,34 +2,56 @@
 
 The combinatorial one reads the proximity relation: a divisor is final
 when no later point is proximate to it.  The ring-theoretic one never
-looks at proximity; it finds the divisors meeting E_i by multiplying
-strict classes and then tests the two intersection-product conditions
-that characterize finality.  The two provably agree, and the test suite
-checks that exhaustively on small cases; a disagreement would mean an
-implementation bug, not a mathematical surprise.
+looks at proximity; it writes each strict class in total coordinates and
+evaluates intersection numbers in closed form on those vectors, finds the
+divisors meeting E_i, and then tests the two intersection-product
+conditions that characterize finality.  The two provably agree, and the
+test suite checks that exhaustively on small cases; a disagreement would
+mean an implementation bug, not a mathematical surprise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from math import prod
 
-from .chowring import ChowElement, degree_integral, from_divisor
 from .proximity import (
     ProximityConfig,
-    hyperplane,
     strict_exceptional,
+    strict_to_total,
     validate_config,
 )
 
 
-@lru_cache(maxsize=None)
 def _strict_classes(config):
-    # index 0 unused; entry i is the canonical form of the i-th strict class
+    # index 0 unused; entry i is the i-th strict class as {t: coefficient of E_t}
     classes = [None]
     for i in range(1, config.s + 1):
-        classes.append(from_divisor(config, strict_exceptional(config, i)))
-    return tuple(classes)
+        coords = strict_to_total(config, strict_exceptional(config, i)).coords
+        classes.append({t: c for t, c in enumerate(coords) if c})
+    return classes
+
+
+def _integral(n, factors):
+    """Integral of n classes given as {t: coefficient of E_t} dicts with no h part.
+
+    Mixed products vanish and each E_t^n integrates to (-1)^(n+1).
+    """
+    shared = set(factors[0]).intersection(*factors[1:])
+    return (1 if n % 2 else -1) * sum(prod(f[t] for f in factors) for t in shared)
+
+
+def _meeting(n, e, i):
+    """Indices j != i, ascending, with e[i] * e[j] nonzero.
+
+    Below degree n the product is coordinate-wise: nonzero iff supports overlap.
+    """
+    return [
+        j
+        for j in range(1, len(e))
+        if j != i
+        and (_integral(n, (e[i], e[j])) if n == 2 else not e[i].keys().isdisjoint(e[j]))
+    ]
 
 
 def final_by_proximity(config: ProximityConfig, i: int) -> bool:
@@ -49,44 +71,28 @@ def intersecting_indices(config: ProximityConfig, i: int) -> set:
     validate_config(config)
     if not 1 <= i <= config.s:
         raise ValueError("divisor index %d out of range 1..%d" % (i, config.s))
-    e = _strict_classes(config)
-    out = set()
-    for j in range(1, config.s + 1):
-        if j != i and not (e[i] * e[j]).is_zero():
-            out.add(j)
-    return out
+    return set(_meeting(config.n, _strict_classes(config), i))
 
 
-def _chow_conditions(config, i):
+def _chow_conditions(n, e, i):
     """(final?, witness) from the intersection-product characterization."""
-    n = config.n
-    e = _strict_classes(config)
-    h = from_divisor(config, hyperplane(config))
-    hn = h**n
-    ei_pows = [ChowElement.one(config.n, config.s)]
-    for _ in range(n):
-        ei_pows.append(ei_pows[-1] * e[i])
-    ein = ei_pows[n]
-    for j in sorted(intersecting_indices(config, i)):
-        ej_pows = [ChowElement.one(config.n, config.s)]
-        for _ in range(n):
-            ej_pows.append(ej_pows[-1] * e[j])
+    ein = _integral(n, [e[i]] * n)
+    for j in _meeting(n, e, i):
         # condition (11): e_j^(n-1) * e_i must be the point class
-        lhs = ej_pows[n - 1] * e[i]
-        if lhs != hn:
+        lhs = _integral(n, [e[j]] * (n - 1) + [e[i]])
+        if lhs != 1:
             return (
                 False,
-                "condition (11) fails for j=%d: integral %d, expected 1"
-                % (j, degree_integral(lhs)),
+                "condition (11) fails for j=%d: integral %d, expected 1" % (j, lhs),
             )
         # condition (10): e_i^n == (-1)^r e_i^(n-r) e_j^r for every r
         for r in range(1, n):
-            rhs = ei_pows[n - r] * ej_pows[r] * ((-1) ** r)
+            rhs = _integral(n, [e[i]] * (n - r) + [e[j]] * r) * (-1) ** r
             if ein != rhs:
                 return (
                     False,
                     "condition (10) fails for j=%d at r=%d: integral %d, expected %d"
-                    % (j, r, degree_integral(rhs), degree_integral(ein)),
+                    % (j, r, rhs, ein),
                 )
     return True, None
 
@@ -96,15 +102,17 @@ def final_by_chow(config: ProximityConfig, i: int) -> bool:
     validate_config(config)
     if not 1 <= i <= config.s:
         raise ValueError("divisor index %d out of range 1..%d" % (i, config.s))
-    ok, _ = _chow_conditions(config, i)
+    ok, _ = _chow_conditions(config.n, _strict_classes(config), i)
     return ok
 
 
 @dataclass(frozen=True)
 class DivisorFinality:
+    """One divisor's verdicts; a decider that was not run leaves None."""
+
     index: int
-    final_proximity: bool
-    final_chow: bool
+    final_proximity: bool | None
+    final_chow: bool | None
     witness: str | None
 
     @property
@@ -138,9 +146,10 @@ class FinalityReport:
 def finality_report(config: ProximityConfig) -> FinalityReport:
     """Both deciders on every divisor, with a witness for each chow failure."""
     validate_config(config)
+    e = _strict_classes(config)
     entries = []
     for i in range(1, config.s + 1):
         by_prox = not config.proximate_points(i)
-        by_chow, witness = _chow_conditions(config, i)
+        by_chow, witness = _chow_conditions(config.n, e, i)
         entries.append(DivisorFinality(i, by_prox, by_chow, witness))
     return FinalityReport(config, tuple(entries))

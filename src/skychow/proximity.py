@@ -10,7 +10,8 @@ and convert divisor coordinate vectors both ways.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from itertools import combinations, product
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -66,12 +67,12 @@ def validate_config(config: ProximityConfig) -> ProximityConfig:
                 % (j, i, config.s)
             )
     if config.strict_snc_check:
-        for j in range(2, config.s + 1):
-            targets = config.proximity_targets(j)
-            if len(targets) > config.n:
+        counts = Counter(j for j, _ in config.prox)
+        for j in sorted(counts):
+            if counts[j] > config.n:
                 raise InvalidConfigError(
                     "point %d is proximate to %d points, more than the ambient dimension %d"
-                    % (j, len(targets), config.n)
+                    % (j, counts[j], config.n)
                 )
     return config
 
@@ -158,10 +159,6 @@ class DivisorVector:
         return cls("strict", tuple(coords))
 
 
-def _matvec(m: IntMatrix, v) -> tuple[int, ...]:
-    return tuple(sum(row[c] * v[c] for c in range(len(v))) for row in m)
-
-
 def _check_length(config: ProximityConfig, v: DivisorVector) -> None:
     if len(v.coords) != config.s + 1:
         raise ValueError(
@@ -171,19 +168,25 @@ def _check_length(config: ProximityConfig, v: DivisorVector) -> None:
 
 
 def strict_to_total(config: ProximityConfig, v: DivisorVector) -> DivisorVector:
+    """Multiply by the augmented change of basis B, one proximity pair at a time."""
     if v.basis != "strict":
         raise ValueError("expected a strict-basis vector, got basis %r" % v.basis)
     _check_length(config, v)
-    b = augmented_change_of_basis(config, config.s)
-    return DivisorVector("total", _matvec(b, v.coords))
+    out = list(v.coords)
+    for j, i in config.prox:
+        out[j] -= v.coords[i]
+    return DivisorVector("total", tuple(out))
 
 
 def total_to_strict(config: ProximityConfig, v: DivisorVector) -> DivisorVector:
+    """Solve B x = v by forward substitution over the pairs in order of j."""
     if v.basis != "total":
         raise ValueError("expected a total-basis vector, got basis %r" % v.basis)
     _check_length(config, v)
-    binv = invert_unitriangular(augmented_change_of_basis(config, config.s))
-    return DivisorVector("strict", _matvec(binv, v.coords))
+    out = list(v.coords)
+    for j, i in sorted(config.prox):
+        out[j] += out[i]
+    return DivisorVector("strict", tuple(out))
 
 
 def hyperplane(config: ProximityConfig) -> DivisorVector:

@@ -17,7 +17,6 @@ from skychow.chowring import (
     degree_integral,
     from_divisor,
     graded_rank,
-    mul,
     normal_form,
     rho,
     strict_presentation,
@@ -100,7 +99,7 @@ class TestRingArithmetic:
 
     def test_mismatched_rings_are_rejected(self):
         with pytest.raises(ValueError, match="mismatched"):
-            mul(ChowElement.one(2, 2), ChowElement.one(3, 2))
+            ChowElement.one(2, 2) * ChowElement.one(3, 2)
 
     def test_top_degree_truncates(self):
         h = from_divisor(SURFACE, hyperplane(SURFACE))

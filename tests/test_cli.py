@@ -88,6 +88,14 @@ class TestLoadConfig:
         with pytest.raises(InvalidConfigError, match="JSON"):
             cli.load_config(str(path))
 
+    def test_not_utf8_is_a_user_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"points": "\xff"}')
+        with pytest.raises(InvalidConfigError, match="UTF-8"):
+            cli.load_config(str(path))
+        assert cli.main(["final", str(path)]) == 2
+        assert "UTF-8" in capsys.readouterr().err
+
 
 class TestPresent:
     def test_text_output(self, surface_path, capsys):
@@ -192,6 +200,13 @@ class TestVerify:
         assert len(lines) == 5
         assert all(l.startswith("PASS") for l in lines)
         assert any("C(s+1,2)+s" in l for l in lines)
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_nonpositive_samples_are_rejected(self, surface_path, capsys, samples):
+        assert cli.main(["verify", surface_path, "--samples", samples]) == 2
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert "--samples" in captured.err
 
     def test_failure_exit_code(self, surface_path, capsys, monkeypatch):
         def broken(cfg, samples, seed):

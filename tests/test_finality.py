@@ -5,11 +5,14 @@ from __future__ import annotations
 from random import Random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_config
+from skychow.chowring import degree_integral, from_divisor
 from skychow.finality import (
+    _integral,
+    _strict_classes,
     final_by_chow,
     final_by_proximity,
     finality_report,
@@ -19,6 +22,7 @@ from skychow.proximity import (
     InvalidConfigError,
     ProximityConfig,
     enumerate_proximity_configs,
+    strict_exceptional,
 )
 
 SURFACE = ProximityConfig(n=2, s=2, prox=frozenset({(2, 1)}))
@@ -120,3 +124,30 @@ class TestEquivalenceSamples:
         cfg = random_config(rng, rng.choice((2, 3)), rng.randint(1, 4))
         for i in range(1, cfg.s + 1):
             assert final_by_proximity(cfg, i) == final_by_chow(cfg, i)
+
+
+class TestClosedFormMatchesRing:
+    """Closed-form integrals against full ChowElement products as the reference."""
+
+    @settings(max_examples=25)
+    @given(st.integers(2, 5), st.integers(1, 50), st.integers(0, 2**30))
+    def test_meeting_and_condition_integrals(self, n, s, seed):
+        cfg = random_config(Random(seed), n, s)
+        powers = [None]
+        for i in range(1, s + 1):
+            e = from_divisor(cfg, strict_exceptional(cfg, i))
+            powers.append([e**a for a in range(n + 1)])
+        sparse = _strict_classes(cfg)
+        for i in range(1, s + 1):
+            meets = {
+                j
+                for j in range(1, s + 1)
+                if j != i and not (powers[i][1] * powers[j][1]).is_zero()
+            }
+            assert intersecting_indices(cfg, i) == meets
+            # conditions (10) and (11) integrate e_i^a e_j^(n-a) for a in 1..n
+            for j in meets:
+                for a in range(1, n + 1):
+                    factors = [sparse[i]] * a + [sparse[j]] * (n - a)
+                    ring = degree_integral(powers[i][a] * powers[j][n - a])
+                    assert _integral(n, factors) == ring

@@ -27,6 +27,10 @@ from skychow.proximity import (
 SURFACE = ProximityConfig(n=2, s=2, prox=frozenset({(2, 1)}))
 
 
+def matvec(m, v):
+    return tuple(sum(a * b for a, b in zip(row, v)) for row in m)
+
+
 def configs(max_n=3, max_s=5):
     @st.composite
     def build(draw):
@@ -59,8 +63,13 @@ class TestValidation:
             validate_config(ProximityConfig(n=2, s=2, prox=frozenset({(3, 1)})))
 
     def test_rejects_too_many_proximities(self):
-        cfg = ProximityConfig(n=2, s=4, prox=frozenset({(4, 1), (4, 2), (4, 3)}))
-        with pytest.raises(InvalidConfigError, match="more than the ambient dimension"):
+        # the earliest offending point is the one named
+        prox = frozenset({(4, 1), (4, 2), (4, 3), (5, 1), (5, 2), (5, 3), (5, 4)})
+        cfg = ProximityConfig(n=2, s=5, prox=prox)
+        with pytest.raises(
+            InvalidConfigError,
+            match="point 4 is proximate to 3 points, more than the ambient dimension 2",
+        ):
             validate_config(cfg)
 
     def test_cardinality_check_can_be_disabled(self):
@@ -161,12 +170,21 @@ class TestConversions:
         with pytest.raises(ValueError, match="basis"):
             DivisorVector("mixed", (1, 0))
 
-    @given(configs(), st.lists(st.integers(-5, 5), min_size=6, max_size=6))
+    @given(
+        configs(max_n=5, max_s=50),
+        st.lists(st.integers(-5, 5), min_size=51, max_size=51),
+    )
     def test_round_trip(self, cfg, coords):
+        # the dense matrices B and B^-1 are the reference for both conversions
+        b = augmented_change_of_basis(cfg, cfg.s)
         v = DivisorVector.strict(tuple(coords[: cfg.s + 1]))
-        assert total_to_strict(cfg, strict_to_total(cfg, v)) == v
+        total = strict_to_total(cfg, v)
+        assert total.coords == matvec(b, v.coords)
+        assert total_to_strict(cfg, total) == v
         w = DivisorVector.total(tuple(coords[: cfg.s + 1]))
-        assert strict_to_total(cfg, total_to_strict(cfg, w)) == w
+        strict = total_to_strict(cfg, w)
+        assert strict.coords == matvec(invert_unitriangular(b), w.coords)
+        assert strict_to_total(cfg, strict) == w
 
 
 class TestEnumeration:
