@@ -13,6 +13,7 @@ import argparse
 import json
 import re
 import sys
+from math import comb
 from random import Random
 
 from . import curve as curve_mod
@@ -44,6 +45,11 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USER_ERROR = 2
 EXIT_DISAGREEMENT = 3
+
+# Widest oracle slice verify builds: the top slice (degree n + 1 in s + 1
+# variables) has comb(s + n + 1, n + 1) columns and its dense rows cost
+# width^2 memory.  4096 admits n=3 with s <= 15 and n=4 with s <= 10.
+MAX_ORACLE_WIDTH = 4096
 
 
 class ExpressionError(ValueError):
@@ -99,11 +105,24 @@ def load_config(path: str) -> ProximityConfig:
 _ATOM_RE = re.compile(r"^(h|[Ee]\d+)(?:\^(\d+))?$")
 
 
+def _decimal(digits: str) -> str:
+    """str(int(digits)) for a string of decimal digits, at any length."""
+    return "".join(str(int(c)) for c in digits).lstrip("0") or "0"
+
+
+def _bounded_int(digits: str, bound: int) -> int:
+    """min(int(digits), bound), without converting a long digit string."""
+    text = _decimal(digits)
+    return bound if len(text) > len(str(bound)) else min(int(text), bound)
+
+
 def parse_expression(text: str, config: ProximityConfig):
     """Parse 'h^2*e1*E3' style products into divisor factors.
 
     Returns (factors, formal_degree) where factors is a list of
-    DivisorVector values repeated per exponent.
+    (DivisorVector, exponent) pairs.  Every product of more than n divisor
+    classes vanishes, so exponents are clamped to n + 1: the formal degree
+    is exact when it is at most n and above n otherwise.
     """
     if not text or not text.strip():
         raise ExpressionError("empty expression")
@@ -116,23 +135,24 @@ def parse_expression(text: str, config: ProximityConfig):
                 "bad factor %r: expected h, Ei or ei with an optional ^k" % token
             )
         atom, exp = m.group(1), m.group(2)
-        k = int(exp) if exp is not None else 1
+        k = _bounded_int(exp, config.n + 1) if exp is not None else 1
         if k < 1:
             raise ExpressionError("exponent in %r must be at least 1" % token)
         if atom == "h":
             vec = hyperplane(config)
         else:
-            idx = int(atom[1:])
+            idx = _bounded_int(atom[1:], config.s + 1)
             if not 1 <= idx <= config.s:
                 raise ExpressionError(
-                    "index %d in %r out of range 1..%d" % (idx, token, config.s)
+                    "index %s in %r out of range 1..%d"
+                    % (_decimal(atom[1:]), token, config.s)
                 )
             if atom[0] == "E":
                 vec = total_exceptional(config, idx)
             else:
                 vec = strict_exceptional(config, idx)
-        factors.extend([vec] * k)
-    return factors, len(factors)
+        factors.append((vec, k))
+    return factors, sum(k for _, k in factors)
 
 
 def cmd_present(args) -> int:
@@ -152,9 +172,13 @@ def cmd_present(args) -> int:
 def cmd_intersect(args) -> int:
     config = load_config(args.config)
     factors, degree = parse_expression(args.expression, config)
+    if degree > config.n:
+        print("normal form: %s" % ChowElement.zero(config.n, config.s))
+        return EXIT_OK
     result = ChowElement.one(config.n, config.s)
-    for vec in factors:
-        result = result * from_divisor(config, vec)
+    for vec, k in factors:
+        for _ in range(k):
+            result = result * from_divisor(config, vec)
     print("normal form: %s" % result)
     if degree == config.n:
         print("degree integral: %d" % degree_integral(result))
@@ -223,10 +247,10 @@ def _verify_checks(config, samples, seed):
             dg = g.homogeneous_degree()
             if dg <= d:
                 p = p + g * random_homogeneous(rng, s + 1, d - dg)
-        nf = normal_form(config, p).to_polynomial()
-        if oracle.reduce(ideal, p) != nf:
+        nf = normal_form(config, p)
+        if oracle.reduce(ideal, p) != nf.to_polynomial():
             mismatches += 1
-        if oracle.membership(ideal, p) != normal_form(config, p).is_zero():
+        if oracle.membership(ideal, p) != nf.is_zero():
             mismatches += 1
     yield (
         mismatches == 0,
@@ -276,6 +300,14 @@ def cmd_verify(args) -> int:
         print("error: --samples must be at least 1, got %d" % args.samples, file=sys.stderr)
         return EXIT_USER_ERROR
     config = load_config(args.config)
+    width = comb(config.s + config.n + 1, config.n + 1)
+    if width > MAX_ORACLE_WIDTH:
+        print(
+            "error: the oracle's top slice would have %d columns (n=%d, s=%d); "
+            "verify allows at most %d" % (width, config.n, config.s, MAX_ORACLE_WIDTH),
+            file=sys.stderr,
+        )
+        return EXIT_USER_ERROR
     failed = 0
     for ok, name, detail in _verify_checks(config, args.samples, args.seed):
         print("%s %s (%s)" % ("PASS" if ok else "FAIL", name, detail))

@@ -19,8 +19,9 @@ import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 from math import gcd
+from operator import add
 
-from .poly import Polynomial, monomial_key, monomials_of_degree
+from .poly import Polynomial, monomials_of_degree
 
 
 def _xgcd(a, b):
@@ -282,23 +283,21 @@ class GradedIdeal:
     def _build_piece(self, d, proper_multiples_only):
         monos = monomials_of_degree(self.nvars, d, self.weights)
         index = {m: i for i, m in enumerate(monos)}
-        lat = HermiteLattice(len(monos))
+        width = len(monos)
+        lat = HermiteLattice(width)
         piece = GradedPiece(d, tuple(monos), index, lat)
         low = 1 if proper_multiples_only else 0
         for g in self.generators:
-            dg = g.homogeneous_degree(self.weights)
-            r = d - dg
+            r = d - g.homogeneous_degree(self.weights)
             if r < low:
                 continue
+            terms = g.terms.items()
             for m in monomials_of_degree(self.nvars, r, self.weights):
-                shifted = Polynomial(
-                    self.nvars,
-                    {
-                        tuple(a + b for a, b in zip(exps, m)): coef
-                        for exps, coef in g.terms.items()
-                    },
-                )
-                lat.add_row(piece.vector_of(shifted))
+                # shifting by m is injective, so g*m has one entry per term
+                row = [0] * width
+                for exps, coef in terms:
+                    row[index[tuple(map(add, exps, m))]] = coef
+                lat.add_row(row)
         return piece
 
     def piece(self, d, proper_multiples_only=False):

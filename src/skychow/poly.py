@@ -15,6 +15,7 @@ weight of every variable is 1.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
+from functools import lru_cache
 from random import Random
 
 Exps = tuple[int, ...]
@@ -34,30 +35,44 @@ def monomial_key(exps: Sequence[int], weights: Sequence[int] | None = None):
 def monomials_of_degree(
     nvars: int, degree: int, weights: Sequence[int] | None = None
 ) -> list[Exps]:
-    """All exponent vectors of the given weighted degree, largest first."""
+    """All exponent vectors of the given weighted degree, largest first.
+
+    Each (nvars, degree, weights) slice is enumerated once per process and
+    kept in a bounded cache; every call returns a fresh list, so callers may
+    mutate it.
+    """
     if degree < 0:
         return []
     if weights is None:
         weights = (1,) * nvars
     if len(weights) != nvars or any(w < 1 for w in weights):
         raise ValueError("weights must be %d positive integers" % nvars)
+    return list(_slice_monomials(nvars, degree, tuple(weights)))
+
+
+@lru_cache(maxsize=128)
+def _slice_monomials(nvars: int, degree: int, weights: Exps) -> tuple[Exps, ...]:
+    # All monomials of a slice share one weighted degree, so the global order
+    # restricted to it is descending lex on the reversed exponent vector:
+    # recurse from the last variable down, largest exponent first.
+    if nvars == 0:
+        return ((),) if degree == 0 else ()
     out: list[Exps] = []
-    prefix = [0] * nvars
+    exps = [0] * nvars
 
     def rec(i: int, remaining: int) -> None:
-        if i == nvars:
-            if remaining == 0:
-                out.append(tuple(prefix))
-            return
         w = weights[i]
-        for e in range(remaining // w + 1):
-            prefix[i] = e
-            rec(i + 1, remaining - e * w)
-        prefix[i] = 0
+        if i == 0:
+            if remaining % w == 0:
+                exps[0] = remaining // w
+                out.append(tuple(exps))
+            return
+        for e in range(remaining // w, -1, -1):
+            exps[i] = e
+            rec(i - 1, remaining - e * w)
 
-    rec(0, degree)
-    out.sort(key=lambda e: monomial_key(e, weights), reverse=True)
-    return out
+    rec(nvars - 1, degree)
+    return tuple(out)
 
 
 class Polynomial:

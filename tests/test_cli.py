@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +26,16 @@ def surface_path(tmp_path):
     path = tmp_path / "surface.json"
     path.write_text(json.dumps(SURFACE_DOC))
     return str(path)
+
+
+THREEFOLD_PATH = str(
+    Path(__file__).resolve().parents[1] / "configs" / "threefold_chain.json"
+)
+
+
+def chain_doc(n, s):
+    points = [{"id": j, "proximate_to": [j - 1] if j > 1 else []} for j in range(1, s + 1)]
+    return {"ambient_dimension": n, "points": points}
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -159,6 +170,40 @@ class TestIntersect:
         assert cli.main(["intersect", surface_path, "z1*e2"]) == 2
         assert "bad factor" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            "h^2*e1^2",
+            "h^3000000",
+            "h^99999999999999999999",
+            "h^" + "9" * 5000,
+            "e1*h^" + "0" * 5000 + "3",
+        ],
+        ids=["degree-4", "h^3000000", "h^1e20", "5000-digit-exponent", "leading-zeros"],
+    )
+    def test_products_above_top_degree_vanish(self, capsys, expr):
+        # n = 3: any product of four or more divisor classes is zero
+        assert cli.main(["intersect", THREEFOLD_PATH, expr]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "normal form: 0\n"
+        assert captured.err == ""
+
+    @pytest.mark.parametrize(
+        "expr,message",
+        [
+            ("h^5*e9", "out of range"),
+            ("h^99999999999999999999*E0", "out of range"),
+            ("e" + "9" * 5000, "out of range"),
+            ("h^" + "0" * 5000, "at least 1"),
+        ],
+        ids=["e9", "E0-after-huge-power", "5000-digit-index", "5000-digit-zero"],
+    )
+    def test_atoms_are_validated_before_the_degree(self, capsys, expr, message):
+        assert cli.main(["intersect", THREEFOLD_PATH, expr]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
 
 class TestFinal:
     def test_table(self, surface_path, capsys):
@@ -207,6 +252,17 @@ class TestVerify:
         captured = capsys.readouterr()
         assert "PASS" not in captured.out
         assert "--samples" in captured.err
+
+    def test_oracle_width_is_bounded_before_any_work(self, tmp_path, capsys, monkeypatch):
+        def never(cfg, samples, seed):
+            raise AssertionError("verify started on a config above the width limit")
+
+        monkeypatch.setattr(cli, "_verify_checks", never)
+        path = write_config(tmp_path, chain_doc(3, 16))  # comb(20, 4) = 4845 columns
+        assert cli.main(["verify", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "4845 columns" in captured.err and "4096" in captured.err
 
     def test_failure_exit_code(self, surface_path, capsys, monkeypatch):
         def broken(cfg, samples, seed):

@@ -7,6 +7,8 @@ memberships and by coset identities that hold for any correct reduction.
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -15,8 +17,11 @@ from hypothesis import strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
+import skychow.oracle
 from helpers import cached_total_ideal
-from skychow.chowring import total_presentation
+from skychow.chowring import strict_presentation, total_presentation
+from skychow.cli import load_config
+from skychow.curve import CurveRingParams, curve_ideal
 from skychow.oracle import (
     GradedIdeal,
     HermiteLattice,
@@ -27,7 +32,7 @@ from skychow.oracle import (
     rational_membership,
     reduce,
 )
-from skychow.poly import Polynomial, random_homogeneous
+from skychow.poly import Polynomial, monomials_of_degree, random_homogeneous
 from skychow.proximity import ProximityConfig
 
 
@@ -223,3 +228,65 @@ class TestAgainstRewriteEngine:
         nf = normal_form(cfg, p).to_polynomial()
         assert reduce(ideal, p) == nf
         assert membership(ideal, p) == nf.is_zero()
+
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+
+def example_ideals():
+    for path in sorted(CONFIG_DIR.glob("*.json")):
+        cfg = load_config(str(path))
+        for pres in (total_presentation(cfg), strict_presentation(cfg)):
+            yield GradedIdeal(cfg.s + 1, pres.relations, cfg.n + 1)
+    for gamma, c1 in ((2, 4), (3, 6), (4, -2), (5, 7), (6, 1)):
+        yield curve_ideal(CurveRingParams(gamma=gamma, c1=c1))
+
+
+def reference_lattice(ideal, piece, proper_multiples_only):
+    """Fold the rows g*m as Polynomial products read back through vector_of."""
+    lat = HermiteLattice(len(piece.monomials))
+    low = 1 if proper_multiples_only else 0
+    for g in ideal.generators:
+        r = piece.degree - g.homogeneous_degree(ideal.weights)
+        if r < low:
+            continue
+        for m in monomials_of_degree(ideal.nvars, r, ideal.weights):
+            lat.add_row(piece.vector_of(g * Polynomial.monomial(ideal.nvars, m)))
+    return lat
+
+
+def test_slices_match_polynomial_product_rows():
+    for ideal in example_ideals():
+        for d in range(ideal.max_degree + 1):
+            for proper in (False, True):
+                piece = ideal.piece(d, proper_multiples_only=proper)
+                expected = reference_lattice(ideal, piece, proper)
+                assert piece.lattice.rows == expected.rows
+                assert piece.lattice.pivot_cols == expected.pivot_cols
+
+
+def _package_imports(tree):
+    """Names of skychow modules imported by a parsed module of the package."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                parts = node.module.split(".") if node.module else []
+            elif node.module.split(".")[0] == "skychow":
+                parts = node.module.split(".")[1:]
+            else:
+                continue
+            found.update(parts[:1] or [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "skychow":
+                    found.add(".".join(parts[1:2]) or "skychow")
+    return found
+
+
+def test_oracle_shares_no_code_with_the_rewrite_engine():
+    # the oracle checks chowring/finality/proximity/curve, so it may only
+    # build on the polynomial layer
+    tree = ast.parse(Path(skychow.oracle.__file__).read_text(encoding="utf-8"))
+    assert _package_imports(tree) == {"poly"}

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import product
 from math import comb
 from random import Random
 
@@ -37,6 +38,11 @@ def test_monomial_order_degree_two_three_vars():
         (1, 1, 0),
         (2, 0, 0),
     ]
+    # each call hands out a fresh list: mutating one leaves the next intact
+    got.reverse()
+    got.append((9, 9, 9))
+    assert monomials_of_degree(3, 2)[0] == (0, 0, 2)
+    assert len(monomials_of_degree(3, 2)) == 6
 
 
 def test_monomial_order_is_graded():
@@ -48,6 +54,27 @@ def test_monomial_counts():
     for nvars in (2, 3, 5):
         for d in range(0, 5):
             assert len(monomials_of_degree(nvars, d)) == comb(d + nvars - 1, nvars - 1)
+
+
+@given(
+    st.integers(1, 6).flatmap(
+        lambda nvars: st.tuples(
+            st.just(nvars),
+            st.integers(-1, 6),
+            st.none() | st.tuples(*(st.integers(1, 3) for _ in range(nvars))),
+        )
+    )
+)
+def test_enumeration_matches_brute_force(case):
+    nvars, d, weights = case
+    w = weights or (1,) * nvars
+    ranges = (range(d // wi + 1) for wi in w)
+    expected = sorted(
+        (e for e in product(*ranges) if sum(a * b for a, b in zip(e, w)) == d),
+        key=lambda e: monomial_key(e, weights),
+        reverse=True,
+    )
+    assert monomials_of_degree(nvars, d, weights) == expected
 
 
 def test_weighted_enumeration_curve_grading():
