@@ -25,10 +25,9 @@ from .poly import (
 from .proximity import (
     DivisorVector,
     ProximityConfig,
-    change_of_basis,
-    invert_unitriangular,
     strict_to_total,
-    validate_config,
+    total_exceptional,
+    total_to_strict,
 )
 
 
@@ -287,7 +286,6 @@ class Presentation:
 
 def total_presentation(config: ProximityConfig) -> Presentation:
     """Relations among the total transform generators; depends only on (n, s)."""
-    validate_config(config)
     n, s = config.n, config.s
     nv = s + 1
     rels = []
@@ -312,19 +310,19 @@ def strict_presentation(config: ProximityConfig) -> Presentation:
     proximity chains, so they are nonnegative); the power relations carry
     the constant (-1)^n + #(points proximate to the i-th).
     """
-    validate_config(config)
     n, s = config.n, config.s
     nv = s + 1
-    binv = invert_unitriangular(change_of_basis(config, s))
     rels = []
     y = [Polynomial.variable(nv, t) for t in range(nv)]
     for i in range(1, nv):
         rels.append(y[0] * y[i])
     combos = {}
     for i in range(1, nv):
+        # column i of the inverse proximity matrix is E_i in strict coordinates
+        column = total_to_strict(config, total_exceptional(config, i)).coords
         L = y[i]
         for k in range(i + 1, nv):
-            c = binv[k - 1][i - 1]
+            c = column[k]
             if c:
                 L = L + c * y[k]
         combos[i] = L

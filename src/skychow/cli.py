@@ -13,6 +13,7 @@ import argparse
 import json
 import re
 import sys
+from dataclasses import replace
 from math import comb
 from random import Random
 
@@ -28,8 +29,7 @@ from .chowring import (
     strict_presentation,
     total_presentation,
 )
-from .finality import DivisorFinality, FinalityReport
-from .finality import final_by_chow, final_by_proximity, finality_report
+from .finality import final_by_proximity, finality_report
 from .poly import Polynomial, format_polynomial, random_homogeneous
 from .proximity import (
     DivisorVector,
@@ -38,7 +38,6 @@ from .proximity import (
     hyperplane,
     total_exceptional,
     strict_exceptional,
-    validate_config,
 )
 
 EXIT_OK = 0
@@ -51,13 +50,17 @@ EXIT_DISAGREEMENT = 3
 # width^2 memory.  4096 admits n=3 with s <= 15 and n=4 with s <= 10.
 MAX_ORACLE_WIDTH = 4096
 
+# Largest ambient dimension a config file may ask for.  The cost of final
+# and intersect grows with n^2 (n=64, s=300: final takes about 0.5 s).
+MAX_AMBIENT_DIMENSION = 64
+
 
 class ExpressionError(ValueError):
     pass
 
 
 def load_config(path: str) -> ProximityConfig:
-    """Read and validate a sequence configuration file."""
+    """Read a sequence configuration file; the returned config is valid."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -65,6 +68,11 @@ def load_config(path: str) -> ProximityConfig:
             raise InvalidConfigError("config is not valid JSON: %s" % exc) from exc
         except UnicodeDecodeError as exc:
             raise InvalidConfigError("config is not UTF-8 text: %s" % exc) from exc
+        except RecursionError as exc:
+            raise InvalidConfigError("config is nested too deeply: %s" % exc) from exc
+        except ValueError as exc:
+            # an integer literal longer than the interpreter converts (4300 digits)
+            raise InvalidConfigError("config holds an integer too long to read") from exc
     if not isinstance(doc, dict):
         raise InvalidConfigError("config must be a JSON object")
     try:
@@ -72,6 +80,10 @@ def load_config(path: str) -> ProximityConfig:
         points = doc["points"]
     except KeyError as exc:
         raise InvalidConfigError("config is missing the %s key" % exc) from exc
+    if isinstance(n, int) and n > MAX_AMBIENT_DIMENSION:
+        raise InvalidConfigError(
+            "ambient dimension %d is above the limit of %d" % (n, MAX_AMBIENT_DIMENSION)
+        )
     if not isinstance(points, list) or not points:
         raise InvalidConfigError("points must be a nonempty list")
     prox = set()
@@ -96,10 +108,9 @@ def load_config(path: str) -> ProximityConfig:
     snc = doc.get("strict_snc_check", True)
     if not isinstance(snc, bool):
         raise InvalidConfigError("strict_snc_check must be a boolean")
-    config = ProximityConfig(
+    return ProximityConfig(
         n=n, s=len(points), prox=frozenset(prox), strict_snc_check=snc
     )
-    return validate_config(config)
 
 
 _ATOM_RE = re.compile(r"^(h|[Ee]\d+)(?:\^(\d+))?$")
@@ -187,21 +198,12 @@ def cmd_intersect(args) -> int:
 
 def cmd_final(args) -> int:
     config = load_config(args.config)
-    if args.method == "both":
-        report = finality_report(config)
-    else:
-        report = FinalityReport(
-            config,
-            tuple(
-                DivisorFinality(
-                    i,
-                    final_by_proximity(config, i) if args.method == "proximity" else None,
-                    final_by_chow(config, i) if args.method == "chow" else None,
-                    None,
-                )
-                for i in range(1, config.s + 1)
-            ),
-        )
+    report = finality_report(config)
+    if args.method != "both":
+        # blank the column that was not asked for, and the witness
+        blank = "final_chow" if args.method == "proximity" else "final_proximity"
+        divisors = tuple(replace(d, **{blank: None, "witness": None}) for d in report.divisors)
+        report = replace(report, divisors=divisors)
     if args.format == "json":
         print(json.dumps(report.to_json_dict(), indent=2))
     else:
@@ -283,13 +285,8 @@ def _verify_checks(config, samples, seed):
     )
     yield ok, "minimal generator count", detail
 
-    disagreements = [
-        i
-        for i in range(1, s + 1)
-        if final_by_proximity(config, i) != final_by_chow(config, i)
-    ]
     yield (
-        not disagreements,
+        finality_report(config).all_agree,
         "finality deciders agree on every divisor",
         "s = %d divisors" % s,
     )

@@ -19,7 +19,6 @@ from .proximity import (
     ProximityConfig,
     strict_exceptional,
     strict_to_total,
-    validate_config,
 )
 
 
@@ -54,11 +53,14 @@ def _meeting(n, e, i):
     ]
 
 
-def final_by_proximity(config: ProximityConfig, i: int) -> bool:
-    """No later point proximate to the i-th: the divisor survives unchanged."""
-    validate_config(config)
+def _check_index(config, i):
     if not 1 <= i <= config.s:
         raise ValueError("divisor index %d out of range 1..%d" % (i, config.s))
+
+
+def final_by_proximity(config: ProximityConfig, i: int) -> bool:
+    """No later point proximate to the i-th: the divisor survives unchanged."""
+    _check_index(config, i)
     return not config.proximate_points(i)
 
 
@@ -68,9 +70,7 @@ def intersecting_indices(config: ProximityConfig, i: int) -> set:
     Computed in the ring, not from proximity; on iterated blow-ups the two
     can differ (a satellite point can separate two earlier divisors).
     """
-    validate_config(config)
-    if not 1 <= i <= config.s:
-        raise ValueError("divisor index %d out of range 1..%d" % (i, config.s))
+    _check_index(config, i)
     return set(_meeting(config.n, _strict_classes(config), i))
 
 
@@ -99,9 +99,7 @@ def _chow_conditions(n, e, i):
 
 def final_by_chow(config: ProximityConfig, i: int) -> bool:
     """Finality decided purely from intersection products."""
-    validate_config(config)
-    if not 1 <= i <= config.s:
-        raise ValueError("divisor index %d out of range 1..%d" % (i, config.s))
+    _check_index(config, i)
     ok, _ = _chow_conditions(config.n, _strict_classes(config), i)
     return ok
 
@@ -145,11 +143,10 @@ class FinalityReport:
 
 def finality_report(config: ProximityConfig) -> FinalityReport:
     """Both deciders on every divisor, with a witness for each chow failure."""
-    validate_config(config)
     e = _strict_classes(config)
     entries = []
     for i in range(1, config.s + 1):
-        by_prox = not config.proximate_points(i)
+        by_prox = final_by_proximity(config, i)
         by_chow, witness = _chow_conditions(config.n, e, i)
         entries.append(DivisorFinality(i, by_prox, by_chow, witness))
     return FinalityReport(config, tuple(entries))

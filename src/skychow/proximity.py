@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -28,7 +29,7 @@ class ProximityConfig:
     ``prox`` holds pairs (j, i) with j > i meaning the j-th center is
     proximate to the i-th.  ``strict_snc_check`` keeps the validation rule
     that no point is proximate to more than n earlier ones; turn it off to
-    experiment with degenerate configurations.
+    experiment with degenerate configurations.  Construction validates.
     """
 
     n: int
@@ -40,18 +41,31 @@ class ProximityConfig:
         object.__setattr__(
             self, "prox", frozenset((int(j), int(i)) for j, i in self.prox)
         )
+        validate_config(self)
+
+    @cached_property
+    def _adjacency(self):
+        # (targets, proximate): point -> ascending list; keys of targets ascend
+        targets, proximate = {}, {}
+        for j, i in sorted(self.prox):
+            targets.setdefault(j, []).append(i)
+            proximate.setdefault(i, []).append(j)
+        return targets, proximate
 
     def proximate_points(self, i: int) -> list[int]:
         """Indices j with the j-th point proximate to the i-th (all j > i)."""
-        return sorted(j for j, t in self.prox if t == i)
+        return list(self._adjacency[1].get(i, ()))
 
     def proximity_targets(self, j: int) -> list[int]:
         """Indices i that the j-th point is proximate to (all i < j)."""
-        return sorted(i for p, i in self.prox if p == j)
+        return list(self._adjacency[0].get(j, ()))
 
 
 def validate_config(config: ProximityConfig) -> ProximityConfig:
-    """Return the config unchanged, or raise InvalidConfigError naming the bad invariant."""
+    """Return the config unchanged, or raise InvalidConfigError naming the bad invariant.
+
+    ProximityConfig construction calls this, so an invalid config never exists.
+    """
     if not isinstance(config.n, int) or config.n < 2:
         raise InvalidConfigError(
             "ambient dimension must be an integer >= 2, got %r" % (config.n,)
@@ -60,20 +74,20 @@ def validate_config(config: ProximityConfig) -> ProximityConfig:
         raise InvalidConfigError(
             "number of points must be an integer >= 1, got %r" % (config.s,)
         )
-    for j, i in sorted(config.prox):
-        if not (1 <= i < j <= config.s):
-            raise InvalidConfigError(
-                "proximity pair (%r, %r) must satisfy 1 <= i < j <= s = %d"
-                % (j, i, config.s)
-            )
+    bad = [(j, i) for j, i in config.prox if not 1 <= i < j <= config.s]
+    if bad:
+        raise InvalidConfigError(
+            "proximity pair (%r, %r) must satisfy 1 <= i < j <= s = %d"
+            % (*min(bad), config.s)
+        )
     if config.strict_snc_check:
         counts = Counter(j for j, _ in config.prox)
-        for j in sorted(counts):
-            if counts[j] > config.n:
-                raise InvalidConfigError(
-                    "point %d is proximate to %d points, more than the ambient dimension %d"
-                    % (j, counts[j], config.n)
-                )
+        j = min((j for j, c in counts.items() if c > config.n), default=0)
+        if j:
+            raise InvalidConfigError(
+                "point %d is proximate to %d points, more than the ambient dimension %d"
+                % (j, counts[j], config.n)
+            )
     return config
 
 
@@ -184,8 +198,8 @@ def total_to_strict(config: ProximityConfig, v: DivisorVector) -> DivisorVector:
         raise ValueError("expected a total-basis vector, got basis %r" % v.basis)
     _check_length(config, v)
     out = list(v.coords)
-    for j, i in sorted(config.prox):
-        out[j] += out[i]
+    for j, targets in config._adjacency[0].items():
+        out[j] += sum(out[i] for i in targets)
     return DivisorVector("strict", tuple(out))
 
 

@@ -26,7 +26,9 @@ from skychow.poly import Polynomial, random_homogeneous
 from skychow.proximity import (
     DivisorVector,
     ProximityConfig,
+    change_of_basis,
     hyperplane,
+    invert_unitriangular,
     strict_exceptional,
 )
 
@@ -184,6 +186,31 @@ class TestPresentations:
         cfg = ProximityConfig(n=3, s=4, prox=frozenset({(2, 1), (4, 2), (4, 3)}))
         for rel in strict_presentation(cfg).relations:
             assert rel.homogeneous_degree() in (2, 3)
+
+    @given(st.integers(0, 2**30))
+    def test_strict_relations_match_the_dense_inverse(self, seed):
+        # reference: the mixed relations built from the dense matrix B^-1
+        rng = Random(seed)
+        cfg = random_config(rng, rng.randint(2, 4), rng.randint(1, 16))
+        n, nv = cfg.n, cfg.s + 1
+        binv = invert_unitriangular(change_of_basis(cfg, cfg.s))
+        y = [Polynomial.variable(nv, t) for t in range(nv)]
+        combos = [None]
+        for i in range(1, nv):
+            combo = y[i]
+            for k in range(i + 1, nv):
+                combo = combo + binv[k - 1][i - 1] * y[k]
+            combos.append(combo)
+        point = Polynomial.monomial(nv, (n,) + (0,) * cfg.s)
+        expected = (
+            [y[0] * y[i] for i in range(1, nv)]
+            + [combos[i] * combos[j] for i in range(1, nv) for j in range(i + 1, nv)]
+            + [
+                y[i] ** n + ((-1) ** n + len(cfg.proximate_points(i))) * point
+                for i in range(1, nv)
+            ]
+        )
+        assert strict_presentation(cfg).relations == tuple(expected)
 
     @given(st.integers(0, 2**30))
     def test_strict_relations_map_into_the_total_ideal(self, seed):

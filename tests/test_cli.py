@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import skychow.cli as cli
+from skychow import finality
 from skychow.chowring import Presentation, total_presentation, strict_presentation
 from skychow.finality import DivisorFinality, FinalityReport
 from skychow.proximity import InvalidConfigError, ProximityConfig
@@ -106,6 +107,44 @@ class TestLoadConfig:
             cli.load_config(str(path))
         assert cli.main(["final", str(path)]) == 2
         assert "UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [65, 5000, 10**7])
+    def test_ambient_dimension_is_bounded(self, tmp_path, capsys, n):
+        path = write_config(tmp_path, chain_doc(n, 3))
+        with pytest.raises(InvalidConfigError, match="above the limit of 64"):
+            cli.load_config(path)
+        for argv in (["final", path], ["intersect", path, "h*e1"], ["present", path]):
+            assert cli.main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "ambient dimension %d is above the limit of 64" % n in captured.err
+
+    def test_ambient_dimension_at_the_limit_is_accepted(self, tmp_path):
+        path = write_config(tmp_path, chain_doc(cli.MAX_AMBIENT_DIMENSION, 3))
+        assert cli.load_config(path).n == 64
+
+    @pytest.mark.parametrize("n", [1, 2.5, "3", True])
+    def test_small_or_non_integer_dimension_keeps_its_message(self, tmp_path, n):
+        path = write_config(tmp_path, chain_doc(n, 3))
+        with pytest.raises(InvalidConfigError, match="must be an integer >= 2"):
+            cli.load_config(path)
+
+    def test_deep_nesting_is_a_user_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        depth = 200_000
+        path.write_text('{"ambient_dimension": 2, "points": %s%s}' % ("[" * depth, "]" * depth))
+        assert cli.main(["final", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "nested too deeply" in captured.err
+
+    def test_overlong_integer_is_a_user_error(self, tmp_path, capsys):
+        path = tmp_path / "digits.json"
+        path.write_text('{"ambient_dimension": %s, "points": [{"id": 1}]}' % ("9" * 5000))
+        assert cli.main(["final", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "integer too long" in captured.err
 
 
 class TestPresent:
@@ -223,6 +262,28 @@ class TestFinal:
         doc = json.loads(capsys.readouterr().out)
         assert doc["divisors"][0]["final_chow"] is None
 
+    def test_chow_method_prints_no_witness(self, surface_path, capsys):
+        assert cli.main(["final", surface_path, "--method", "chow", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [d["final_chow"] for d in doc["divisors"]] == [False, True]
+        assert all(d["final_proximity"] is None and d["witness"] is None for d in doc["divisors"])
+        assert cli.main(["final", surface_path, "--method", "chow"]) == 0
+        assert "condition" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("method", ["proximity", "chow", "both"])
+    def test_strict_classes_are_built_once(self, tmp_path, capsys, monkeypatch, method):
+        calls = []
+        original = finality._strict_classes
+
+        def counting(config):
+            calls.append(config.s)
+            return original(config)
+
+        monkeypatch.setattr(finality, "_strict_classes", counting)
+        path = write_config(tmp_path, chain_doc(3, 6))
+        assert cli.main(["final", path, "--method", method]) == 0
+        assert calls == [6]
+
     def test_disagreement_exit_code(self, surface_path, capsys, monkeypatch):
         cfg = cli.load_config(surface_path)
         fake = FinalityReport(
@@ -263,6 +324,14 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "4845 columns" in captured.err and "4096" in captured.err
+
+    def test_finality_disagreement_fails_the_last_check(self, surface_path, capsys, monkeypatch):
+        cfg = cli.load_config(surface_path)
+        fake = FinalityReport(cfg, (DivisorFinality(1, True, False, "synthetic"),))
+        monkeypatch.setattr(cli, "finality_report", lambda _cfg: fake)
+        assert cli.main(["verify", surface_path, "--samples", "5"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL finality deciders agree on every divisor (s = 2 divisors)" in out
 
     def test_failure_exit_code(self, surface_path, capsys, monkeypatch):
         def broken(cfg, samples, seed):

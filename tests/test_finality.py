@@ -42,8 +42,8 @@ class TestProximityDecider:
             final_by_proximity(SURFACE, 3)
 
     def test_invalid_config_is_rejected(self):
-        bad = ProximityConfig(n=2, s=2, prox=frozenset({(1, 2)}))
         with pytest.raises(InvalidConfigError):
+            bad = ProximityConfig(n=2, s=2, prox=frozenset({(1, 2)}))
             final_by_proximity(bad, 1)
 
 

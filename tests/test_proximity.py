@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -62,15 +63,43 @@ class TestValidation:
         with pytest.raises(InvalidConfigError, match="1 <= i < j <= s"):
             validate_config(ProximityConfig(n=2, s=2, prox=frozenset({(3, 1)})))
 
+    def test_bad_pair_message_names_the_first_offender(self):
+        prox = frozenset({(5, 1), (2, 3), (9, 1), (4, 4), (2, 1)})
+        with pytest.raises(InvalidConfigError, match=r"pair \(2, 3\) must satisfy"):
+            ProximityConfig(n=2, s=5, prox=prox)
+
     def test_rejects_too_many_proximities(self):
         # the earliest offending point is the one named
         prox = frozenset({(4, 1), (4, 2), (4, 3), (5, 1), (5, 2), (5, 3), (5, 4)})
-        cfg = ProximityConfig(n=2, s=5, prox=prox)
         with pytest.raises(
             InvalidConfigError,
             match="point 4 is proximate to 3 points, more than the ambient dimension 2",
         ):
+            cfg = ProximityConfig(n=2, s=5, prox=prox)
             validate_config(cfg)
+
+    def test_replace_validates(self):
+        with pytest.raises(InvalidConfigError, match="1 <= i < j <= s"):
+            replace(SURFACE, prox=frozenset({(2, 1), (1, 2)}))
+        with pytest.raises(InvalidConfigError, match="ambient dimension"):
+            replace(SURFACE, n=1)
+        assert replace(SURFACE, s=3) == ProximityConfig(n=2, s=3, prox=SURFACE.prox)
+
+    def test_adjacency_is_not_part_of_the_value(self):
+        used = ProximityConfig(n=2, s=3, prox=frozenset({(2, 1), (3, 1)}))
+        assert used.proximate_points(1) == [2, 3]
+        fresh = ProximityConfig(n=2, s=3, prox=used.prox)
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+        assert "adjacency" not in repr(used)
+
+    def test_lookups_return_fresh_lists(self):
+        cfg = ProximityConfig(n=2, s=3, prox=frozenset({(2, 1), (3, 1)}))
+        cfg.proximate_points(1).append(99)
+        cfg.proximity_targets(3).clear()
+        assert cfg.proximate_points(1) == [2, 3]
+        assert cfg.proximity_targets(3) == [1]
+        assert cfg.proximate_points(0) == [] and cfg.proximity_targets(7) == []
 
     def test_cardinality_check_can_be_disabled(self):
         cfg = ProximityConfig(
@@ -175,6 +204,10 @@ class TestConversions:
         st.lists(st.integers(-5, 5), min_size=51, max_size=51),
     )
     def test_round_trip(self, cfg, coords):
+        # the adjacency lookups agree with a scan of the pairs
+        for t in range(cfg.s + 2):
+            assert cfg.proximate_points(t) == sorted(j for j, i in cfg.prox if i == t)
+            assert cfg.proximity_targets(t) == sorted(i for j, i in cfg.prox if j == t)
         # the dense matrices B and B^-1 are the reference for both conversions
         b = augmented_change_of_basis(cfg, cfg.s)
         v = DivisorVector.strict(tuple(coords[: cfg.s + 1]))
