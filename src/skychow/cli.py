@@ -46,8 +46,10 @@ EXIT_USER_ERROR = 2
 EXIT_DISAGREEMENT = 3
 
 # Widest oracle slice verify builds: the top slice (degree n + 1 in s + 1
-# variables) has comb(s + n + 1, n + 1) columns and its dense rows cost
-# width^2 memory.  4096 admits n=3 with s <= 15 and n=4 with s <= 10.
+# variables) has comb(s + n + 1, n + 1) columns.  Rows are sparse, so memory
+# grows with the width rather than its square; the bound caps the time spent
+# listing slices and folding their rows.  4096 admits n=3 with s <= 15 and
+# n=4 with s <= 10.
 MAX_ORACLE_WIDTH = 4096
 
 # Largest ambient dimension a config file may ask for.  The cost of final
@@ -91,7 +93,8 @@ def load_config(path: str) -> ProximityConfig:
         if not isinstance(entry, dict):
             raise InvalidConfigError("point entry %d must be an object" % pos)
         pid = entry.get("id")
-        if pid != pos:
+        # a JSON true reads as True, which equals 1 (false never equals pos)
+        if pid != pos or pid is True:
             raise InvalidConfigError(
                 "point ids must be 1..s in order: entry %d has id %r" % (pos, pid)
             )
@@ -99,7 +102,8 @@ def load_config(path: str) -> ProximityConfig:
         if not isinstance(targets, list):
             raise InvalidConfigError("proximate_to of point %d must be a list" % pos)
         for t in targets:
-            if not isinstance(t, int) or not 1 <= t < pos:
+            # type, not isinstance: a JSON true or false is a bool, an int subclass
+            if type(t) is not int or not 1 <= t < pos:
                 raise InvalidConfigError(
                     "point %d lists %r in proximate_to; only earlier ids are allowed"
                     % (pos, t)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from math import gcd
 from operator import add
 
@@ -41,109 +42,176 @@ def _xgcd(a, b):
 class HermiteLattice:
     """A sublattice of Z^width held in row echelon form with positive pivots.
 
+    Each row is stored sparse, as a {column: entry} dict without zeros, and
+    every elimination step walks only nonzero columns, in ascending order.
     Rows are added one at a time; above-pivot reduction is deferred until a
     query needs the fully reduced (Hermite) form.  All mutation happens
     through add_row, queries never mutate.
+
+    Vectors may be given dense, as a sequence of length width, or sparse,
+    as a {column: entry} dict with columns in 0..width-1; reduce_vector
+    answers in the form it was given.
     """
 
-    __slots__ = ("width", "rows", "pivot_cols", "_reduced")
+    __slots__ = ("width", "pivot_cols", "_rows", "_pivots", "_reduced")
 
     def __init__(self, width):
         self.width = width
-        self.rows = []
         self.pivot_cols = []
+        self._rows = []  # sparse rows in pivot_cols order
+        self._pivots = {}  # pivot column -> its row
         self._reduced = True
 
     @property
     def rank(self):
-        return len(self.rows)
+        return len(self._rows)
+
+    @property
+    def rows(self):
+        """The rows as fresh dense lists."""
+        return [_dense(row, self.width) for row in self._rows]
 
     def pivot_values(self):
-        return [row[c] for row, c in zip(self.rows, self.pivot_cols)]
+        return [row[c] for row, c in zip(self._rows, self.pivot_cols)]
 
     def copy(self):
         other = HermiteLattice(self.width)
-        other.rows = [row[:] for row in self.rows]
         other.pivot_cols = list(self.pivot_cols)
+        other._rows = [dict(row) for row in self._rows]
+        other._pivots = dict(zip(other.pivot_cols, other._rows))
         other._reduced = self._reduced
         return other
 
-    def add_row(self, vec):
-        """Fold a vector into the lattice; True if the rank grew."""
+    def _sparse(self, vec, what):
+        """A fresh zero-free {column: entry} dict of either vector form."""
+        if isinstance(vec, dict):
+            v = {t: c for t, c in vec.items() if c}
+            if v and not (0 <= min(v) and max(v) < self.width):
+                raise ValueError("%s has a column outside 0..%d" % (what, self.width - 1))
+            return v
         vec = list(vec)
         if len(vec) != self.width:
-            raise ValueError("row has length %d, expected %d" % (len(vec), self.width))
-        rows, pcols = self.rows, self.pivot_cols
-        for j in range(self.width):
-            vj = vec[j]
-            if not vj:
-                continue
-            pos = bisect_left(pcols, j)
-            if pos < len(pcols) and pcols[pos] == j:
-                row = rows[pos]
-                a = row[j]
-                if vj % a == 0:
-                    q = vj // a
-                    for t in range(j, self.width):
-                        vec[t] -= q * row[t]
-                else:
-                    x, y, g = _xgcd(a, vj)
-                    ag, bg = a // g, vj // g
-                    for t in range(j, self.width):
-                        rt, vt = row[t], vec[t]
-                        row[t] = x * rt + y * vt
-                        vec[t] = ag * vt - bg * rt
-                    self._reduced = False
-            else:
+            raise ValueError("%s has length %d, expected %d" % (what, len(vec), self.width))
+        return {t: c for t, c in enumerate(vec) if c}
+
+    def add_row(self, vec):
+        """Fold a vector into the lattice; True if the rank grew."""
+        vec = self._sparse(vec, "row")
+        pivots = self._pivots
+        heap = sorted(vec)  # a sorted list is already a heap
+        while heap:
+            j = heappop(heap)
+            vj = vec.get(j)
+            if vj is None:
+                continue  # cancelled since it was pushed
+            row = pivots.get(j)
+            if row is None:
                 if vj < 0:
-                    vec = [-c for c in vec]
-                rows.insert(pos, vec)
-                pcols.insert(pos, j)
+                    vec = {t: -c for t, c in vec.items()}
+                pos = bisect_left(self.pivot_cols, j)
+                self.pivot_cols.insert(pos, j)
+                self._rows.insert(pos, vec)
+                pivots[j] = vec
                 self._reduced = False
                 return True
+            a = row[j]
+            if vj % a == 0:
+                _axpy(vec, -(vj // a), row, heap, None)
+            else:
+                # replace (row, vec) by (x*row + y*vec, ag*vec - bg*row):
+                # a unimodular step that leaves gcd(a, vj) at column j of row
+                x, y, g = _xgcd(a, vj)
+                ag, bg = a // g, vj // g
+                for t in row.keys() | vec.keys():
+                    rt, vt = row.get(t, 0), vec.get(t, 0)
+                    _put(row, t, x * rt + y * vt)
+                    if not vt:
+                        heappush(heap, t)
+                    _put(vec, t, ag * vt - bg * rt)
+                self._reduced = False
         return False
+
+    def _reduce_in_place(self, v, cols):
+        """Reduce v at each pivot column among cols, and at any that fills in.
+
+        Columns are visited in ascending order, so each pivot's entry ends
+        in [0, pivot) and later subtractions cannot disturb it.
+        """
+        pivots = self._pivots
+        heap = [t for t in cols if t in pivots]
+        heapify(heap)
+        while heap:
+            j = heappop(heap)
+            vj = v.get(j)
+            if vj is None:
+                continue
+            row = pivots[j]
+            q = vj // row[j]
+            if q:
+                _axpy(v, -q, row, heap, pivots)
 
     def _ensure_reduced(self):
         # Back-substitution: make every entry above a pivot lie in [0, pivot).
         if self._reduced:
             return
-        rows, pcols = self.rows, self.pivot_cols
-        r = len(rows)
-        for k in range(r - 2, -1, -1):
-            rk = rows[k]
-            for m in range(k + 1, r):
-                jm = pcols[m]
-                piv = rows[m][jm]
-                q = rk[jm] // piv
-                if q:
-                    rm = rows[m]
-                    for t in range(jm, self.width):
-                        rk[t] -= q * rm[t]
+        rows, pcols = self._rows, self.pivot_cols
+        for k in range(len(rows) - 2, -1, -1):
+            rk, own = rows[k], pcols[k]
+            self._reduce_in_place(rk, [t for t in rk if t != own])
         self._reduced = True
+
+    def _residue(self, vec):
+        v = self._sparse(vec, "vector")
+        self._ensure_reduced()
+        self._reduce_in_place(v, list(v))
+        return v
 
     def reduce_vector(self, vec):
         """Canonical coset representative of vec modulo the lattice."""
-        if len(vec) != self.width:
-            raise ValueError("vector has length %d, expected %d" % (len(vec), self.width))
-        self._ensure_reduced()
-        v = list(vec)
-        for row, j in zip(self.rows, self.pivot_cols):
-            if v[j]:
-                q = v[j] // row[j]
-                if q:
-                    for t in range(j, self.width):
-                        v[t] -= q * row[t]
-        return v
+        v = self._residue(vec)
+        return v if isinstance(vec, dict) else _dense(v, self.width)
 
     def contains(self, vec):
-        return not any(self.reduce_vector(vec))
+        return not self._residue(vec)
 
     def elementary_divisors(self):
         """Smith normal form divisors of the row matrix (rank many, positive)."""
         if all(p == 1 for p in self.pivot_values()):
             # unit pivots: the rows extend to a basis of Z^width
             return [1] * self.rank
-        return _smith_divisors([row[:] for row in self.rows], self.width)
+        return _smith_divisors(self.rows, self.width)
+
+
+def _dense(row, width):
+    out = [0] * width
+    for t, c in row.items():
+        out[t] = c
+    return out
+
+
+def _put(v, t, c):
+    """Set entry t of a sparse vector, keeping it free of zeros."""
+    if c:
+        v[t] = c
+    else:
+        v.pop(t, None)
+
+
+def _axpy(v, q, row, heap, watch):
+    """v += q * row in place; columns that turn nonzero in v are pushed on
+    heap, all of them when watch is None, else only those in watch."""
+    for t, rt in row.items():
+        vt = v.get(t)
+        if vt is None:
+            v[t] = q * rt
+            if watch is None or t in watch:
+                heappush(heap, t)
+        else:
+            vt += q * rt
+            if vt:
+                v[t] = vt
+            else:
+                del v[t]
 
 
 def _smith_divisors(m, ncols):
@@ -215,7 +283,8 @@ class GradedPiece:
     lattice: HermiteLattice
 
     def vector_of(self, p):
-        v = [0] * len(self.monomials)
+        """The sparse {column: coefficient} vector of a polynomial of this degree."""
+        v = {}
         for exps, coef in p.terms.items():
             pos = self.index.get(exps)
             if pos is None:
@@ -226,11 +295,9 @@ class GradedPiece:
         return v
 
     def polynomial_of(self, vec, nvars):
-        terms = {}
-        for pos, coef in enumerate(vec):
-            if coef:
-                terms[self.monomials[pos]] = coef
-        return Polynomial(nvars, terms)
+        """The polynomial of a sparse vector, inverse to vector_of."""
+        monos = self.monomials
+        return Polynomial(nvars, {monos[pos]: coef for pos, coef in vec.items()})
 
 
 @dataclass(frozen=True)
@@ -283,8 +350,7 @@ class GradedIdeal:
     def _build_piece(self, d, proper_multiples_only):
         monos = monomials_of_degree(self.nvars, d, self.weights)
         index = {m: i for i, m in enumerate(monos)}
-        width = len(monos)
-        lat = HermiteLattice(width)
+        lat = HermiteLattice(len(monos))
         piece = GradedPiece(d, tuple(monos), index, lat)
         low = 1 if proper_multiples_only else 0
         for g in self.generators:
@@ -294,10 +360,7 @@ class GradedIdeal:
             terms = g.terms.items()
             for m in monomials_of_degree(self.nvars, r, self.weights):
                 # shifting by m is injective, so g*m has one entry per term
-                row = [0] * width
-                for exps, coef in terms:
-                    row[index[tuple(map(add, exps, m))]] = coef
-                lat.add_row(row)
+                lat.add_row({index[tuple(map(add, exps, m))]: coef for exps, coef in terms})
         return piece
 
     def piece(self, d, proper_multiples_only=False):

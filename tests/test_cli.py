@@ -146,6 +146,28 @@ class TestLoadConfig:
         assert captured.out == ""
         assert "integer too long" in captured.err
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_boolean_id_is_rejected(self, tmp_path, capsys, flag):
+        # true == 1 in Python, so {"id": true} used to pass as the first point
+        doc = chain_doc(2, 2)
+        doc["points"][0]["id"] = flag
+        path = write_config(tmp_path, doc)
+        assert cli.main(["dot", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "point ids must be 1..s in order: entry 1 has id %r" % flag in captured.err
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_boolean_proximity_target_is_rejected(self, tmp_path, capsys, flag):
+        # [true] used to read as [1] and print p2 -> p1
+        doc = chain_doc(2, 2)
+        doc["points"][1]["proximate_to"] = [flag]
+        path = write_config(tmp_path, doc)
+        assert cli.main(["dot", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "point 2 lists %r in proximate_to; only earlier ids" % flag in captured.err
+
 
 class TestPresent:
     def test_text_output(self, surface_path, capsys):
@@ -324,6 +346,16 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "4845 columns" in captured.err and "4096" in captured.err
+
+    def test_widest_admitted_slice_passes(self, tmp_path, capsys):
+        # n=3, s=15: the top slice has comb(19, 4) = 3876 columns, the widest
+        # verify admits, so every oracle slice is built at its largest
+        path = write_config(tmp_path, chain_doc(3, 15))
+        assert cli.main(["verify", path, "--samples", "50"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 5
+        assert all(l.startswith("PASS") for l in lines)
+        assert "(50 sampled polynomials (seed 0))" in lines[1]
 
     def test_finality_disagreement_fails_the_last_check(self, surface_path, capsys, monkeypatch):
         cfg = cli.load_config(surface_path)

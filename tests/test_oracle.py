@@ -18,7 +18,7 @@ from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
 import skychow.oracle
-from helpers import cached_total_ideal
+from helpers import DenseHermiteLattice, cached_total_ideal
 from skychow.chowring import strict_presentation, total_presentation
 from skychow.cli import load_config
 from skychow.curve import CurveRingParams, curve_ideal
@@ -83,6 +83,11 @@ class TestHermiteLattice:
             lat.add_row([1, 2, 3])
         with pytest.raises(ValueError):
             lat.reduce_vector([1])
+        for column in (-1, 2):
+            with pytest.raises(ValueError, match="outside 0..1"):
+                lat.add_row({column: 1})
+            with pytest.raises(ValueError, match="outside 0..1"):
+                lat.contains({0: 1, column: 1})
 
     @given(st.integers(0, 2**30))
     def test_rank_and_divisors_match_sympy(self, seed):
@@ -116,6 +121,41 @@ class TestHermiteLattice:
         for row in m:
             shifted = [a + b for a, b in zip(v, row)]
             assert lat.reduce_vector(shifted) == residue
+
+    @given(st.integers(0, 2**30))
+    def test_matches_the_dense_reference(self, seed):
+        # Entries sharing factors make non-unit pivots and xgcd merges common.
+        # At most six rows: the Smith reference grows its entries fast.
+        rng = Random(seed)
+        width = rng.randint(1, 12)
+        density = rng.uniform(0.1, 1)
+        entries = (-12, -6, -4, -3, -2, -1, 1, 2, 3, 4, 6, 12)
+
+        def draw():
+            return [rng.choice(entries) if rng.random() < density else 0 for _ in range(width)]
+
+        def sparse(vec):
+            return {t: c for t, c in enumerate(vec) if c}
+
+        lat, ref = HermiteLattice(width), DenseHermiteLattice(width)
+        added = []
+        for _ in range(rng.randint(1, 6)):
+            row = draw()
+            added.append(row)
+            given_row = row if rng.random() < 0.5 else sparse(row)
+            assert lat.add_row(given_row) == ref.add_row(row)
+            assert lat.rows == ref.rows
+            assert lat.pivot_cols == ref.pivot_cols
+            coefs = [rng.randint(-2, 2) for _ in added]
+            member = [sum(k * r[t] for k, r in zip(coefs, added)) for t in range(width)]
+            for v in (draw(), member):
+                residue = ref.reduce_vector(v)
+                assert lat.reduce_vector(v) == residue
+                assert lat.reduce_vector(sparse(v)) == sparse(residue)
+                assert lat.contains(v) == ref.contains(v)
+            assert ref.contains(member)
+            assert lat.rows == ref.rows  # after back-substitution
+            assert lat.elementary_divisors() == ref.elementary_divisors()
 
 
 SURFACE_IDEAL = cached_total_ideal(2, 2)
@@ -243,15 +283,19 @@ def example_ideals():
 
 
 def reference_lattice(ideal, piece, proper_multiples_only):
-    """Fold the rows g*m as Polynomial products read back through vector_of."""
-    lat = HermiteLattice(len(piece.monomials))
+    """Fold the rows g*m, as Polynomial products, into the dense reference."""
+    width = len(piece.monomials)
+    lat = DenseHermiteLattice(width)
     low = 1 if proper_multiples_only else 0
     for g in ideal.generators:
         r = piece.degree - g.homogeneous_degree(ideal.weights)
         if r < low:
             continue
         for m in monomials_of_degree(ideal.nvars, r, ideal.weights):
-            lat.add_row(piece.vector_of(g * Polynomial.monomial(ideal.nvars, m)))
+            row = [0] * width
+            for exps, coef in (g * Polynomial.monomial(ideal.nvars, m)).terms.items():
+                row[piece.index[exps]] = coef
+            lat.add_row(row)
     return lat
 
 
