@@ -11,6 +11,7 @@ from .chowring import (
     ChowElement,
     Presentation,
     degree_integral,
+    divisor_product,
     from_divisor,
     graded_rank,
     normal_form,
@@ -55,6 +56,7 @@ from .proximity import (
     enumerate_proximity_configs,
     hyperplane,
     invert_unitriangular,
+    strict_class_in_total,
     strict_exceptional,
     strict_to_total,
     total_exceptional,

@@ -222,8 +222,8 @@ def normal_form(config: ProximityConfig, p: Polynomial) -> ChowElement:
     return ChowElement(n, s, deg0, graded, top)
 
 
-def from_divisor(config: ProximityConfig, v: DivisorVector) -> ChowElement:
-    """Degree-1 class of a divisor coordinate vector, in canonical form."""
+def _total_coords(config: ProximityConfig, v: DivisorVector) -> tuple[int, ...]:
+    """Coordinates of v in the total basis, checked to have length s + 1."""
     if v.basis == "strict":
         v = strict_to_total(config, v)
     if len(v.coords) != config.s + 1:
@@ -231,9 +231,40 @@ def from_divisor(config: ProximityConfig, v: DivisorVector) -> ChowElement:
             "coordinate vector has length %d, expected %d"
             % (len(v.coords), config.s + 1)
         )
+    return v.coords
+
+
+def from_divisor(config: ProximityConfig, v: DivisorVector) -> ChowElement:
+    """Degree-1 class of a divisor coordinate vector, in canonical form."""
     graded = [[0] * (config.s + 1) for _ in range(config.n - 1)]
-    graded[0] = list(v.coords)
+    graded[0] = list(_total_coords(config, v))
     return ChowElement(config.n, config.s, 0, graded, 0)
+
+
+def divisor_product(config: ProximityConfig, factors) -> ChowElement:
+    """Canonical form of a product of (DivisorVector, k) factors, each meaning v^k.
+
+    Degree-1 classes multiply coordinate-wise: below the top degree slot t of
+    the product is prod v_t, and in degree n the x_0^n coefficient is
+    prod v_0 + (-1)^(n+1) * sum over t >= 1 of prod v_t.  A product of more
+    than n classes is zero.  Equal to the ChowElement product of the
+    from_divisor factors, without forming any intermediate element.
+    """
+    if not factors or min(k for _, k in factors) < 1:
+        raise ValueError("need at least one factor, each with exponent >= 1")
+    n, s = config.n, config.s
+    d = sum(k for _, k in factors)
+    if d > n:
+        return ChowElement.zero(n, s)
+    coords = [1] * (s + 1)
+    for v, k in factors:
+        coords = [a * c**k for a, c in zip(coords, _total_coords(config, v))]
+    if d == n:
+        sign = 1 if n % 2 else -1
+        return ChowElement(n, s, top=coords[0] + sign * sum(coords[1:]))
+    graded = [[0] * (s + 1) for _ in range(n - 1)]
+    graded[d - 1] = coords
+    return ChowElement(n, s, 0, graded, 0)
 
 
 def degree_integral(a: ChowElement) -> int:

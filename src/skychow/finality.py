@@ -15,20 +15,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .proximity import (
-    ProximityConfig,
-    strict_exceptional,
-    strict_to_total,
-)
+from .proximity import ProximityConfig, strict_class_in_total
 
 
 def _strict_classes(config):
     # index 0 unused; entry i is the i-th strict class as {t: coefficient of E_t}
-    classes = [None]
-    for i in range(1, config.s + 1):
-        coords = strict_to_total(config, strict_exceptional(config, i)).coords
-        classes.append({t: c for t, c in enumerate(coords) if c})
-    return classes
+    return [None] + [strict_class_in_total(config, i) for i in range(1, config.s + 1)]
+
+
+def _support_index(e):
+    """t -> ascending indices i whose class e[i] has t in its support."""
+    index = {}
+    for i in range(1, len(e)):
+        for t in e[i]:
+            index.setdefault(t, []).append(i)
+    return index
 
 
 def _integral(n, factors):
@@ -40,17 +41,17 @@ def _integral(n, factors):
     return (1 if n % 2 else -1) * sum(prod(f[t] for f in factors) for t in shared)
 
 
-def _meeting(n, e, i):
+def _meeting(n, e, index, i):
     """Indices j != i, ascending, with e[i] * e[j] nonzero.
 
-    Below degree n the product is coordinate-wise: nonzero iff supports overlap.
+    Below degree n the product is coordinate-wise: nonzero iff supports
+    overlap, so the candidates are the classes sharing a support point with
+    e[i].  For n = 2 the product is an integral, which can still be zero.
     """
-    return [
-        j
-        for j in range(1, len(e))
-        if j != i
-        and (_integral(n, (e[i], e[j])) if n == 2 else not e[i].keys().isdisjoint(e[j]))
-    ]
+    candidates = sorted({j for t in e[i] for j in index[t]} - {i})
+    if n == 2:
+        return [j for j in candidates if _integral(n, (e[i], e[j]))]
+    return candidates
 
 
 def _check_index(config, i):
@@ -71,13 +72,14 @@ def intersecting_indices(config: ProximityConfig, i: int) -> set:
     can differ (a satellite point can separate two earlier divisors).
     """
     _check_index(config, i)
-    return set(_meeting(config.n, _strict_classes(config), i))
+    e = _strict_classes(config)
+    return set(_meeting(config.n, e, _support_index(e), i))
 
 
-def _chow_conditions(n, e, i):
+def _chow_conditions(n, e, index, i):
     """(final?, witness) from the intersection-product characterization."""
     ein = _integral(n, [e[i]] * n)
-    for j in _meeting(n, e, i):
+    for j in _meeting(n, e, index, i):
         # condition (11): e_j^(n-1) * e_i must be the point class
         lhs = _integral(n, [e[j]] * (n - 1) + [e[i]])
         if lhs != 1:
@@ -100,7 +102,8 @@ def _chow_conditions(n, e, i):
 def final_by_chow(config: ProximityConfig, i: int) -> bool:
     """Finality decided purely from intersection products."""
     _check_index(config, i)
-    ok, _ = _chow_conditions(config.n, _strict_classes(config), i)
+    e = _strict_classes(config)
+    ok, _ = _chow_conditions(config.n, e, _support_index(e), i)
     return ok
 
 
@@ -144,9 +147,10 @@ class FinalityReport:
 def finality_report(config: ProximityConfig) -> FinalityReport:
     """Both deciders on every divisor, with a witness for each chow failure."""
     e = _strict_classes(config)
+    index = _support_index(e)
     entries = []
     for i in range(1, config.s + 1):
         by_prox = final_by_proximity(config, i)
-        by_chow, witness = _chow_conditions(config.n, e, i)
+        by_chow, witness = _chow_conditions(config.n, e, index, i)
         entries.append(DivisorFinality(i, by_prox, by_chow, witness))
     return FinalityReport(config, tuple(entries))

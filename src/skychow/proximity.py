@@ -5,7 +5,8 @@ points s, and which later centers are proximate to which earlier ones,
 i.e. lie on the strict transform of that earlier exceptional divisor.
 From it we build the lower unitriangular change-of-basis matrices between
 the total transform and strict transform bases of the degree-1 classes,
-and convert divisor coordinate vectors both ways.
+and convert divisor coordinate vectors both ways (one strict class also
+sparsely, straight from the adjacency lists).
 """
 
 from __future__ import annotations
@@ -217,6 +218,22 @@ def strict_exceptional(config: ProximityConfig, i: int) -> DivisorVector:
     if not 1 <= i <= config.s:
         raise ValueError("exceptional index %d out of range 1..%d" % (i, config.s))
     return DivisorVector("strict", tuple(1 if t == i else 0 for t in range(config.s + 1)))
+
+
+def strict_class_in_total(config: ProximityConfig, i: int) -> dict[int, int]:
+    """The i-th strict exceptional class in total coordinates, zeros left out.
+
+    e_i = E_i - sum of E_j over the points j proximate to i, as an ascending
+    {t: coefficient of E_t} dict: the nonzero entries of
+    strict_to_total(config, strict_exceptional(config, i)), read from the
+    adjacency lists without a length-(s+1) vector.
+    """
+    if not 1 <= i <= config.s:
+        raise ValueError("exceptional index %d out of range 1..%d" % (i, config.s))
+    out = {i: 1}
+    for j in config._adjacency[1].get(i, ()):
+        out[j] = -1
+    return out
 
 
 def enumerate_proximity_configs(n: int, s: int):

@@ -15,6 +15,7 @@ from skychow.chowring import (
     ChowElement,
     Presentation,
     degree_integral,
+    divisor_product,
     from_divisor,
     graded_rank,
     normal_form,
@@ -29,7 +30,10 @@ from skychow.proximity import (
     change_of_basis,
     hyperplane,
     invert_unitriangular,
+    strict_class_in_total,
     strict_exceptional,
+    strict_to_total,
+    total_exceptional,
 )
 
 SURFACE = ProximityConfig(n=2, s=2, prox=frozenset({(2, 1)}))
@@ -150,6 +154,48 @@ class TestDivisors:
             e = from_divisor(cfg, strict_exceptional(cfg, i))
             m_i = len(cfg.proximate_points(i))
             assert e**n == point * -((-1) ** n + m_i)
+
+
+class TestClosedFormProducts:
+    """divisor_product and strict_class_in_total against the dense, general routes."""
+
+    @given(st.integers(2, 8), st.integers(1, 50), st.integers(0, 2**30))
+    def test_product_matches_ring_products(self, n, s, seed):
+        rng = Random(seed)
+        cfg = random_config(rng, n, s)
+        for _ in range(3):
+            factors = []
+            for _ in range(rng.randint(1, n)):
+                kind = rng.choice("hEe")
+                if kind == "h":
+                    vec = hyperplane(cfg)
+                elif kind == "E":
+                    vec = total_exceptional(cfg, rng.randint(1, s))
+                else:
+                    vec = strict_exceptional(cfg, rng.randint(1, s))
+                factors.append((vec, rng.randint(1, 3)))
+            expected = ChowElement.one(n, s)
+            for vec, k in factors:
+                expected = expected * from_divisor(cfg, vec) ** k
+            got = divisor_product(cfg, factors)
+            assert got == expected
+            assert str(got) == str(expected)
+
+    @given(st.integers(2, 8), st.integers(1, 50), st.integers(0, 2**30))
+    def test_sparse_strict_class_matches_the_dense_conversion(self, n, s, seed):
+        cfg = random_config(Random(seed), n, s)
+        for i in range(1, s + 1):
+            dense = strict_to_total(cfg, strict_exceptional(cfg, i)).coords
+            sparse = strict_class_in_total(cfg, i)
+            assert list(sparse.items()) == [(t, c) for t, c in enumerate(dense) if c]
+
+    def test_rejects_empty_products_and_zero_exponents(self):
+        with pytest.raises(ValueError, match="at least one factor"):
+            divisor_product(SURFACE, [])
+        with pytest.raises(ValueError, match="exponent"):
+            divisor_product(SURFACE, [(hyperplane(SURFACE), 1), (hyperplane(SURFACE), 0)])
+        with pytest.raises(ValueError, match="out of range"):
+            strict_class_in_total(SURFACE, 3)
 
 
 class TestPresentations:

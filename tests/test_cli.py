@@ -157,6 +157,17 @@ class TestLoadConfig:
         assert captured.out == ""
         assert "point ids must be 1..s in order: entry 1 has id %r" % flag in captured.err
 
+    @pytest.mark.parametrize("entry,pid", [(1, 1.0), (2, 2.0)])
+    def test_float_id_is_rejected(self, tmp_path, capsys, entry, pid):
+        # 1.0 == 1 in Python, so {"id": 1.0} used to pass as the first point
+        doc = chain_doc(2, 2)
+        doc["points"][entry - 1]["id"] = pid
+        path = write_config(tmp_path, doc)
+        assert cli.main(["dot", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "point ids must be 1..s in order: entry %d has id %r" % (entry, pid) in captured.err
+
     @pytest.mark.parametrize("flag", [True, False])
     def test_boolean_proximity_target_is_rejected(self, tmp_path, capsys, flag):
         # [true] used to read as [1] and print p2 -> p1
@@ -250,6 +261,16 @@ class TestIntersect:
         assert captured.err == ""
 
     @pytest.mark.parametrize(
+        "expr,integral", [("e1^64", -2), ("h*e1^63", 0)], ids=["e1^64", "h*e1^63"]
+    )
+    def test_long_chain_in_high_dimension(self, tmp_path, capsys, expr, integral):
+        # closed form, linear in s; one ChowElement product per factor takes ~20 s here
+        path = write_config(tmp_path, chain_doc(64, 2000))
+        assert cli.main(["intersect", path, expr]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("degree integral: %d\n" % integral)
+
+    @pytest.mark.parametrize(
         "expr,message",
         [
             ("h^5*e9", "out of range"),
@@ -305,6 +326,19 @@ class TestFinal:
         path = write_config(tmp_path, chain_doc(3, 6))
         assert cli.main(["final", path, "--method", method]) == 0
         assert calls == [6]
+
+    def test_long_chain(self, tmp_path, capsys):
+        # every divisor but the last has a later point proximate to it
+        path = write_config(tmp_path, chain_doc(3, 2000))
+        assert cli.main(["final", path, "--format", "json"]) == 0
+        divisors = json.loads(capsys.readouterr().out)["divisors"]
+        assert len(divisors) == 2000
+        for d in divisors[:-1]:
+            assert d["final_proximity"] is False and d["final_chow"] is False
+        assert divisors[-1]["final_proximity"] is True and divisors[-1]["final_chow"] is True
+        assert divisors[0]["witness"] == "condition (11) fails for j=2: integral -1, expected 1"
+        # divisor 2 meets 1 and 3, both failing: the witness names the smaller
+        assert divisors[1]["witness"] == "condition (10) fails for j=1 at r=1: integral 1, expected 0"
 
     def test_disagreement_exit_code(self, surface_path, capsys, monkeypatch):
         cfg = cli.load_config(surface_path)
@@ -410,6 +444,16 @@ class TestCurveExample:
 
 
 class TestUsage:
+    def test_internal_error_has_its_own_exit_code(self, surface_path, capsys, monkeypatch):
+        def broken(_args):
+            raise RuntimeError("synthetic fault")
+
+        monkeypatch.setattr(cli, "cmd_final", broken)
+        assert cli.main(["final", surface_path]) == cli.EXIT_INTERNAL_ERROR == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" in captured.err and "RuntimeError: synthetic fault" in captured.err
+
     def test_unknown_command(self, capsys):
         assert cli.main(["no-such-command"]) == 2
 
