@@ -3,13 +3,15 @@
 In the total transform basis the ring is Z[x_0..x_s] modulo all mixed
 products x_i*x_j (i < j) together with one binomial per exceptional class
 tying its n-th power to the hyperplane power x_0^n.  Those relations are
-confluent as rewrite rules, so every class has a unique canonical form
+confluent as rewrite rules, so every class has a unique canonical form over
+the pure powers
 
-    scalar  +  (one coefficient per variable per degree 1..n-1)  +  top,
+    1,  x_i^d for 1 <= d <= n-1 and 0 <= i <= s,  x_0^n,
 
-with the top slot holding the coefficient of x_0^n, whose integral against
-the fundamental class is 1.  ChowElement stores exactly that data; strict
-transform input is converted at the boundary by the proximity change of basis.
+where x_0^n is the point class, whose integral against the fundamental
+class is 1.  ChowElement stores the nonzero coefficients of that form, and
+_add_power is the one place that applies the rewrite rule.  Strict transform
+input is converted at the boundary by the proximity change of basis.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 from .poly import (
     Polynomial,
     format_polynomial,
+    format_terms,
     poly_from_term_list,
     poly_to_term_list,
 )
@@ -31,30 +34,45 @@ from .proximity import (
 )
 
 
+def _add_power(terms, n, d, i, c):
+    """Add c * x_i^d to a canonical term dict, in place.
+
+    The rewrite rule of the ring: x_i^n (i >= 1) becomes (-1)^(n+1) x_0^n and
+    every pure power above degree n vanishes.  Entries that cancel to zero
+    are removed, so the dict stays canonical.
+    """
+    if d > n or not c:
+        return
+    if d == n and i:
+        i = 0
+        if not n % 2:
+            c = -c
+    key = (d, i)
+    c += terms.get(key, 0)
+    if c:
+        terms[key] = c
+    else:
+        del terms[key]
+
+
 class ChowElement:
     """A ring element in canonical form for a fixed (n, s).
 
-    ``graded[d-1][i]`` is the coefficient of x_i^d for 1 <= d <= n-1;
-    ``deg0`` and ``top`` are the coefficients of 1 and of x_0^n.  Instances
-    are immutable; all arithmetic returns fresh objects.
+    ``terms`` maps (d, i) to the nonzero coefficient of x_i^d: the key is
+    (0, 0) for the constant, (d, i) with 1 <= d <= n-1 and 0 <= i <= s in the
+    middle degrees, and (n, 0) for x_0^n.  The constructor takes such a dict
+    as is; the functions of this module build it through _add_power.
+    Instances are immutable; all arithmetic returns fresh objects.
     """
 
-    __slots__ = ("n", "s", "deg0", "graded", "top")
+    __slots__ = ("n", "s", "terms")
 
-    def __init__(self, n, s, deg0=0, graded=None, top=0):
+    def __init__(self, n, s, terms=None):
         if n < 2 or s < 1:
             raise ValueError("need n >= 2 and s >= 1, got n=%d s=%d" % (n, s))
-        if graded is None:
-            graded = tuple((0,) * (s + 1) for _ in range(n - 1))
-        else:
-            graded = tuple(tuple(int(c) for c in vec) for vec in graded)
-            if len(graded) != n - 1 or any(len(vec) != s + 1 for vec in graded):
-                raise ValueError("graded part must be (n-1) vectors of length s+1")
         self.n = n
         self.s = s
-        self.deg0 = int(deg0)
-        self.graded = graded
-        self.top = int(top)
+        self.terms = {} if terms is None else terms
 
     @classmethod
     def zero(cls, n, s):
@@ -62,14 +80,18 @@ class ChowElement:
 
     @classmethod
     def one(cls, n, s):
-        return cls(n, s, deg0=1)
+        return cls(n, s, {(0, 0): 1})
+
+    @property
+    def deg0(self):
+        return self.terms.get((0, 0), 0)
+
+    @property
+    def top(self):
+        return self.terms.get((self.n, 0), 0)
 
     def is_zero(self):
-        return (
-            self.deg0 == 0
-            and self.top == 0
-            and all(c == 0 for vec in self.graded for c in vec)
-        )
+        return not self.terms
 
     def component(self, d):
         """Degree-d data: an int for d in {0, n}, a coefficient tuple otherwise."""
@@ -78,7 +100,7 @@ class ChowElement:
         if d == self.n:
             return self.top
         if 1 <= d < self.n:
-            return self.graded[d - 1]
+            return tuple(self.terms.get((d, i), 0) for i in range(self.s + 1))
         return 0
 
     def _check_match(self, other):
@@ -91,27 +113,19 @@ class ChowElement:
     def __eq__(self, other):
         if not isinstance(other, ChowElement):
             return NotImplemented
-        return (
-            (self.n, self.s) == (other.n, other.s)
-            and self.deg0 == other.deg0
-            and self.graded == other.graded
-            and self.top == other.top
-        )
+        return (self.n, self.s, self.terms) == (other.n, other.s, other.terms)
 
     def __hash__(self):
-        return hash((self.n, self.s, self.deg0, self.graded, self.top))
+        return hash((self.n, self.s, frozenset(self.terms.items())))
 
     def __add__(self, other):
         if not isinstance(other, ChowElement):
             return NotImplemented
         self._check_match(other)
-        graded = tuple(
-            tuple(a + b for a, b in zip(va, vb))
-            for va, vb in zip(self.graded, other.graded)
-        )
-        return ChowElement(
-            self.n, self.s, self.deg0 + other.deg0, graded, self.top + other.top
-        )
+        terms = dict(self.terms)
+        for (d, i), c in other.terms.items():
+            _add_power(terms, self.n, d, i, c)
+        return ChowElement(self.n, self.s, terms)
 
     def __neg__(self):
         return self * -1
@@ -123,36 +137,23 @@ class ChowElement:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            graded = tuple(tuple(c * other for c in vec) for vec in self.graded)
-            return ChowElement(
-                self.n, self.s, self.deg0 * other, graded, self.top * other
-            )
+            terms = {key: c * other for key, c in self.terms.items()} if other else {}
+            return ChowElement(self.n, self.s, terms)
         if not isinstance(other, ChowElement):
             return NotImplemented
         self._check_match(other)
-        n, s = self.n, self.s
-        a0, b0 = self.deg0, other.deg0
-        # (-1)^(n+1): the sign picked up when x_i^n (i >= 1) rewrites to x_0^n.
-        sign = 1 if n % 2 else -1
-        top = a0 * other.top + b0 * self.top
-        for d1 in range(1, n):
-            va = self.graded[d1 - 1]
-            vb = other.graded[n - d1 - 1]
-            top += va[0] * vb[0]
-            top += sign * sum(va[i] * vb[i] for i in range(1, s + 1))
-        graded = []
-        for d in range(1, n):
-            vec = [
-                a0 * other.graded[d - 1][i] + b0 * self.graded[d - 1][i]
-                for i in range(s + 1)
-            ]
-            for d1 in range(1, d):
-                va = self.graded[d1 - 1]
-                vb = other.graded[d - d1 - 1]
-                for i in range(s + 1):
-                    vec[i] += va[i] * vb[i]
-            graded.append(vec)
-        return ChowElement(n, s, a0 * b0, graded, top)
+        n, b_terms = self.n, other.terms
+        terms = {}
+        for (d1, i), a in self.terms.items():
+            if d1 == 0:
+                for (d2, j), b in b_terms.items():
+                    _add_power(terms, n, d2, j, a * b)
+                continue
+            _add_power(terms, n, d1, i, a * other.deg0)
+            # x_i^d1 meets only powers of the same variable: mixed products vanish
+            for d2 in range(1, n - d1 + 1):
+                _add_power(terms, n, d1 + d2, i, a * b_terms.get((d2, i), 0))
+        return ChowElement(n, self.s, terms)
 
     __rmul__ = __mul__
 
@@ -166,23 +167,17 @@ class ChowElement:
 
     def to_polynomial(self):
         """The canonical representative as a polynomial in x_0..x_s."""
-        n, s = self.n, self.s
-        terms = {}
-        if self.deg0:
-            terms[(0,) * (s + 1)] = self.deg0
-        for d in range(1, n):
-            vec = self.graded[d - 1]
-            for i in range(s + 1):
-                if vec[i]:
-                    exps = tuple(d if t == i else 0 for t in range(s + 1))
-                    terms[exps] = vec[i]
-        if self.top:
-            terms[(n,) + (0,) * s] = self.top
-        return Polynomial(s + 1, terms)
+        nv = self.s + 1
+        exps = lambda d, i: tuple(d if t == i else 0 for t in range(nv))
+        return Polynomial(nv, {exps(d, i): c for (d, i), c in self.terms.items()})
 
     def __str__(self):
-        names = tuple("x%d" % i for i in range(self.s + 1))
-        return format_polynomial(self.to_polynomial(), names)
+        # descending (d, i) is the global monomial order restricted to pure powers
+        pairs = []
+        for d, i in sorted(self.terms, reverse=True):
+            mono = "" if d == 0 else "x%d" % i if d == 1 else "x%d^%d" % (i, d)
+            pairs.append((mono, self.terms[d, i]))
+        return format_terms(pairs)
 
     def __repr__(self):
         return "ChowElement(n=%d, s=%d, %s)" % (self.n, self.s, self)
@@ -201,25 +196,14 @@ def normal_form(config: ProximityConfig, p: Polynomial) -> ChowElement:
         raise ValueError(
             "polynomial has %d variables, expected s + 1 = %d" % (p.nvars, s + 1)
         )
-    deg0 = 0
-    graded = [[0] * (s + 1) for _ in range(n - 1)]
-    top = 0
-    sign = 1 if n % 2 else -1
+    terms = {}
     for exps, coef in p.terms.items():
         support = [i for i, e in enumerate(exps) if e]
         if len(support) > 1:
             continue
-        if not support:
-            deg0 += coef
-            continue
-        i = support[0]
-        d = exps[i]
-        if d < n:
-            graded[d - 1][i] += coef
-        elif d == n:
-            top += coef if i == 0 else sign * coef
-        # d > n: the pure power already lies in the ideal
-    return ChowElement(n, s, deg0, graded, top)
+        i = support[0] if support else 0
+        _add_power(terms, n, exps[i], i, coef)
+    return ChowElement(n, s, terms)
 
 
 def _total_coords(config: ProximityConfig, v: DivisorVector) -> tuple[int, ...]:
@@ -236,35 +220,33 @@ def _total_coords(config: ProximityConfig, v: DivisorVector) -> tuple[int, ...]:
 
 def from_divisor(config: ProximityConfig, v: DivisorVector) -> ChowElement:
     """Degree-1 class of a divisor coordinate vector, in canonical form."""
-    graded = [[0] * (config.s + 1) for _ in range(config.n - 1)]
-    graded[0] = list(_total_coords(config, v))
-    return ChowElement(config.n, config.s, 0, graded, 0)
+    terms = {(1, t): c for t, c in enumerate(_total_coords(config, v)) if c}
+    return ChowElement(config.n, config.s, terms)
 
 
 def divisor_product(config: ProximityConfig, factors) -> ChowElement:
     """Canonical form of a product of (DivisorVector, k) factors, each meaning v^k.
 
-    Degree-1 classes multiply coordinate-wise: below the top degree slot t of
-    the product is prod v_t, and in degree n the x_0^n coefficient is
-    prod v_0 + (-1)^(n+1) * sum over t >= 1 of prod v_t.  A product of more
-    than n classes is zero.  Equal to the ChowElement product of the
-    from_divisor factors, without forming any intermediate element.
+    Degree-1 classes multiply coordinate-wise: the product of degree d is
+    sum over t of (prod v_t) x_t^d, which the rewrite rule turns into
+    prod v_0 + (-1)^(n+1) * sum over t >= 1 of prod v_t times x_0^n when
+    d = n.  A product of more than n classes is zero.  Equal to the ChowElement product of
+    the from_divisor factors, without forming any intermediate element.
     """
     if not factors or min(k for _, k in factors) < 1:
         raise ValueError("need at least one factor, each with exponent >= 1")
     n, s = config.n, config.s
     d = sum(k for _, k in factors)
     if d > n:
+        # the product vanishes; skip raising coordinates to large exponents
         return ChowElement.zero(n, s)
     coords = [1] * (s + 1)
     for v, k in factors:
         coords = [a * c**k for a, c in zip(coords, _total_coords(config, v))]
-    if d == n:
-        sign = 1 if n % 2 else -1
-        return ChowElement(n, s, top=coords[0] + sign * sum(coords[1:]))
-    graded = [[0] * (s + 1) for _ in range(n - 1)]
-    graded[d - 1] = coords
-    return ChowElement(n, s, 0, graded, 0)
+    terms = {}
+    for t, c in enumerate(coords):
+        _add_power(terms, n, d, t, c)
+    return ChowElement(n, s, terms)
 
 
 def degree_integral(a: ChowElement) -> int:

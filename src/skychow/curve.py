@@ -247,12 +247,9 @@ class CurveCheckReport:
 def curve_ring_checks(params: CurveRingParams) -> CurveCheckReport:
     """Compare the rewrite system against the lattice oracle, degree by degree."""
     ideal = curve_ideal(params)
-    ranks = tuple(oracle.quotient_rank(ideal, d) for d in range(0, 5))
-    torsion = {}
-    for d in range(0, 5):
-        slice_ = oracle.quotient_structure(ideal, d)
-        if slice_.torsion:
-            torsion[d] = slice_.torsion
+    slices = [oracle.quotient_structure(ideal, d) for d in range(0, 5)]
+    ranks = tuple(slice_.rank for slice_ in slices)
+    torsion = {slice_.degree: slice_.torsion for slice_ in slices if slice_.torsion}
     resolved = []
     mismatches = []
     for d in range(0, 5):

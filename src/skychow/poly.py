@@ -283,15 +283,13 @@ def format_monomial(exps: Sequence[int], names: Sequence[str]) -> str:
     return "*".join(parts)
 
 
-def format_polynomial(p: Polynomial, names: Sequence[str]) -> str:
-    """Human-readable form, terms largest first, explicit * and ^."""
-    if p.is_zero():
-        return "0"
-    if len(names) != p.nvars:
-        raise ValueError("need %d variable names" % p.nvars)
+def format_terms(pairs) -> str:
+    """Join (monomial text, nonzero coefficient) pairs, already in print order.
+
+    The empty monomial text stands for the constant term; no pairs give "0".
+    """
     chunks = []
-    for exps, coef in p.sorted_terms():
-        mono = format_monomial(exps, names)
+    for mono, coef in pairs:
         mag = abs(coef)
         if not mono:
             body = str(mag)
@@ -303,7 +301,18 @@ def format_polynomial(p: Polynomial, names: Sequence[str]) -> str:
             chunks.append(("-" if coef < 0 else "") + body)
         else:
             chunks.append(("- " if coef < 0 else "+ ") + body)
-    return " ".join(chunks)
+    return " ".join(chunks) or "0"
+
+
+def format_polynomial(p: Polynomial, names: Sequence[str]) -> str:
+    """Human-readable form, terms largest first, explicit * and ^."""
+    if p.is_zero():
+        return "0"
+    if len(names) != p.nvars:
+        raise ValueError("need %d variable names" % p.nvars)
+    return format_terms(
+        (format_monomial(exps, names), coef) for exps, coef in p.sorted_terms()
+    )
 
 
 def poly_to_term_list(p: Polynomial) -> list[dict]:

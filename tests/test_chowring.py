@@ -23,7 +23,7 @@ from skychow.chowring import (
     strict_presentation,
     total_presentation,
 )
-from skychow.poly import Polynomial, random_homogeneous
+from skychow.poly import Polynomial, format_polynomial, random_homogeneous
 from skychow.proximity import (
     DivisorVector,
     ProximityConfig,
@@ -92,6 +92,34 @@ class TestNormalForm:
         assert normal_form(SURFACE, p * q) == normal_form(SURFACE, p) * normal_form(
             SURFACE, q
         )
+
+
+class TestStorage:
+    """The sparse term dict: canonical keys only, printed like its polynomial."""
+
+    @given(st.integers(2, 6), st.integers(1, 40), st.integers(0, 2**30))
+    def test_printing_and_storage_invariants(self, n, s, seed):
+        rng = Random(seed)
+        cfg = ProximityConfig(n=n, s=s)
+        # monomials on at most three variables, x0 favoured: pure powers
+        # survive the normal form (and may cancel), mixed ones vanish
+        terms = []
+        for _ in range(rng.randint(0, 10)):
+            exps = [0] * (s + 1)
+            d = rng.randint(0, n + 1)
+            for _ in range(d):
+                exps[rng.choice((0, rng.randint(0, s), rng.randint(0, s)))] += 1
+            terms.append((exps, rng.randint(-2, 2)))
+        p = Polynomial(s + 1, terms)
+        el = normal_form(cfg, p)
+        names = tuple("x%d" % i for i in range(s + 1))
+        assert str(el) == format_polynomial(el.to_polynomial(), names)
+        assert all(el.terms.values())
+        for d, i in el.terms:
+            assert (d, i) in ((0, 0), (n, 0)) or (1 <= d < n and 0 <= i <= s)
+        zero = el + (-el)
+        assert zero == ChowElement.zero(n, s)
+        assert hash(zero) == hash(ChowElement.zero(n, s))
 
 
 class TestRingArithmetic:

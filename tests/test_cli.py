@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import skychow.cli as cli
 from skychow import finality
@@ -264,7 +268,7 @@ class TestIntersect:
         "expr,integral", [("e1^64", -2), ("h*e1^63", 0)], ids=["e1^64", "h*e1^63"]
     )
     def test_long_chain_in_high_dimension(self, tmp_path, capsys, expr, integral):
-        # closed form, linear in s; one ChowElement product per factor takes ~20 s here
+        # closed form, linear in s
         path = write_config(tmp_path, chain_doc(64, 2000))
         assert cli.main(["intersect", path, expr]) == 0
         out = capsys.readouterr().out
@@ -459,3 +463,103 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0
+
+
+def run_quiet(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(allow_nan=False),
+    st.text(max_size=3),
+    st.lists(st.integers(-2, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+)
+
+
+@st.composite
+def expression_texts(draw):
+    """Intersect expression text: mostly products of atoms, some free text."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.text(max_size=20))
+    chunks = []
+    for _ in range(draw(st.integers(1, 5))):
+        atom = draw(st.sampled_from(("h", "E", "e")))
+        if atom != "h":
+            atom += str(draw(st.integers(0, 5)))
+        if draw(st.booleans()):
+            atom += "^%d" % draw(st.integers(0, 5))
+        chunks.append(atom + draw(st.sampled_from(("", " "))))
+    return "*".join(chunks)
+
+
+@st.composite
+def config_texts(draw):
+    """Config file text: a valid document with at most one part broken."""
+    n = draw(st.integers(2, 4))
+    points = [{"id": 1}]
+    for pos in range(2, draw(st.integers(1, 7)) + 1):
+        targets = draw(st.lists(st.integers(1, pos - 1), max_size=n, unique=True))
+        points.append({"id": pos, "proximate_to": targets})
+    doc = {"ambient_dimension": n, "points": points}
+    fault = draw(st.sampled_from((None, None, None, "text", "json", "dimension",
+                                  "points", "id", "targets", "entry", "snc", "missing")))
+    pos = draw(st.integers(0, len(points) - 1))
+    if fault == "text":
+        return draw(st.text(max_size=40))
+    if fault == "json":
+        return json.dumps(draw(JUNK))
+    if fault == "dimension":
+        doc["ambient_dimension"] = draw(st.one_of(st.integers(-1, 70), JUNK))
+    elif fault == "points":
+        doc["points"] = draw(JUNK)
+    elif fault == "id":
+        points[pos]["id"] = draw(st.one_of(st.integers(-1, 9), JUNK))
+    elif fault == "targets":
+        points[pos]["proximate_to"] = draw(
+            st.one_of(st.lists(st.integers(-1, 9), max_size=5), JUNK)
+        )
+    elif fault == "entry":
+        points[pos] = draw(JUNK)
+    elif fault == "snc":
+        doc["strict_snc_check"] = draw(st.one_of(st.booleans(), JUNK))
+    elif fault == "missing":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    return json.dumps(doc)
+
+
+class TestExitCodeFuzz:
+    """Random input only ever succeeds or is refused as bad input, printing nothing."""
+
+    @given(expression_texts())
+    def test_intersect_expressions(self, text):
+        code, out, _ = run_quiet(["intersect", THREEFOLD_PATH, text])
+        assert code in (0, 2)
+        if code == 2:
+            assert out == ""
+
+    @given(
+        config_texts(),
+        st.sampled_from(
+            [
+                ["final"],
+                ["final", "--method", "chow", "--format", "json"],
+                ["dot"],
+                ["intersect", "h*e1^2"],
+                ["present"],
+                ["present", "--basis", "strict", "--format", "json"],
+            ]
+        ),
+    )
+    def test_config_documents(self, tmp_path_factory, text, command):
+        path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+        path.write_text(text, encoding="utf-8", errors="surrogatepass")
+        code, out, _ = run_quiet([command[0], str(path)] + command[1:])
+        assert code in (0, 2)
+        if code == 2:
+            assert out == ""
