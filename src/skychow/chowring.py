@@ -168,8 +168,12 @@ class ChowElement:
     def to_polynomial(self):
         """The canonical representative as a polynomial in x_0..x_s."""
         nv = self.s + 1
-        exps = lambda d, i: tuple(d if t == i else 0 for t in range(nv))
-        return Polynomial(nv, {exps(d, i): c for (d, i), c in self.terms.items()})
+        terms = {}
+        for (d, i), c in self.terms.items():
+            exps = [0] * nv
+            exps[i] = d
+            terms[tuple(exps)] = c
+        return Polynomial._of(nv, terms)
 
     def __str__(self):
         # descending (d, i) is the global monomial order restricted to pure powers
@@ -364,10 +368,16 @@ def rho(config: ProximityConfig, p: Polynomial) -> Polynomial:
             "polynomial has %d variables, expected s + 1 = %d" % (p.nvars, s + 1)
         )
     nv = s + 1
-    images = [Polynomial.variable(nv, 0)]
-    for i in range(1, nv):
-        img = Polynomial.variable(nv, i)
-        for j in config.proximate_points(i):
-            img = img - Polynomial.variable(nv, j)
-        images.append(img)
+    units = []
+    for i in range(nv):
+        exps = [0] * nv
+        exps[i] = 1
+        units.append(tuple(exps))
+    images = []
+    for i, unit in enumerate(units):
+        img = {unit: 1}
+        if i:
+            for j in config.proximate_points(i):
+                img[units[j]] = -1
+        images.append(Polynomial._of(nv, img))
     return p.substitute(images)

@@ -53,6 +53,11 @@ EXIT_INTERNAL_ERROR = 4
 # n=4 with s <= 10.
 MAX_ORACLE_WIDTH = 4096
 
+# Most polynomials verify samples.  Each sample costs a reduce and a
+# membership query on a cached slice, about 0.06 ms at n=3 with s=7 or s=15
+# on a 2-vCPU host, so the largest admitted run takes seconds, not days.
+MAX_VERIFY_SAMPLES = 100_000
+
 # Largest ambient dimension a config file may ask for.  final and intersect
 # evaluate degree-1 products in closed form, so their cost is linear in s (a
 # chain with n=64, s=2000: intersect "e1^64" about 0.02 s, final about 0.2 s
@@ -296,6 +301,13 @@ def _verify_checks(config, samples, seed):
 def cmd_verify(args) -> int:
     if args.samples < 1:
         print("error: --samples must be at least 1, got %d" % args.samples, file=sys.stderr)
+        return EXIT_USER_ERROR
+    if args.samples > MAX_VERIFY_SAMPLES:
+        print(
+            "error: --samples is %d; verify allows at most %d"
+            % (args.samples, MAX_VERIFY_SAMPLES),
+            file=sys.stderr,
+        )
         return EXIT_USER_ERROR
     config = load_config(args.config)
     width = comb(config.s + config.n + 1, config.n + 1)

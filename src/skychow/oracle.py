@@ -297,7 +297,7 @@ class GradedPiece:
     def polynomial_of(self, vec, nvars):
         """The polynomial of a sparse vector, inverse to vector_of."""
         monos = self.monomials
-        return Polynomial(nvars, {monos[pos]: coef for pos, coef in vec.items()})
+        return Polynomial._of(nvars, {monos[pos]: coef for pos, coef in vec.items() if coef})
 
 
 @dataclass(frozen=True)
@@ -328,7 +328,7 @@ class GradedIdeal:
         weights = tuple(int(w) for w in weights)
         if len(weights) != nvars or any(w < 1 for w in weights):
             raise ValueError("weights must be %d positive integers" % nvars)
-        gens = []
+        gens, degrees = [], []
         for g in generators:
             if g.nvars != nvars:
                 raise ValueError("generator has %d variables, expected %d" % (g.nvars, nvars))
@@ -340,8 +340,10 @@ class GradedIdeal:
                     "generator of degree %d exceeds max_degree %d" % (d, max_degree)
                 )
             gens.append(g)
+            degrees.append(d)
         self.nvars = nvars
         self.generators = tuple(gens)
+        self._degrees = tuple(degrees)  # homogeneous degree of each generator
         self.max_degree = int(max_degree)
         self.weights = weights
         self._pieces = {}
@@ -353,12 +355,29 @@ class GradedIdeal:
         lat = HermiteLattice(len(monos))
         piece = GradedPiece(d, tuple(monos), index, lat)
         low = 1 if proper_multiples_only else 0
-        for g in self.generators:
-            r = d - g.homogeneous_degree(self.weights)
+        multipliers = {}  # degree r -> the monomials of degree r
+        # A row equal to an earlier one already lies in the lattice, and
+        # folding a lattice vector changes nothing.  Monomial generators
+        # repeat single-entry rows (x_i x_j times m meets x_i x_k times m'),
+        # so each distinct (column, coefficient) single is folded once.
+        singles = set()
+        for g, dg in zip(self.generators, self._degrees):
+            r = d - dg
             if r < low:
                 continue
+            shifts = multipliers.get(r)
+            if shifts is None:
+                shifts = multipliers[r] = monomials_of_degree(self.nvars, r, self.weights)
             terms = g.terms.items()
-            for m in monomials_of_degree(self.nvars, r, self.weights):
+            if len(terms) == 1:
+                ((exps, coef),) = terms
+                for m in shifts:
+                    single = (index[tuple(map(add, exps, m))], coef)
+                    if single not in singles:
+                        singles.add(single)
+                        lat.add_row(dict((single,)))
+                continue
+            for m in shifts:
                 # shifting by m is injective, so g*m has one entry per term
                 lat.add_row({index[tuple(map(add, exps, m))]: coef for exps, coef in terms})
         return piece
@@ -431,7 +450,7 @@ def minimal_generator_count(ideal: GradedIdeal) -> dict:
     """
     if not ideal.generators:
         return {}
-    top = max(g.homogeneous_degree(ideal.weights) for g in ideal.generators)
+    top = max(ideal._degrees)
     if top > ideal.max_degree - 1:
         raise ValueError(
             "minimal generator counts need max_degree >= top generator degree + 1"

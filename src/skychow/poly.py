@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from functools import lru_cache
+from operator import add, mul
 from random import Random
 
 Exps = tuple[int, ...]
@@ -24,7 +25,7 @@ Exps = tuple[int, ...]
 def monomial_degree(exps: Sequence[int], weights: Sequence[int] | None = None) -> int:
     if weights is None:
         return sum(exps)
-    return sum(e * w for e, w in zip(exps, weights))
+    return sum(map(mul, exps, weights))
 
 
 def monomial_key(exps: Sequence[int], weights: Sequence[int] | None = None):
@@ -41,13 +42,18 @@ def monomials_of_degree(
     kept in a bounded cache; every call returns a fresh list, so callers may
     mutate it.
     """
+    return list(_slice(nvars, degree, weights))
+
+
+def _slice(nvars: int, degree: int, weights: Sequence[int] | None) -> tuple[Exps, ...]:
+    """The cached slice itself, shared between callers: never mutate it."""
     if degree < 0:
-        return []
+        return ()
     if weights is None:
         weights = (1,) * nvars
     if len(weights) != nvars or any(w < 1 for w in weights):
         raise ValueError("weights must be %d positive integers" % nvars)
-    return list(_slice_monomials(nvars, degree, tuple(weights)))
+    return _slice_monomials(nvars, degree, tuple(weights))
 
 
 @lru_cache(maxsize=128)
@@ -75,8 +81,27 @@ def _slice_monomials(nvars: int, degree: int, weights: Exps) -> tuple[Exps, ...]
     return tuple(out)
 
 
+def _mul_terms(a: dict, b: dict) -> dict[Exps, int]:
+    """The zero-free term dict of the product of two term dicts."""
+    out: dict[Exps, int] = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            c = out.get(e, 0) + c1 * c2
+            if c:
+                out[e] = c
+            elif e in out:
+                del out[e]
+    return out
+
+
 class Polynomial:
-    """Immutable sparse polynomial; ``terms`` maps exponent tuples to nonzero ints."""
+    """Immutable sparse polynomial; ``terms`` maps exponent tuples to nonzero ints.
+
+    The public constructor checks and merges its input.  Code of this
+    package whose terms are valid by construction (a zero-free dict keyed by
+    exponent tuples of length ``nvars``) goes through ``_of`` instead.
+    """
 
     __slots__ = ("nvars", "terms")
 
@@ -100,6 +125,14 @@ class Polynomial:
         self.nvars = nvars
         self.terms = merged
 
+    @classmethod
+    def _of(cls, nvars: int, terms: dict[Exps, int]) -> "Polynomial":
+        """Wrap an already valid term dict, unchecked and uncopied."""
+        p = cls.__new__(cls)
+        p.nvars = nvars
+        p.terms = terms
+        return p
+
     # -- constructors ------------------------------------------------
 
     @classmethod
@@ -114,8 +147,9 @@ class Polynomial:
     def variable(cls, nvars: int, i: int) -> "Polynomial":
         if not 0 <= i < nvars:
             raise ValueError("variable index %d out of range" % i)
-        exps = tuple(1 if t == i else 0 for t in range(nvars))
-        return cls(nvars, {exps: 1})
+        exps = [0] * nvars
+        exps[i] = 1
+        return cls._of(nvars, {tuple(exps): 1})
 
     @classmethod
     def monomial(cls, nvars: int, exps: Sequence[int], coef: int = 1) -> "Polynomial":
@@ -162,18 +196,12 @@ class Polynomial:
                 out[exps] = c
             elif exps in out:
                 del out[exps]
-        p = Polynomial.__new__(Polynomial)
-        p.nvars = self.nvars
-        p.terms = out
-        return p
+        return Polynomial._of(self.nvars, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        p = Polynomial.__new__(Polynomial)
-        p.nvars = self.nvars
-        p.terms = {e: -c for e, c in self.terms.items()}
-        return p
+        return Polynomial._of(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
         if isinstance(other, int):
@@ -187,24 +215,9 @@ class Polynomial:
         if isinstance(other, int):
             if not other:
                 return Polynomial.zero(self.nvars)
-            p = Polynomial.__new__(Polynomial)
-            p.nvars = self.nvars
-            p.terms = {e: c * other for e, c in self.terms.items()}
-            return p
+            return Polynomial._of(self.nvars, {e: c * other for e, c in self.terms.items()})
         self._check_compatible(other)
-        out: dict[Exps, int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = out.get(e, 0) + c1 * c2
-                if c:
-                    out[e] = c
-                elif e in out:
-                    del out[e]
-        p = Polynomial.__new__(Polynomial)
-        p.nvars = self.nvars
-        p.terms = out
-        return p
+        return Polynomial._of(self.nvars, _mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -249,7 +262,11 @@ class Polynomial:
         )
 
     def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":
-        """Evaluate at variable images, all living in a common target ring."""
+        """Evaluate at variable images, all living in a common target ring.
+
+        Each image is raised to each exponent it needs once per call, and
+        every term's product is added into one result dict.
+        """
         if len(images) != self.nvars:
             raise ValueError(
                 "need %d images, got %d" % (self.nvars, len(images))
@@ -260,14 +277,24 @@ class Polynomial:
         for img in images:
             if img.nvars != tgt:
                 raise ValueError("images live in different rings")
-        result = Polynomial.zero(tgt)
+        one = {(0,) * tgt: 1}
+        powers: list[list[dict]] = [[one] for _ in images]  # powers[i][e] = images[i]**e
+
+        def power(i: int, e: int) -> dict:
+            known = powers[i]
+            while len(known) <= e:
+                known.append(_mul_terms(known[-1], images[i].terms))
+            return known[e]
+
+        out: dict[Exps, int] = {}
         for exps, coef in self.terms.items():
-            term = Polynomial.constant(tgt, coef)
-            for img, e in zip(images, exps):
+            term = one
+            for i, e in enumerate(exps):
                 if e:
-                    term = term * img**e
-            result = result + term
-        return result
+                    term = power(i, e) if term is one else _mul_terms(term, power(i, e))
+            for e, c in term.items():
+                out[e] = out.get(e, 0) + coef * c
+        return Polynomial._of(tgt, {e: c for e, c in out.items() if c})
 
 
 # -- presentation helpers ---------------------------------------------
@@ -342,7 +369,7 @@ def random_homogeneous(
     weights: Sequence[int] | None = None,
 ) -> Polynomial:
     """Random homogeneous polynomial; may be zero only if no monomials exist."""
-    monos = monomials_of_degree(nvars, degree, weights)
+    monos = _slice(nvars, degree, weights)
     if not monos:
         return Polynomial.zero(nvars)
     k = rng.randint(1, min(max_terms, len(monos)))
@@ -351,4 +378,4 @@ def random_homogeneous(
     for exps in chosen:
         c = rng.randint(1, coef_bound) * rng.choice((1, -1))
         terms[exps] = c
-    return Polynomial(nvars, terms)
+    return Polynomial._of(nvars, terms)

@@ -8,6 +8,7 @@ from random import Random
 
 from skychow.chowring import total_presentation
 from skychow.oracle import GradedIdeal, _smith_divisors, _xgcd
+from skychow.poly import Polynomial
 from skychow.proximity import ProximityConfig, validate_config
 
 
@@ -27,6 +28,47 @@ def random_config(rng: Random, n: int, s: int) -> ProximityConfig:
         for i in rng.sample(range(1, j), k):
             prox.add((j, i))
     return validate_config(ProximityConfig(n=n, s=s, prox=frozenset(prox)))
+
+
+def expand_substitute(p: Polynomial, images) -> Polynomial:
+    """Reference for Polynomial.substitute: every term expanded on its own,
+    each image power rebuilt by repeated multiplication."""
+    tgt = images[0].nvars
+    result = Polynomial.constant(tgt, 0)
+    for exps, coef in p.terms.items():
+        term = Polynomial.constant(tgt, coef)
+        for img, e in zip(images, exps):
+            for _ in range(e):
+                term = term * img
+        result = result + term
+    return result
+
+
+def reference_rho(config: ProximityConfig, p: Polynomial) -> Polynomial:
+    """Reference for rho: y_i -> x_i minus the x_j of the points j proximate
+    to i, built by subtraction and substituted term by term."""
+    nv = config.s + 1
+
+    def x(i):
+        return Polynomial.monomial(nv, [1 if t == i else 0 for t in range(nv)])
+
+    images = [x(0)]
+    for i in range(1, nv):
+        img = x(i)
+        for j in config.proximate_points(i):
+            img = img - x(j)
+        images.append(img)
+    return expand_substitute(p, images)
+
+
+def assert_well_stored(p: Polynomial) -> None:
+    """The storage invariant every Polynomial keeps, however it was made:
+    no zero coefficients, keys are tuples of nvars nonnegative ints."""
+    assert isinstance(p, Polynomial) and type(p.nvars) is int
+    for exps, coef in p.terms.items():
+        assert type(exps) is tuple and len(exps) == p.nvars, exps
+        assert all(type(e) is int and e >= 0 for e in exps), exps
+        assert type(coef) is int and coef != 0, (exps, coef)
 
 
 def dag_path_counts(config: ProximityConfig, j: int, i: int) -> int:

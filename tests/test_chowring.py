@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import cached_total_ideal, random_config
+from helpers import cached_total_ideal, random_config, reference_rho
 from skychow import oracle
 from skychow.chowring import (
     ChowElement,
@@ -322,6 +322,21 @@ class TestRho:
         q = random_homogeneous(rng, 4, rng.randint(1, 2))
         assert rho(cfg, p * q) == rho(cfg, p) * rho(cfg, q)
         assert rho(cfg, p + q) == rho(cfg, p) + rho(cfg, q)
+
+
+    @given(st.integers(0, 2**30))
+    def test_matches_the_term_by_term_expansion(self, seed):
+        rng = Random(seed)
+        n = rng.randint(2, 4)
+        cfg = random_config(rng, n, rng.randint(1, 12))
+        for rel in strict_presentation(cfg).relations:
+            assert rho(cfg, rel) == reference_rho(cfg, rel)
+        for _ in range(4):
+            # a sum over several degrees, so inhomogeneous input is covered too
+            p = Polynomial.zero(cfg.s + 1)
+            for _ in range(rng.randint(1, 3)):
+                p = p + random_homogeneous(rng, cfg.s + 1, rng.randint(0, n + 1))
+            assert rho(cfg, p) == reference_rho(cfg, p)
 
 
 class TestGradedRank:

@@ -33,9 +33,9 @@ def surface_path(tmp_path):
     return str(path)
 
 
-THREEFOLD_PATH = str(
-    Path(__file__).resolve().parents[1] / "configs" / "threefold_chain.json"
-)
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+THREEFOLD_PATH = str(CONFIG_DIR / "threefold_chain.json")
+SURFACE_PATH = str(CONFIG_DIR / "surface.json")
 
 
 def chain_doc(n, s):
@@ -374,6 +374,36 @@ class TestVerify:
         assert "PASS" not in captured.out
         assert "--samples" in captured.err
 
+    @pytest.mark.parametrize("samples", [cli.MAX_VERIFY_SAMPLES + 1, 10**9, 10**40])
+    def test_samples_are_bounded_before_the_config_is_read(
+        self, surface_path, capsys, monkeypatch, samples
+    ):
+        def never(*args):
+            raise AssertionError("verify read its config or started with --samples %d" % samples)
+
+        monkeypatch.setattr(cli, "load_config", never)
+        monkeypatch.setattr(cli, "_verify_checks", never)
+        assert cli.main(["verify", surface_path, "--samples", str(samples)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --samples is %d; verify allows at most %d\n" % (
+            samples,
+            cli.MAX_VERIFY_SAMPLES,
+        )
+
+    def test_samples_at_the_bound_are_accepted(self, surface_path, capsys, monkeypatch):
+        seen = []
+
+        def record(cfg, samples, seed):
+            seen.append(samples)
+            yield True, "synthetic check", "%d samples" % samples
+
+        monkeypatch.setattr(cli, "_verify_checks", record)
+        argv = ["verify", surface_path, "--samples", str(cli.MAX_VERIFY_SAMPLES)]
+        assert cli.main(argv) == 0
+        assert seen == [cli.MAX_VERIFY_SAMPLES]
+        assert capsys.readouterr().out == "PASS synthetic check (100000 samples)\n"
+
     def test_oracle_width_is_bounded_before_any_work(self, tmp_path, capsys, monkeypatch):
         def never(cfg, samples, seed):
             raise AssertionError("verify started on a config above the width limit")
@@ -533,6 +563,20 @@ def config_texts(draw):
     return json.dumps(doc)
 
 
+def option_texts(*ranges):
+    """Integer option text: values from the given (low, high) ranges, and
+    non-integers.  Decimal digits of any script stay out of the free text,
+    so no draw runs verify on a large in-range --samples by accident."""
+    return st.one_of(
+        *(st.integers(lo, hi).map(str) for lo, hi in ranges),
+        st.sampled_from(("", "-", "+3", " 4 ", "1_0", "1_000_000", "0x10", "1e3", "٣", "-h")),
+        st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=6),
+    )
+
+
+HUGE = 10**40
+
+
 class TestExitCodeFuzz:
     """Random input only ever succeeds or is refused as bad input, printing nothing."""
 
@@ -560,6 +604,28 @@ class TestExitCodeFuzz:
         path = tmp_path_factory.getbasetemp() / "fuzzed.json"
         path.write_text(text, encoding="utf-8", errors="surrogatepass")
         code, out, _ = run_quiet([command[0], str(path)] + command[1:])
+        assert code in (0, 2)
+        if code == 2:
+            assert out == ""
+
+    @given(
+        option_texts((-3, 30), (-HUGE, 0), (cli.MAX_VERIFY_SAMPLES + 1, HUGE)),
+        option_texts((-5, 5), (-HUGE, HUGE)),
+    )
+    def test_verify_options(self, samples, seed):
+        argv = ["verify", SURFACE_PATH, "--samples", samples, "--seed", seed]
+        code, out, _ = run_quiet(argv)
+        assert code in (0, 2)
+        if code == 2:
+            assert out == ""
+        else:
+            assert out.count("PASS") == 5
+
+    @pytest.mark.filterwarnings("ignore:gamma=1")
+    @given(option_texts((-3, 9), (-HUGE, HUGE)), option_texts((-9, 9), (-HUGE, HUGE)), st.booleans())
+    def test_curve_example_options(self, gamma, c1, check):
+        argv = ["curve-example", "--gamma", gamma, "--c1", c1] + ["--check"] * check
+        code, out, _ = run_quiet(argv)
         assert code in (0, 2)
         if code == 2:
             assert out == ""

@@ -309,6 +309,50 @@ def test_slices_match_polynomial_product_rows():
                 assert piece.lattice.pivot_cols == expected.pivot_cols
 
 
+def test_top_slice_folds_each_distinct_single_once(monkeypatch):
+    # n=3, s=7: the verify benchmark's top slice, 330 columns
+    n, s = 3, 7
+    ideal = GradedIdeal(s + 1, total_presentation(ProximityConfig(n=n, s=s)).relations, n + 1)
+    folded = []
+    original = HermiteLattice.add_row
+
+    def counting(self, vec):
+        folded.append(vec)
+        return original(self, vec)
+
+    monkeypatch.setattr(HermiteLattice, "add_row", counting)
+    piece = ideal.piece(n + 1)
+    singles, binomial_rows, all_rows = set(), 0, 0
+    for g in ideal.generators:
+        for m in monomials_of_degree(s + 1, n + 1 - g.homogeneous_degree()):
+            all_rows += 1
+            row = g * Polynomial.monomial(s + 1, m)
+            if len(row.terms) == 1:
+                singles.update(row.terms.items())
+            else:
+                binomial_rows += 1
+    assert len(folded) <= len(singles) + binomial_rows < all_rows
+    expected = reference_lattice(ideal, piece, False)
+    assert piece.lattice.rows == expected.rows
+    assert piece.lattice.rank == len(piece.monomials) == 330
+
+
+def test_singles_sharing_a_column_keep_their_coefficients():
+    # 2*v0*v1 and 3*v1*v0 land in one column: folding only the first would
+    # leave the pivot 2 where the lattice has gcd(2, 3) = 1
+    v = [Polynomial.variable(3, i) for i in range(3)]
+    ideal = GradedIdeal(3, [2 * v[0], 3 * v[1], 2 * v[0] * v[2], v[1] * v[2]], 3)
+    for d in range(ideal.max_degree + 1):
+        for proper in (False, True):
+            piece = ideal.piece(d, proper_multiples_only=proper)
+            expected = reference_lattice(ideal, piece, proper)
+            assert piece.lattice.rows == expected.rows
+            assert piece.lattice.pivot_cols == expected.pivot_cols
+            assert piece.lattice.elementary_divisors() == expected.elementary_divisors()
+    assert quotient_structure(ideal, 1).torsion == (6,)  # Z/2 + Z/3
+    assert membership(ideal, v[0] * v[1])
+
+
 def _package_imports(tree):
     """Names of skychow modules imported by a parsed module of the package."""
     found = set()
