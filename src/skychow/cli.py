@@ -58,6 +58,13 @@ MAX_ORACLE_WIDTH = 4096
 # on a 2-vCPU host, so the largest admitted run takes seconds, not days.
 MAX_VERIFY_SAMPLES = 100_000
 
+# Most exponent entries present may build.  Every term of a presentation
+# holds a dense exponent tuple of length s + 1, so a presentation of T terms
+# holds T * (s + 1) entries; an n=3 chain's total basis took 4.6 s and
+# 138 MiB at s=300 on a 2-vCPU host.  The bound admits the total basis up to
+# s=366 and the strict basis of a chain up to s=45.
+MAX_PRESENT_ENTRIES = 25_000_000
+
 # Largest ambient dimension a config file may ask for.  final and intersect
 # evaluate degree-1 products in closed form, so their cost is linear in s (a
 # chain with n=64, s=2000: intersect "e1^64" about 0.02 s, final about 0.2 s
@@ -178,8 +185,47 @@ def parse_expression(text: str, config: ProximityConfig):
     return factors, sum(k for _, k in factors)
 
 
+def _strict_term_bound(config: ProximityConfig) -> int:
+    """An upper bound on the terms of strict_presentation: 3s for y_0*y_i and
+    the power relations, plus |L_i| * |L_j| for each product L_i * L_j.
+
+    L_i has a term for i and one for each point with a proximity chain down
+    to i.  Bit k of below[i] marks such a point k; each point's chains go
+    through the points it is proximate to, so one descending pass finds all.
+    """
+    below = [0] * (config.s + 1)
+    sizes = []
+    for i in range(config.s, 0, -1):
+        bits = 0
+        for k in config.proximate_points(i):
+            bits |= below[k] | (1 << k)
+        below[i] = bits
+        sizes.append(1 + bits.bit_count())
+    total = sum(sizes)
+    return 3 * config.s + (total * total - sum(a * a for a in sizes)) // 2
+
+
+def _present_entries(config: ProximityConfig, basis: str) -> int:
+    """Exponent entries a presentation holds: exact for the total basis, an
+    upper bound for the strict one."""
+    s = config.s
+    terms = comb(s + 1, 2) + 2 * s  # the total basis
+    # The strict bound is never below the total count, so the bitsets, which
+    # take s^2 bits on a chain, are built only when that count fits.
+    if basis == "strict" and terms * (s + 1) <= MAX_PRESENT_ENTRIES:
+        terms = _strict_term_bound(config)
+    return terms * (s + 1)
+
+
 def cmd_present(args) -> int:
     config = load_config(args.config)
+    if _present_entries(config, args.basis) > MAX_PRESENT_ENTRIES:
+        print(
+            "error: present --basis %s with s=%d is above the limit of %d exponent "
+            "entries (terms times s+1)" % (args.basis, config.s, MAX_PRESENT_ENTRIES),
+            file=sys.stderr,
+        )
+        return EXIT_USER_ERROR
     pres = (
         total_presentation(config)
         if args.basis == "total"

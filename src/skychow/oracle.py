@@ -20,7 +20,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import gcd
-from operator import add
+from operator import add, itemgetter
 
 from .poly import Polynomial, monomials_of_degree
 
@@ -42,15 +42,12 @@ def _xgcd(a, b):
 class HermiteLattice:
     """A sublattice of Z^width held in row echelon form with positive pivots.
 
-    Each row is stored sparse, as a {column: entry} dict without zeros, and
-    every elimination step walks only nonzero columns, in ascending order.
-    Rows are added one at a time; above-pivot reduction is deferred until a
-    query needs the fully reduced (Hermite) form.  All mutation happens
-    through add_row, queries never mutate.
-
-    Vectors may be given dense, as a sequence of length width, or sparse,
-    as a {column: entry} dict with columns in 0..width-1; reduce_vector
-    answers in the form it was given.
+    Vectors are {column: entry} dicts with columns in 0..width-1.  Each row
+    is stored that way without zeros, and every elimination step walks only
+    nonzero columns, in ascending order.  Rows are added one at a time;
+    above-pivot reduction is deferred until a query needs the fully reduced
+    (Hermite) form.  All mutation happens through add_row, queries never
+    mutate.
     """
 
     __slots__ = ("width", "pivot_cols", "_rows", "_pivots", "_reduced")
@@ -69,7 +66,13 @@ class HermiteLattice:
     @property
     def rows(self):
         """The rows as fresh dense lists."""
-        return [_dense(row, self.width) for row in self._rows]
+        dense = []
+        for row in self._rows:
+            out = [0] * self.width
+            for t, c in row.items():
+                out[t] = c
+            dense.append(out)
+        return dense
 
     def pivot_values(self):
         return [row[c] for row, c in zip(self._rows, self.pivot_cols)]
@@ -83,16 +86,11 @@ class HermiteLattice:
         return other
 
     def _sparse(self, vec, what):
-        """A fresh zero-free {column: entry} dict of either vector form."""
-        if isinstance(vec, dict):
-            v = {t: c for t, c in vec.items() if c}
-            if v and not (0 <= min(v) and max(v) < self.width):
-                raise ValueError("%s has a column outside 0..%d" % (what, self.width - 1))
-            return v
-        vec = list(vec)
-        if len(vec) != self.width:
-            raise ValueError("%s has length %d, expected %d" % (what, len(vec), self.width))
-        return {t: c for t, c in enumerate(vec) if c}
+        """A fresh zero-free copy of vec, its columns checked against the width."""
+        v = {t: c for t, c in vec.items() if c}
+        if v and not (0 <= min(v) and max(v) < self.width):
+            raise ValueError("%s has a column outside 0..%d" % (what, self.width - 1))
+        return v
 
     def add_row(self, vec):
         """Fold a vector into the lattice; True if the rank grew."""
@@ -160,19 +158,15 @@ class HermiteLattice:
             self._reduce_in_place(rk, [t for t in rk if t != own])
         self._reduced = True
 
-    def _residue(self, vec):
+    def reduce_vector(self, vec):
+        """Canonical coset representative of vec modulo the lattice, zero-free."""
         v = self._sparse(vec, "vector")
         self._ensure_reduced()
         self._reduce_in_place(v, list(v))
         return v
 
-    def reduce_vector(self, vec):
-        """Canonical coset representative of vec modulo the lattice."""
-        v = self._residue(vec)
-        return v if isinstance(vec, dict) else _dense(v, self.width)
-
     def contains(self, vec):
-        return not self._residue(vec)
+        return not self.reduce_vector(vec)
 
     def elementary_divisors(self):
         """Smith normal form divisors of the row matrix (rank many, positive)."""
@@ -180,13 +174,6 @@ class HermiteLattice:
             # unit pivots: the rows extend to a basis of Z^width
             return [1] * self.rank
         return _smith_divisors(self.rows, self.width)
-
-
-def _dense(row, width):
-    out = [0] * width
-    for t, c in row.items():
-        out[t] = c
-    return out
 
 
 def _put(v, t, c):
@@ -275,12 +262,17 @@ def _smith_divisors(m, ncols):
 
 @dataclass(frozen=True)
 class GradedPiece:
-    """One degree slice: its monomials (largest first) and the ideal lattice."""
+    """One degree slice: its monomials (largest first) and the ideal lattice.
+
+    new_generators is rank(I_d) - rank((m*I)_d) with m the irrelevant ideal:
+    how many of the degree-d generators a minimal generating set needs.
+    """
 
     degree: int
     monomials: tuple
     index: dict
     lattice: HermiteLattice
+    new_generators: int
 
     def vector_of(self, p):
         """The sparse {column: coefficient} vector of a polynomial of this degree."""
@@ -328,7 +320,7 @@ class GradedIdeal:
         weights = tuple(int(w) for w in weights)
         if len(weights) != nvars or any(w < 1 for w in weights):
             raise ValueError("weights must be %d positive integers" % nvars)
-        gens, degrees = [], []
+        kept = []  # (degree, generator)
         for g in generators:
             if g.nvars != nvars:
                 raise ValueError("generator has %d variables, expected %d" % (g.nvars, nvars))
@@ -339,32 +331,36 @@ class GradedIdeal:
                 raise ValueError(
                     "generator of degree %d exceeds max_degree %d" % (d, max_degree)
                 )
-            gens.append(g)
-            degrees.append(d)
+            kept.append((d, g))
+        # Ascending degree, stable: a slice then folds every proper multiple
+        # before the rows of its own degree's generators.
+        kept.sort(key=itemgetter(0))
         self.nvars = nvars
-        self.generators = tuple(gens)
-        self._degrees = tuple(degrees)  # homogeneous degree of each generator
+        self.generators = tuple(g for _, g in kept)
+        self._degrees = tuple(d for d, _ in kept)  # homogeneous degree of each generator
         self.max_degree = int(max_degree)
         self.weights = weights
         self._pieces = {}
         self._lock = threading.Lock()
 
-    def _build_piece(self, d, proper_multiples_only):
+    def _build_piece(self, d):
         monos = monomials_of_degree(self.nvars, d, self.weights)
         index = {m: i for i, m in enumerate(monos)}
         lat = HermiteLattice(len(monos))
-        piece = GradedPiece(d, tuple(monos), index, lat)
-        low = 1 if proper_multiples_only else 0
         multipliers = {}  # degree r -> the monomials of degree r
         # A row equal to an earlier one already lies in the lattice, and
         # folding a lattice vector changes nothing.  Monomial generators
         # repeat single-entry rows (x_i x_j times m meets x_i x_k times m'),
         # so each distinct (column, coefficient) single is folded once.
         singles = set()
+        # Generators ascend in degree, so the rows of degree-d generators
+        # (r == 0) come after every proper multiple; the ones that raise the
+        # rank are rank(I_d) - rank((m*I)_d).
+        new = 0
         for g, dg in zip(self.generators, self._degrees):
             r = d - dg
-            if r < low:
-                continue
+            if r < 0:
+                break
             shifts = multipliers.get(r)
             if shifts is None:
                 shifts = multipliers[r] = monomials_of_degree(self.nvars, r, self.weights)
@@ -375,24 +371,26 @@ class GradedIdeal:
                     single = (index[tuple(map(add, exps, m))], coef)
                     if single not in singles:
                         singles.add(single)
-                        lat.add_row(dict((single,)))
+                        if lat.add_row(dict((single,))) and not r:
+                            new += 1
                 continue
             for m in shifts:
                 # shifting by m is injective, so g*m has one entry per term
-                lat.add_row({index[tuple(map(add, exps, m))]: coef for exps, coef in terms})
-        return piece
+                row = {index[tuple(map(add, exps, m))]: coef for exps, coef in terms}
+                if lat.add_row(row) and not r:
+                    new += 1
+        return GradedPiece(d, tuple(monos), index, lat, new)
 
-    def piece(self, d, proper_multiples_only=False):
+    def piece(self, d):
         if not 0 <= d <= self.max_degree:
             raise ValueError(
                 "degree %d outside the materialized range 0..%d" % (d, self.max_degree)
             )
-        key = (d, proper_multiples_only)
         with self._lock:
-            piece = self._pieces.get(key)
+            piece = self._pieces.get(d)
             if piece is None:
-                piece = self._build_piece(d, proper_multiples_only)
-                self._pieces[key] = piece
+                piece = self._build_piece(d)
+                self._pieces[d] = piece
         return piece
 
 
@@ -428,7 +426,9 @@ def quotient_structure(ideal: GradedIdeal, d: int) -> QuotientSlice:
 
 
 def quotient_rank(ideal: GradedIdeal, d: int) -> int:
-    return quotient_structure(ideal, d).rank
+    """Free rank of (degree-d forms)/(ideal slice), read off the echelon form."""
+    piece = ideal.piece(d)
+    return len(piece.monomials) - piece.lattice.rank
 
 
 def rational_membership(ideal: GradedIdeal, p: Polynomial) -> bool:
@@ -445,20 +445,19 @@ def minimal_generator_count(ideal: GradedIdeal) -> dict:
     """Degrees and counts of a minimal homogeneous generating set.
 
     In degree d the count is rank(I_d) - rank((m*I)_d) with m the irrelevant
-    ideal; nothing new can appear above the top generator degree, so the
-    scan stops there.  Only degrees with a nonzero count are reported.
+    ideal, which each slice records as it is built (new_generators).  It can
+    be nonzero only in a degree that has generators.  Only degrees with a
+    nonzero count are reported.
     """
     if not ideal.generators:
         return {}
-    top = max(ideal._degrees)
-    if top > ideal.max_degree - 1:
+    if ideal._degrees[-1] > ideal.max_degree - 1:
         raise ValueError(
             "minimal generator counts need max_degree >= top generator degree + 1"
         )
     counts = {}
-    for d in range(0, top + 1):
-        full = ideal.piece(d).lattice.rank
-        proper = ideal.piece(d, proper_multiples_only=True).lattice.rank
-        if full - proper:
-            counts[d] = full - proper
+    for d in dict.fromkeys(ideal._degrees):  # ascending, each once
+        new = ideal.piece(d).new_generators
+        if new:
+            counts[d] = new
     return counts

@@ -231,12 +231,6 @@ class Polynomial:
 
     # -- structure ----------------------------------------------------
 
-    def degree(self, weights: Sequence[int] | None = None) -> int:
-        """Max weighted degree of a term; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(monomial_degree(e, weights) for e in self.terms)
-
     def homogeneous_degree(self, weights: Sequence[int] | None = None) -> int | None:
         """Common degree of all terms, None for zero, ValueError if mixed."""
         if not self.terms:

@@ -6,12 +6,14 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from random import Random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import skychow.cli as cli
+from helpers import random_config
 from skychow import finality
 from skychow.chowring import Presentation, total_presentation, strict_presentation
 from skychow.finality import DivisorFinality, FinalityReport
@@ -212,6 +214,58 @@ class TestPresent:
     def test_missing_file_is_a_user_error(self, capsys):
         assert cli.main(["present", "/no/such/file.json"]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("basis", ["total", "strict"])
+    def test_size_is_bounded_before_any_work(self, surface_path, capsys, monkeypatch, basis):
+        def never(cfg):
+            raise AssertionError("present built a presentation above the size limit")
+
+        cfg = cli.load_config(surface_path)
+        monkeypatch.setattr(cli, "MAX_PRESENT_ENTRIES", cli._present_entries(cfg, basis) - 1)
+        monkeypatch.setattr(cli, "total_presentation", never)
+        monkeypatch.setattr(cli, "strict_presentation", never)
+        assert cli.main(["present", surface_path, "--basis", basis]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: present --basis %s with s=2 is above" % basis)
+
+    @pytest.mark.parametrize("basis", ["total", "strict"])
+    def test_size_at_the_bound_is_accepted(self, capsys, monkeypatch, basis):
+        argv = ["present", THREEFOLD_PATH, "--basis", basis]
+        assert cli.main(argv) == 0
+        unbounded = capsys.readouterr().out
+        cfg = cli.load_config(THREEFOLD_PATH)
+        monkeypatch.setattr(cli, "MAX_PRESENT_ENTRIES", cli._present_entries(cfg, basis))
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == unbounded
+
+    def test_bound_admits_the_documented_sizes(self, tmp_path, capsys):
+        def entries(s, basis):
+            cfg = ProximityConfig(n=3, s=s, prox=frozenset((j, j - 1) for j in range(2, s + 1)))
+            return cli._present_entries(cfg, basis)
+
+        limit = cli.MAX_PRESENT_ENTRIES
+        assert entries(366, "total") <= limit < entries(367, "total")
+        assert entries(45, "strict") <= limit < entries(46, "strict")
+        # a strict chain past the bound, and a huge one whose total count
+        # already exceeds it, are refused without listing any presentation
+        for s in (46, 20000):
+            path = write_config(tmp_path, chain_doc(3, s))
+            assert cli.main(["present", path, "--basis", "strict"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "with s=%d is above the limit" % s in captured.err
+
+    @given(st.integers(0, 2**30))
+    def test_entry_counts_bound_the_presentations(self, seed):
+        rng = Random(seed)
+        cfg = random_config(rng, rng.randint(2, 4), rng.randint(1, 12))
+        for basis, build in (("total", total_presentation), ("strict", strict_presentation)):
+            terms = sum(len(rel.terms) for rel in build(cfg).relations)
+            if basis == "total":
+                assert cli._present_entries(cfg, basis) == terms * (cfg.s + 1)
+            else:
+                assert cli._strict_term_bound(cfg) >= terms
 
 
 class TestIntersect:

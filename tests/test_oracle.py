@@ -12,15 +12,15 @@ from pathlib import Path
 from random import Random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
 import skychow.oracle
-from helpers import DenseHermiteLattice, cached_total_ideal
+from helpers import DenseHermiteLattice, cached_total_ideal, random_config
 from skychow.chowring import strict_presentation, total_presentation
-from skychow.cli import load_config
+from skychow.cli import load_config, main
 from skychow.curve import CurveRingParams, curve_ideal
 from skychow.oracle import (
     GradedIdeal,
@@ -40,49 +40,55 @@ def random_matrix(rng, rows, cols, bound=9):
     return [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
 
 
+def sparse(vec):
+    """The {column: entry} form HermiteLattice takes, of a dense vector."""
+    return {t: c for t, c in enumerate(vec) if c}
+
+
+def minus(v, residue):
+    """v - residue for a dense v and a sparse residue, as a sparse vector."""
+    return sparse([a - residue.get(t, 0) for t, a in enumerate(v)])
+
+
 class TestHermiteLattice:
     def test_single_row_normalizes_sign(self):
         lat = HermiteLattice(2)
-        assert lat.add_row([-3, 6])
+        assert lat.add_row(sparse([-3, 6]))
         assert lat.rows == [[3, -6]]
         assert lat.pivot_cols == [0]
 
     def test_gcd_of_colinear_rows(self):
         lat = HermiteLattice(2)
-        lat.add_row([4, 0])
-        grew = lat.add_row([6, 0])
+        lat.add_row(sparse([4, 0]))
+        grew = lat.add_row(sparse([6, 0]))
         assert not grew  # same pivot column, rank unchanged
         assert lat.pivot_values() == [2]
-        assert lat.contains([2, 0])
-        assert not lat.contains([1, 0])
+        assert lat.contains(sparse([2, 0]))
+        assert not lat.contains(sparse([1, 0]))
 
     def test_membership_frozen_case(self):
         # rows (2, 1, 0) and (0, 3, 1): their sum and integer combos only
         lat = HermiteLattice(3)
-        lat.add_row([2, 1, 0])
-        lat.add_row([0, 3, 1])
-        assert lat.contains([2, 4, 1])
-        assert lat.contains([4, 2, 0])
-        assert not lat.contains([1, 2, 0])
-        assert not lat.contains([0, 0, 1])
+        lat.add_row(sparse([2, 1, 0]))
+        lat.add_row(sparse([0, 3, 1]))
+        assert lat.contains(sparse([2, 4, 1]))
+        assert lat.contains(sparse([4, 2, 0]))
+        assert not lat.contains(sparse([1, 2, 0]))
+        assert not lat.contains(sparse([0, 0, 1]))
 
     def test_reduce_is_canonical_on_cosets(self):
         lat = HermiteLattice(3)
-        lat.add_row([2, 1, 0])
-        lat.add_row([0, 3, 1])
+        lat.add_row(sparse([2, 1, 0]))
+        lat.add_row(sparse([0, 3, 1]))
         v = [5, -7, 2]
         shifted = [5 + 2, -7 + 1, 2]
-        assert lat.reduce_vector(v) == lat.reduce_vector(shifted)
-        residue = lat.reduce_vector(v)
+        assert lat.reduce_vector(sparse(v)) == lat.reduce_vector(sparse(shifted))
+        residue = lat.reduce_vector(sparse(v))
         # the residue differs from v by a lattice element
-        assert lat.contains([a - b for a, b in zip(v, residue)])
+        assert lat.contains(minus(v, residue))
 
     def test_width_mismatch(self):
         lat = HermiteLattice(2)
-        with pytest.raises(ValueError):
-            lat.add_row([1, 2, 3])
-        with pytest.raises(ValueError):
-            lat.reduce_vector([1])
         for column in (-1, 2):
             with pytest.raises(ValueError, match="outside 0..1"):
                 lat.add_row({column: 1})
@@ -97,7 +103,7 @@ class TestHermiteLattice:
         m = random_matrix(rng, rows, cols, bound=6)
         lat = HermiteLattice(cols)
         for row in m:
-            lat.add_row(row)
+            lat.add_row(sparse(row))
         sym = Matrix(m)
         assert lat.rank == sym.rank()
         snf = smith_normal_form(sym)
@@ -113,14 +119,14 @@ class TestHermiteLattice:
         m = random_matrix(rng, rng.randint(1, 4), cols, bound=5)
         lat = HermiteLattice(cols)
         for row in m:
-            lat.add_row(row)
+            lat.add_row(sparse(row))
         v = [rng.randint(-9, 9) for _ in range(cols)]
-        residue = lat.reduce_vector(v)
-        assert lat.contains([a - b for a, b in zip(v, residue)])
+        residue = lat.reduce_vector(sparse(v))
+        assert lat.contains(minus(v, residue))
         # shifting by any input row leaves the canonical representative alone
         for row in m:
             shifted = [a + b for a, b in zip(v, row)]
-            assert lat.reduce_vector(shifted) == residue
+            assert lat.reduce_vector(sparse(shifted)) == residue
 
     @given(st.integers(0, 2**30))
     def test_matches_the_dense_reference(self, seed):
@@ -134,25 +140,20 @@ class TestHermiteLattice:
         def draw():
             return [rng.choice(entries) if rng.random() < density else 0 for _ in range(width)]
 
-        def sparse(vec):
-            return {t: c for t, c in enumerate(vec) if c}
-
         lat, ref = HermiteLattice(width), DenseHermiteLattice(width)
         added = []
         for _ in range(rng.randint(1, 6)):
             row = draw()
             added.append(row)
-            given_row = row if rng.random() < 0.5 else sparse(row)
-            assert lat.add_row(given_row) == ref.add_row(row)
+            assert lat.add_row(sparse(row)) == ref.add_row(row)
             assert lat.rows == ref.rows
             assert lat.pivot_cols == ref.pivot_cols
             coefs = [rng.randint(-2, 2) for _ in added]
             member = [sum(k * r[t] for k, r in zip(coefs, added)) for t in range(width)]
             for v in (draw(), member):
                 residue = ref.reduce_vector(v)
-                assert lat.reduce_vector(v) == residue
                 assert lat.reduce_vector(sparse(v)) == sparse(residue)
-                assert lat.contains(v) == ref.contains(v)
+                assert lat.contains(sparse(v)) == ref.contains(v)
             assert ref.contains(member)
             assert lat.rows == ref.rows  # after back-substitution
             assert lat.elementary_divisors() == ref.elementary_divisors()
@@ -215,6 +216,15 @@ class TestGradedIdeal:
         with pytest.raises(ValueError, match="max_degree"):
             GradedIdeal(3, gens, 1)
 
+    def test_quotient_rank_needs_no_smith_form(self, monkeypatch):
+        def no_smith(m, ncols):
+            raise AssertionError("quotient_rank computed a Smith form")
+
+        # gamma=2, c1=6 has Z/2 torsion in degree 4, so its Smith form is not trivial
+        ideal = curve_ideal(CurveRingParams(gamma=2, c1=6))
+        monkeypatch.setattr(skychow.oracle, "_smith_divisors", no_smith)
+        assert tuple(quotient_rank(ideal, d) for d in range(5)) == (1, 2, 2, 1, 0)
+
     def test_minimal_generators_need_headroom(self):
         gens = total_presentation(ProximityConfig(n=2, s=2)).relations
         tight = GradedIdeal(3, gens, 2)
@@ -269,6 +279,31 @@ class TestAgainstRewriteEngine:
         assert reduce(ideal, p) == nf
         assert membership(ideal, p) == nf.is_zero()
 
+    # The exhaustive checks stop at s <= 5; these random configs reach the
+    # verify width cap (the top slice stays within 4096 columns).
+    @pytest.mark.parametrize("n, s_max", [(2, 26), (3, 15), (4, 10)])
+    @settings(max_examples=8)
+    @given(seed=st.integers(0, 2**30))
+    def test_matches_on_random_configs_up_to_the_width_cap(self, n, s_max, seed):
+        from skychow.chowring import normal_form, rho
+
+        rng = Random(seed)
+        cfg = random_config(rng, n, rng.randint(6, s_max))
+        total = total_presentation(cfg).relations
+        ideal = GradedIdeal(cfg.s + 1, total, n + 1)
+        for g in strict_presentation(cfg).relations:
+            assert membership(ideal, rho(cfg, g))
+        for _ in range(40):
+            d = rng.randint(1, n + 1)
+            p = random_homogeneous(rng, cfg.s + 1, d)
+            g = total[rng.randrange(len(total))]
+            if rng.random() < 0.5 and g.homogeneous_degree() <= d:
+                # add an ideal element so that members are drawn too
+                p = p + g * random_homogeneous(rng, cfg.s + 1, d - g.homogeneous_degree())
+            nf = normal_form(cfg, p).to_polynomial()
+            assert reduce(ideal, p) == nf
+            assert membership(ideal, p) == nf.is_zero()
+
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -299,14 +334,44 @@ def reference_lattice(ideal, piece, proper_multiples_only):
     return lat
 
 
+def assert_matches_reference(ideal, d):
+    """The slice's rows and new-generator count against the dense reference."""
+    piece = ideal.piece(d)
+    full = reference_lattice(ideal, piece, False)
+    proper = reference_lattice(ideal, piece, True)
+    assert piece.lattice.rows == full.rows
+    assert piece.lattice.pivot_cols == full.pivot_cols
+    assert piece.new_generators == full.rank - proper.rank
+    return piece, full
+
+
 def test_slices_match_polynomial_product_rows():
-    for ideal in example_ideals():
+    # the threefold total relations listed top degree first: the one ideal
+    # here whose generators arrive in descending degree
+    threefold = total_presentation(ProximityConfig(n=3, s=3)).relations
+    descending = GradedIdeal(4, threefold[::-1], 4)
+    assert [g.homogeneous_degree() for g in descending.generators] == [2] * 6 + [3] * 3
+    for ideal in (*example_ideals(), descending):
         for d in range(ideal.max_degree + 1):
-            for proper in (False, True):
-                piece = ideal.piece(d, proper_multiples_only=proper)
-                expected = reference_lattice(ideal, piece, proper)
-                assert piece.lattice.rows == expected.rows
-                assert piece.lattice.pivot_cols == expected.pivot_cols
+            assert_matches_reference(ideal, d)
+    assert minimal_generator_count(descending) == {2: 6, 3: 3}
+
+
+def test_verify_builds_each_slice_once(monkeypatch, capsys):
+    n = 3
+    built = []
+    original = GradedIdeal._build_piece
+
+    def counting(self, d):
+        built.append(d)
+        return original(self, d)
+
+    monkeypatch.setattr(GradedIdeal, "_build_piece", counting)
+    path = str(CONFIG_DIR / "threefold_chain.json")
+    assert load_config(path).n == n
+    assert main(["verify", path, "--samples", "20"]) == 0
+    assert sorted(built) == list(range(n + 2))
+    assert capsys.readouterr().out.count("PASS") == 5
 
 
 def test_top_slice_folds_each_distinct_single_once(monkeypatch):
@@ -343,12 +408,8 @@ def test_singles_sharing_a_column_keep_their_coefficients():
     v = [Polynomial.variable(3, i) for i in range(3)]
     ideal = GradedIdeal(3, [2 * v[0], 3 * v[1], 2 * v[0] * v[2], v[1] * v[2]], 3)
     for d in range(ideal.max_degree + 1):
-        for proper in (False, True):
-            piece = ideal.piece(d, proper_multiples_only=proper)
-            expected = reference_lattice(ideal, piece, proper)
-            assert piece.lattice.rows == expected.rows
-            assert piece.lattice.pivot_cols == expected.pivot_cols
-            assert piece.lattice.elementary_divisors() == expected.elementary_divisors()
+        piece, expected = assert_matches_reference(ideal, d)
+        assert piece.lattice.elementary_divisors() == expected.elementary_divisors()
     assert quotient_structure(ideal, 1).torsion == (6,)  # Z/2 + Z/3
     assert membership(ideal, v[0] * v[1])
 
