@@ -17,6 +17,7 @@ input is converted at the boundary by the proximity change of basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .poly import (
     Polynomial,
@@ -202,11 +203,12 @@ def normal_form(config: ProximityConfig, p: Polynomial) -> ChowElement:
         )
     terms = {}
     for exps, coef in p.terms.items():
-        support = [i for i, e in enumerate(exps) if e]
-        if len(support) > 1:
-            continue
-        i = support[0] if support else 0
-        _add_power(terms, n, exps[i], i, coef)
+        d = max(exps)
+        # exponents are nonnegative: the term is a pure power (or the
+        # constant, whose top exponent 0 sits first) exactly when one
+        # exponent carries the whole degree
+        if d == sum(exps):
+            _add_power(terms, n, d, exps.index(d), coef)
     return ChowElement(n, s, terms)
 
 
@@ -367,7 +369,16 @@ def rho(config: ProximityConfig, p: Polynomial) -> Polynomial:
         raise ValueError(
             "polynomial has %d variables, expected s + 1 = %d" % (p.nvars, s + 1)
         )
-    nv = s + 1
+    return p.substitute(_rho_images(config))
+
+
+@lru_cache(maxsize=8)
+def _rho_images(config: ProximityConfig) -> tuple[Polynomial, ...]:
+    """The images of y_0..y_s under rho, built once per config.
+
+    Shared between calls: substitute only reads them and returns fresh terms.
+    """
+    nv = config.s + 1
     units = []
     for i in range(nv):
         exps = [0] * nv
@@ -380,4 +391,4 @@ def rho(config: ProximityConfig, p: Polynomial) -> Polynomial:
             for j in config.proximate_points(i):
                 img[units[j]] = -1
         images.append(Polynomial._of(nv, img))
-    return p.substitute(images)
+    return tuple(images)

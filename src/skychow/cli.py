@@ -54,8 +54,9 @@ EXIT_INTERNAL_ERROR = 4
 MAX_ORACLE_WIDTH = 4096
 
 # Most polynomials verify samples.  Each sample costs a reduce and a
-# membership query on a cached slice, about 0.06 ms at n=3 with s=7 or s=15
-# on a 2-vCPU host, so the largest admitted run takes seconds, not days.
+# membership query on a cached slice, about 0.04 ms at n=3 with s=7 or s=15
+# and at n=4 with s=10 on a 2-vCPU host, so the largest admitted run takes
+# seconds, not days.
 MAX_VERIFY_SAMPLES = 100_000
 
 # Most exponent entries present may build.  Every term of a presentation

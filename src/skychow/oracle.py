@@ -20,9 +20,9 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import gcd
-from operator import add, itemgetter
+from operator import itemgetter, mul
 
-from .poly import Polynomial, monomials_of_degree
+from .poly import Polynomial, monomial_degree, monomials_of_degree
 
 
 def _xgcd(a, b):
@@ -45,9 +45,10 @@ class HermiteLattice:
     Vectors are {column: entry} dicts with columns in 0..width-1.  Each row
     is stored that way without zeros, and every elimination step walks only
     nonzero columns, in ascending order.  Rows are added one at a time;
-    above-pivot reduction is deferred until a query needs the fully reduced
-    (Hermite) form.  All mutation happens through add_row, queries never
-    mutate.
+    above-pivot reduction is deferred until the first query needs the fully
+    reduced (Hermite) form, or until GradedIdeal publishes a slice, which it
+    does only in that form.  Rows change only through add_row and that one
+    back-substitution, so queries on a published slice never mutate it.
     """
 
     __slots__ = ("width", "pivot_cols", "_rows", "_pivots", "_reduced")
@@ -160,7 +161,10 @@ class HermiteLattice:
 
     def reduce_vector(self, vec):
         """Canonical coset representative of vec modulo the lattice, zero-free."""
-        v = self._sparse(vec, "vector")
+        return self._reduce_owned(self._sparse(vec, "vector"))
+
+    def _reduce_owned(self, v):
+        """reduce_vector on a fresh zero-free vector in range, reduced in place."""
         self._ensure_reduced()
         self._reduce_in_place(v, list(v))
         return v
@@ -311,7 +315,9 @@ class GradedIdeal:
     Generators must be homogeneous under the (optionally weighted) grading
     and of degree at most max_degree; slices above max_degree are not
     materialized and querying them raises.  Slice construction is guarded
-    by a lock so concurrent readers share one build.
+    by a lock so concurrent readers share one build; a slice is published
+    only once it is built and in Hermite form, so a lookup of a published
+    slice takes no lock.
     """
 
     def __init__(self, nvars, generators, max_degree, weights=None):
@@ -344,10 +350,15 @@ class GradedIdeal:
         self._lock = threading.Lock()
 
     def _build_piece(self, d):
-        monos = monomials_of_degree(self.nvars, d, self.weights)
+        nvars, weights = self.nvars, self.weights
+        monos = monomials_of_degree(nvars, d, weights)
         index = {m: i for i, m in enumerate(monos)}
+        # No exponent in a degree-d slice exceeds d, so base-(d+1) digits
+        # never carry: key(g*m) = key(g) + key(m), under any weights.
+        powers = [(d + 1) ** i for i in range(nvars)]
+        column = {sum(map(mul, m, powers)): i for i, m in enumerate(monos)}
         lat = HermiteLattice(len(monos))
-        multipliers = {}  # degree r -> the monomials of degree r
+        shift_keys = {}  # degree r -> the keys of the monomials of degree r
         # A row equal to an earlier one already lies in the lattice, and
         # folding a lattice vector changes nothing.  Monomial generators
         # repeat single-entry rows (x_i x_j times m meets x_i x_k times m'),
@@ -361,24 +372,27 @@ class GradedIdeal:
             r = d - dg
             if r < 0:
                 break
-            shifts = multipliers.get(r)
+            shifts = shift_keys.get(r)
             if shifts is None:
-                shifts = multipliers[r] = monomials_of_degree(self.nvars, r, self.weights)
-            terms = g.terms.items()
+                shifts = shift_keys[r] = [
+                    sum(map(mul, m, powers)) for m in monomials_of_degree(nvars, r, weights)
+                ]
+            terms = [(sum(map(mul, exps, powers)), coef) for exps, coef in g.terms.items()]
             if len(terms) == 1:
-                ((exps, coef),) = terms
-                for m in shifts:
-                    single = (index[tuple(map(add, exps, m))], coef)
+                ((key, coef),) = terms
+                for k in shifts:
+                    single = (column[key + k], coef)
                     if single not in singles:
                         singles.add(single)
                         if lat.add_row(dict((single,))) and not r:
                             new += 1
                 continue
-            for m in shifts:
+            for k in shifts:
                 # shifting by m is injective, so g*m has one entry per term
-                row = {index[tuple(map(add, exps, m))]: coef for exps, coef in terms}
+                row = {column[key + k]: coef for key, coef in terms}
                 if lat.add_row(row) and not r:
                     new += 1
+        lat._ensure_reduced()  # published in Hermite form: queries never mutate it
         return GradedPiece(d, tuple(monos), index, lat, new)
 
     def piece(self, d):
@@ -386,21 +400,45 @@ class GradedIdeal:
             raise ValueError(
                 "degree %d outside the materialized range 0..%d" % (d, self.max_degree)
             )
-        with self._lock:
-            piece = self._pieces.get(d)
-            if piece is None:
-                piece = self._build_piece(d)
-                self._pieces[d] = piece
+        piece = self._pieces.get(d)  # a published slice is complete and final
+        if piece is None:
+            with self._lock:
+                piece = self._pieces.get(d)
+                if piece is None:
+                    piece = self._build_piece(d)
+                    self._pieces[d] = piece
         return piece
+
+
+def _slice_vector(ideal: GradedIdeal, p: Polynomial):
+    """The slice holding a nonzero p, and p's fresh sparse vector in it.
+
+    The degree is read off the first term; every other term then has to be
+    found in that slice's index.  On any miss the checks run in full, so a
+    bad p raises what the term-by-term homogeneity scan raises first.
+    """
+    d = monomial_degree(next(iter(p.terms)), ideal.weights)
+    if 0 <= d <= ideal.max_degree:
+        piece = ideal.piece(d)
+        index = piece.index
+        v = {}
+        for exps, coef in p.terms.items():
+            pos = index.get(exps)
+            if pos is None:
+                break
+            v[pos] = coef
+        else:
+            return piece, v
+    piece = ideal.piece(p.homogeneous_degree(ideal.weights))
+    return piece, piece.vector_of(p)
 
 
 def membership(ideal: GradedIdeal, p: Polynomial) -> bool:
     """Exact test p in ideal, for homogeneous p of degree <= max_degree."""
     if p.is_zero():
         return True
-    d = p.homogeneous_degree(ideal.weights)
-    piece = ideal.piece(d)
-    return piece.lattice.contains(piece.vector_of(p))
+    piece, v = _slice_vector(ideal, p)
+    return not piece.lattice._reduce_owned(v)
 
 
 def reduce(ideal: GradedIdeal, p: Polynomial) -> Polynomial:
@@ -411,10 +449,8 @@ def reduce(ideal: GradedIdeal, p: Polynomial) -> Polynomial:
     """
     if p.is_zero():
         return Polynomial.zero(ideal.nvars)
-    d = p.homogeneous_degree(ideal.weights)
-    piece = ideal.piece(d)
-    residue = piece.lattice.reduce_vector(piece.vector_of(p))
-    return piece.polynomial_of(residue, ideal.nvars)
+    piece, v = _slice_vector(ideal, p)
+    return piece.polynomial_of(piece.lattice._reduce_owned(v), ideal.nvars)
 
 
 def quotient_structure(ideal: GradedIdeal, d: int) -> QuotientSlice:
@@ -435,10 +471,8 @@ def rational_membership(ideal: GradedIdeal, p: Polynomial) -> bool:
     """True when some nonzero integer multiple of p lies in the ideal slice."""
     if p.is_zero():
         return True
-    d = p.homogeneous_degree(ideal.weights)
-    piece = ideal.piece(d)
-    probe = piece.lattice.copy()
-    return not probe.add_row(piece.vector_of(p))
+    piece, v = _slice_vector(ideal, p)
+    return not piece.lattice.copy().add_row(v)
 
 
 def minimal_generator_count(ideal: GradedIdeal) -> dict:
@@ -446,15 +480,10 @@ def minimal_generator_count(ideal: GradedIdeal) -> dict:
 
     In degree d the count is rank(I_d) - rank((m*I)_d) with m the irrelevant
     ideal, which each slice records as it is built (new_generators).  It can
-    be nonzero only in a degree that has generators.  Only degrees with a
-    nonzero count are reported.
+    be nonzero only in a degree that has generators, and every generator
+    degree lies in the materialized range.  Only degrees with a nonzero
+    count are reported.
     """
-    if not ideal.generators:
-        return {}
-    if ideal._degrees[-1] > ideal.max_degree - 1:
-        raise ValueError(
-            "minimal generator counts need max_degree >= top generator degree + 1"
-        )
     counts = {}
     for d in dict.fromkeys(ideal._degrees):  # ascending, each once
         new = ideal.piece(d).new_generators

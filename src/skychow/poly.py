@@ -50,10 +50,16 @@ def _slice(nvars: int, degree: int, weights: Sequence[int] | None) -> tuple[Exps
     if degree < 0:
         return ()
     if weights is None:
-        weights = (1,) * nvars
+        return _unit_slice(nvars, degree)
     if len(weights) != nvars or any(w < 1 for w in weights):
         raise ValueError("weights must be %d positive integers" % nvars)
     return _slice_monomials(nvars, degree, tuple(weights))
+
+
+@lru_cache(maxsize=128)
+def _unit_slice(nvars: int, degree: int) -> tuple[Exps, ...]:
+    """The unweighted slice, its unit weights checked once per (nvars, degree)."""
+    return _slice(nvars, degree, (1,) * nvars)
 
 
 @lru_cache(maxsize=128)

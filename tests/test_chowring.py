@@ -13,6 +13,7 @@ from helpers import cached_total_ideal, random_config, reference_rho
 from skychow import oracle
 from skychow.chowring import (
     ChowElement,
+    _add_power,
     Presentation,
     degree_integral,
     divisor_product,
@@ -55,6 +56,39 @@ def ring_elements(cfg, max_degree=None):
     return build()
 
 
+def list_rule_normal_form(config, p):
+    """Reference for normal_form: the support of each term listed in full,
+    mixed terms dropped, the rest through the rewrite rule."""
+    terms = {}
+    for exps, coef in p.terms.items():
+        support = [i for i, e in enumerate(exps) if e]
+        if len(support) > 1:
+            continue
+        i = support[0] if support else 0
+        _add_power(terms, config.n, exps[i], i, coef)
+    return ChowElement(config.n, config.s, terms)
+
+
+@st.composite
+def mixed_polynomials(draw):
+    """(config, polynomial) with constants, pure powers and mixed terms of
+    every degree up to past the top, in any term order."""
+    n = draw(st.integers(2, 5))
+    s = draw(st.integers(1, 6))
+    nv = s + 1
+    terms = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(("constant", "pure", "mixed")))
+        exps = [0] * nv
+        if kind == "pure":
+            exps[draw(st.integers(0, s))] = draw(st.integers(1, n + 2))
+        elif kind == "mixed":
+            for i in draw(st.lists(st.integers(0, s), min_size=2, max_size=4, unique=True)):
+                exps[i] = draw(st.integers(1, 3))
+        terms.append((tuple(exps), draw(st.integers(-9, 9))))
+    return ProximityConfig(n=n, s=s), Polynomial(nv, terms)
+
+
 class TestNormalForm:
     def test_mixed_monomials_vanish(self):
         p = Polynomial.monomial(3, (0, 1, 1))
@@ -83,6 +117,11 @@ class TestNormalForm:
     @given(ring_elements(SURFACE))
     def test_canonical_representative_round_trips(self, el):
         assert normal_form(SURFACE, el.to_polynomial()) == el
+
+    @given(mixed_polynomials())
+    def test_matches_the_list_based_rule(self, case):
+        cfg, p = case
+        assert normal_form(cfg, p) == list_rule_normal_form(cfg, p)
 
     @given(st.integers(0, 2**30))
     def test_normal_form_is_multiplicative(self, seed):
@@ -337,6 +376,31 @@ class TestRho:
             for _ in range(rng.randint(1, 3)):
                 p = p + random_homogeneous(rng, cfg.s + 1, rng.randint(0, n + 1))
             assert rho(cfg, p) == reference_rho(cfg, p)
+
+
+    def test_images_follow_the_config_in_turn(self):
+        # two configs with one (n, s) and different proximities, called in
+        # turns, and an equal config that is a distinct object
+        a = ProximityConfig(n=3, s=4, prox=frozenset({(2, 1), (3, 2)}))
+        b = ProximityConfig(n=3, s=4, prox=frozenset({(3, 1), (4, 1), (4, 3)}))
+        a_again = ProximityConfig(n=3, s=4, prox=frozenset({(3, 2), (2, 1)}))
+        assert a_again == a and a_again is not a
+        rng = Random(5)
+        for cfg in (a, b, a, a_again, b, a_again):
+            p = random_homogeneous(rng, 5, rng.randint(1, 3))
+            assert rho(cfg, p) == reference_rho(cfg, p)
+            for k in range(5):
+                y = Polynomial.variable(5, k)
+                assert rho(cfg, y) == reference_rho(cfg, y)
+
+    def test_mutating_a_result_leaves_the_next_call_alone(self):
+        cfg = ProximityConfig(n=2, s=3, prox=frozenset({(2, 1), (3, 1)}))
+        for k in range(4):
+            y = Polynomial.variable(4, k)
+            first = rho(cfg, y)
+            first.terms.clear()
+            first.terms[(9, 9, 9, 9)] = 7
+            assert rho(cfg, y) == reference_rho(cfg, y)
 
 
 class TestGradedRank:

@@ -1,0 +1,101 @@
+"""Default stdout and exit code of fixed CLI runs, diffed against checked-in files.
+
+Each case's stdout is kept in tests/golden/<name>.out and its exit code in
+tests/golden/exit_codes.json.  Regenerate them only when an output change is
+intended:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from skychow.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
+CONFIGS = ("satellite", "surface", "threefold_chain")
+
+# intersect products per config: total and strict classes, degree n and below
+PRODUCTS = {
+    "satellite": ("h^2", "e1*e2", "e3^2", "E1*E3", "h*e2"),
+    "surface": ("h^2", "e1^2", "e1*e2", "E2^2"),
+    "threefold_chain": ("h^3", "e1*e2*h", "E2^2*e3", "e4^3", "e1*e5", "h^4"),
+}
+
+
+def _cases():
+    cases = {}
+    for name in CONFIGS:
+        cfg = "configs/%s.json" % name
+        for basis in ("total", "strict"):
+            for fmt in ("text", "json"):
+                cases["present-%s-%s-%s" % (name, basis, fmt)] = [
+                    "present", cfg, "--basis", basis, "--format", fmt,
+                ]
+        for method in ("proximity", "chow", "both"):
+            for fmt in ("table", "json"):
+                cases["final-%s-%s-%s" % (name, method, fmt)] = [
+                    "final", cfg, "--method", method, "--format", fmt,
+                ]
+        for k, expr in enumerate(PRODUCTS[name]):
+            cases["intersect-%s-%d" % (name, k)] = ["intersect", cfg, expr]
+        cases["dot-%s" % name] = ["dot", cfg]
+        for seed in (0, 7):
+            cases["verify-%s-seed%d" % (name, seed)] = ["verify", cfg, "--seed", str(seed)]
+    for gamma, c1 in ((1, 0), (2, 6), (3, -4)):
+        cases["curve-g%d-c%d" % (gamma, c1)] = [
+            "curve-example", "--gamma", str(gamma), "--c1", str(c1), "--check",
+        ]
+    return cases
+
+
+CASES = _cases()
+
+
+def run(argv):
+    """(stdout, exit code) of main(argv), config paths taken from the repo root."""
+    argv = [str(ROOT / a) if a.startswith("configs/") else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return out.getvalue(), code
+
+
+@pytest.fixture(scope="module")
+def exit_codes():
+    return json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
+
+
+def test_every_case_has_a_golden_file(exit_codes):
+    assert sorted(exit_codes) == sorted(CASES)
+    assert sorted(p.stem for p in GOLDEN.glob("*.out")) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stdout_matches_golden(name, exit_codes):
+    out, code = run(CASES[name])
+    assert out == (GOLDEN / (name + ".out")).read_text(encoding="utf-8")
+    assert code == exit_codes[name]
+
+
+def regenerate():
+    GOLDEN.mkdir(exist_ok=True)
+    codes = {}
+    for name, argv in sorted(CASES.items()):
+        out, codes[name] = run(argv)
+        (GOLDEN / (name + ".out")).write_text(out, encoding="utf-8")
+    (GOLDEN / "exit_codes.json").write_text(
+        json.dumps(codes, indent=1, sort_keys=True) + "\n", encoding="utf-8"
+    )
+
+
+if __name__ == "__main__":
+    sys.exit(regenerate())

@@ -8,6 +8,8 @@ memberships and by coset identities that hold for any correct reduction.
 from __future__ import annotations
 
 import ast
+import sys
+import threading
 from pathlib import Path
 from random import Random
 
@@ -19,7 +21,7 @@ from sympy.matrices.normalforms import smith_normal_form
 
 import skychow.oracle
 from helpers import DenseHermiteLattice, cached_total_ideal, random_config
-from skychow.chowring import strict_presentation, total_presentation
+from skychow.chowring import _rho_images, strict_presentation, total_presentation
 from skychow.cli import load_config, main
 from skychow.curve import CurveRingParams, curve_ideal
 from skychow.oracle import (
@@ -33,7 +35,7 @@ from skychow.oracle import (
     reduce,
 )
 from skychow.poly import Polynomial, monomials_of_degree, random_homogeneous
-from skychow.proximity import ProximityConfig
+from skychow.proximity import ProximityConfig, enumerate_proximity_configs
 
 
 def random_matrix(rng, rows, cols, bound=9):
@@ -211,6 +213,50 @@ class TestGradedIdeal:
         with pytest.raises(ValueError, match="materialized"):
             membership(SURFACE_IDEAL, p)
 
+    # (ideal, polynomial terms in one order, message or (message, message
+    # for the reversed order)); each case also runs with its terms reversed,
+    # since a query reads the degree off one term
+    BAD_QUERIES = [
+        # mixed, with the first term's degree outside the range: the
+        # homogeneity error still comes first
+        ("binary", [((9, 0), 1), ((1, 1), 2)], "polynomial is not homogeneous: degrees [2, 9]"),
+        ("binary", [((2, 0), 1), ((0, 1), 1)], "polynomial is not homogeneous: degrees [1, 2]"),
+        ("binary", [((5, 0), 1), ((4, 1), -3)], "degree 5 outside the materialized range 0..3"),
+        ("binary", [((3, 0), 1), ((0, 3), 2)], None),  # well formed: no error
+        # three variables against two weights: degrees count the first two
+        # exponents, so this one reads as homogeneous and then fails at the
+        # first term that the slice's index lacks
+        (
+            "binary",
+            [((1, 1, 0), 1), ((0, 2, 5), 1)],
+            ("monomial (1, 1, 0) does not have degree 2", "monomial (0, 2, 5) does not have degree 2"),
+        ),
+        ("binary", [((1, 1, 0), 1), ((0, 0, 3), 1)], "polynomial is not homogeneous: degrees [0, 2]"),
+        ("weighted", [((1, 0), 1), ((0, 1), 1)], "polynomial is not homogeneous: degrees [1, 2]"),
+        ("weighted", [((3, 0), 1), ((1, 1), 1)], "degree 3 outside the materialized range 0..2"),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(BAD_QUERIES)))
+    @pytest.mark.parametrize("order", (1, -1))
+    @pytest.mark.parametrize("query", (membership, reduce, rational_membership))
+    def test_bad_queries_raise_in_the_order_of_the_checks(self, case, order, query):
+        name, terms, message = self.BAD_QUERIES[case]
+        x = [Polynomial.variable(2, i) for i in range(2)]
+        ideal = {
+            "binary": GradedIdeal(2, [x[0] * x[1]], 3),
+            "weighted": GradedIdeal(2, [x[0] ** 2], 2, weights=(1, 2)),
+        }[name]
+        p = Polynomial(len(terms[0][0]), terms[::order])
+        assert list(p.terms) == [e for e, _ in terms[::order]]
+        if message is None:
+            query(ideal, p)
+            return
+        if isinstance(message, tuple):
+            message = message[order < 0]
+        with pytest.raises(ValueError) as err:
+            query(ideal, p)
+        assert str(err.value) == message
+
     def test_generator_degree_must_fit(self):
         gens = total_presentation(ProximityConfig(n=2, s=2)).relations
         with pytest.raises(ValueError, match="max_degree"):
@@ -225,11 +271,14 @@ class TestGradedIdeal:
         monkeypatch.setattr(skychow.oracle, "_smith_divisors", no_smith)
         assert tuple(quotient_rank(ideal, d) for d in range(5)) == (1, 2, 2, 1, 0)
 
-    def test_minimal_generators_need_headroom(self):
-        gens = total_presentation(ProximityConfig(n=2, s=2)).relations
-        tight = GradedIdeal(3, gens, 2)
-        with pytest.raises(ValueError, match="max_degree"):
-            minimal_generator_count(tight)
+    @pytest.mark.parametrize("n, s", [(2, 2), (3, 4), (2, 5), (4, 3)])
+    def test_minimal_generators_need_no_headroom(self, n, s):
+        # the counts read slices only up to the top generator degree (n)
+        gens = total_presentation(ProximityConfig(n=n, s=s)).relations
+        tight = GradedIdeal(s + 1, gens, n)
+        assert minimal_generator_count(tight) == minimal_generator_count(
+            GradedIdeal(s + 1, gens, n + 1)
+        )
 
     @given(st.integers(0, 2**30))
     def test_reduce_is_constant_on_cosets(self, seed):
@@ -315,6 +364,10 @@ def example_ideals():
             yield GradedIdeal(cfg.s + 1, pres.relations, cfg.n + 1)
     for gamma, c1 in ((2, 4), (3, 6), (4, -2), (5, 7), (6, 1)):
         yield curve_ideal(CurveRingParams(gamma=gamma, c1=c1))
+    for seed in (3, 11, 29):
+        cfg = random_config(Random(seed), 4, 4)
+        for pres in (total_presentation(cfg), strict_presentation(cfg)):
+            yield GradedIdeal(cfg.s + 1, pres.relations, cfg.n + 1)
 
 
 def reference_lattice(ideal, piece, proper_multiples_only):
@@ -331,6 +384,7 @@ def reference_lattice(ideal, piece, proper_multiples_only):
             for exps, coef in (g * Polynomial.monomial(ideal.nvars, m)).terms.items():
                 row[piece.index[exps]] = coef
             lat.add_row(row)
+    lat._ensure_reduced()  # slices are published in Hermite form
     return lat
 
 
@@ -358,7 +412,52 @@ def test_slices_match_polynomial_product_rows():
 
 
 def test_verify_builds_each_slice_once(monkeypatch, capsys):
+    # each slice and the rho images once per run; every _sparse call comes
+    # from add_row, since queries hand their fresh vectors to the reduction
+    # and slices are published already in Hermite form
     n = 3
+    built = []
+    original = GradedIdeal._build_piece
+
+    def build(self, d):
+        piece = original(self, d)
+        built.append(piece)
+        return piece
+
+    monkeypatch.setattr(GradedIdeal, "_build_piece", build)
+    calls = {"add_row": 0, "_sparse": 0}
+    for name in calls:
+        method = getattr(HermiteLattice, name)
+
+        def counting(self, *args, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(HermiteLattice, name, counting)
+    _rho_images.cache_clear()
+    path = str(CONFIG_DIR / "threefold_chain.json")
+    cfg = load_config(path)
+    assert cfg.n == n
+    assert main(["verify", path, "--samples", "20"]) == 0
+    assert capsys.readouterr().out.count("PASS") == 5
+    assert sorted(piece.degree for piece in built) == list(range(n + 2))
+    assert all(piece.lattice._reduced for piece in built)
+    assert calls["add_row"] > 0 and calls["_sparse"] == calls["add_row"]
+    info = _rho_images.cache_info()
+    assert (info.misses, info.hits) == (1, len(strict_presentation(cfg).relations) - 1)
+
+
+def test_concurrent_queries_share_one_build_per_slice(monkeypatch):
+    # readers skip the lock once a slice is published; a reader must never
+    # see a slice that is half built or not yet in Hermite form
+    n, s = 3, 6
+    rels = total_presentation(ProximityConfig(n=n, s=s)).relations
+    rng = Random(8)
+    polys = [random_homogeneous(rng, s + 1, rng.randint(1, n + 1)) for _ in range(60)]
+    serial = GradedIdeal(s + 1, rels, n + 1)
+    expected = [(reduce(serial, p), membership(serial, p)) for p in polys]
+
+    ideal = GradedIdeal(s + 1, rels, n + 1)
     built = []
     original = GradedIdeal._build_piece
 
@@ -367,11 +466,42 @@ def test_verify_builds_each_slice_once(monkeypatch, capsys):
         return original(self, d)
 
     monkeypatch.setattr(GradedIdeal, "_build_piece", counting)
-    path = str(CONFIG_DIR / "threefold_chain.json")
-    assert load_config(path).n == n
-    assert main(["verify", path, "--samples", "20"]) == 0
-    assert sorted(built) == list(range(n + 2))
-    assert capsys.readouterr().out.count("PASS") == 5
+    results = {}
+
+    def worker(k):
+        order = polys[k:] + polys[:k]
+        results[k] = [(reduce(ideal, p), membership(ideal, p)) for p in order]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(built) == sorted(set(built))
+    for k in range(6):
+        assert results[k] == expected[k:] + expected[:k]
+
+
+def test_strict_presentation_is_complete():
+    # rho(strict ideal) lies in the total ideal (verify checks that); a free
+    # strict quotient with the total quotient's ranks makes the inclusion an
+    # equality, so no strict relation is missing
+    configs = 0
+    for n in (2, 3):
+        for s in range(1, 5):
+            for cfg in enumerate_proximity_configs(n, s):
+                configs += 1
+                ideal = GradedIdeal(s + 1, strict_presentation(cfg).relations, n + 1)
+                profile = [quotient_structure(ideal, d) for d in range(n + 2)]
+                assert [q.rank for q in profile] == [1] + [s + 1] * (n - 1) + [1, 0], cfg
+                assert all(q.torsion_free for q in profile), cfg
+    assert configs == 142
 
 
 def test_top_slice_folds_each_distinct_single_once(monkeypatch):

@@ -15,6 +15,7 @@ from skychow import oracle
 from skychow.chowring import normal_form
 from skychow.poly import (
     Polynomial,
+    _slice,
     format_polynomial,
     monomial_key,
     monomials_of_degree,
@@ -170,6 +171,15 @@ def test_random_homogeneous_weighted_empty_slice():
     rng = Random(0)
     p = random_homogeneous(rng, 2, 1, weights=(2, 2))
     assert p.is_zero()
+
+
+def test_unweighted_slices_share_the_unit_weight_enumeration():
+    for nvars, degree in ((1, 3), (4, 2), (8, 4)):
+        assert _slice(nvars, degree, None) is _slice(nvars, degree, (1,) * nvars)
+    assert _slice(3, -1, None) == ()
+    for _ in range(2):  # a refused variable count is not cached
+        with pytest.raises(ValueError, match="weights must be -1 positive integers"):
+            monomials_of_degree(-1, 2)
 
 
 # Drawn at a fixed seed before random_homogeneous stopped copying its slice
