@@ -17,7 +17,8 @@ input is converted at the boundary by the proximity change of basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache, reduce
+from operator import mul
 
 from .poly import (
     Polynomial,
@@ -271,13 +272,35 @@ def graded_rank(config: ProximityConfig, d: int) -> int:
     return 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Presentation:
-    """A finite presentation of the ring: variable names plus relation polynomials."""
+    """A finite presentation of the ring: variable names plus relation polynomials.
+
+    Each relation is stored as the tuple of factors whose product it is, one
+    factor when it is not a product.  ``relations`` expands them on first
+    use, so a caller that maps relations factor by factor never pays for the
+    expansion.  Presentations compare by their expanded relations.
+    """
 
     variables: tuple[str, ...]
-    relations: tuple[Polynomial, ...]
+    factored: tuple[tuple[Polynomial, ...], ...]
     basis: str
+
+    @cached_property
+    def relations(self) -> tuple[Polynomial, ...]:
+        return tuple(reduce(mul, factors) for factors in self.factored)
+
+    def __eq__(self, other):
+        if not isinstance(other, Presentation):
+            return NotImplemented
+        return (self.variables, self.basis, self.relations) == (
+            other.variables,
+            other.basis,
+            other.relations,
+        )
+
+    def __hash__(self):
+        return hash((self.variables, self.basis, self.relations))
 
     def to_text(self) -> str:
         lines = ["variables: " + " ".join(self.variables)]
@@ -299,7 +322,7 @@ class Presentation:
         if basis not in ("total", "strict"):
             raise ValueError("basis must be 'total' or 'strict', got %r" % basis)
         nvars = len(variables)
-        relations = tuple(poly_from_term_list(nvars, rel) for rel in doc["relations"])
+        relations = tuple((poly_from_term_list(nvars, rel),) for rel in doc["relations"])
         return cls(variables, relations, basis)
 
 
@@ -311,12 +334,12 @@ def total_presentation(config: ProximityConfig) -> Presentation:
     for i in range(nv):
         for j in range(i + 1, nv):
             exps = tuple(1 if t in (i, j) else 0 for t in range(nv))
-            rels.append(Polynomial.monomial(nv, exps))
+            rels.append((Polynomial.monomial(nv, exps),))
     sign = (-1) ** n
     x0n = tuple(n if t == 0 else 0 for t in range(nv))
     for i in range(1, nv):
         xin = tuple(n if t == i else 0 for t in range(nv))
-        rels.append(Polynomial(nv, {xin: sign, x0n: 1}))
+        rels.append((Polynomial(nv, {xin: sign, x0n: 1}),))
     names = tuple("x%d" % i for i in range(nv))
     return Presentation(names, tuple(rels), "total")
 
@@ -327,14 +350,15 @@ def strict_presentation(config: ProximityConfig) -> Presentation:
     The mixed relations pair the combinations L_i = y_i + sum b_{k,i} y_k,
     where the b's are entries of the inverse proximity matrix (they count
     proximity chains, so they are nonnegative); the power relations carry
-    the constant (-1)^n + #(points proximate to the i-th).
+    the constant (-1)^n + #(points proximate to the i-th).  The relations
+    y_0*y_i and L_i*L_j keep their two factors, shared between relations.
     """
     n, s = config.n, config.s
     nv = s + 1
     rels = []
     y = [Polynomial.variable(nv, t) for t in range(nv)]
     for i in range(1, nv):
-        rels.append(y[0] * y[i])
+        rels.append((y[0], y[i]))
     combos = {}
     for i in range(1, nv):
         # column i of the inverse proximity matrix is E_i in strict coordinates
@@ -347,12 +371,12 @@ def strict_presentation(config: ProximityConfig) -> Presentation:
         combos[i] = L
     for i in range(1, nv):
         for j in range(i + 1, nv):
-            rels.append(combos[i] * combos[j])
+            rels.append((combos[i], combos[j]))
     sign = (-1) ** n
     y0n = Polynomial.monomial(nv, tuple(n if t == 0 else 0 for t in range(nv)))
     for i in range(1, nv):
         m_i = len(config.proximate_points(i))
-        rels.append(y[i] ** n + (sign + m_i) * y0n)
+        rels.append((y[i] ** n + (sign + m_i) * y0n,))
     names = tuple("y%d" % i for i in range(nv))
     return Presentation(names, tuple(rels), "strict")
 

@@ -46,11 +46,11 @@ EXIT_USER_ERROR = 2
 EXIT_DISAGREEMENT = 3
 EXIT_INTERNAL_ERROR = 4
 
-# Widest oracle slice verify builds: the top slice (degree n + 1 in s + 1
-# variables) has comb(s + n + 1, n + 1) columns.  Rows are sparse, so memory
-# grows with the width rather than its square; the bound caps the time spent
-# listing slices and folding their rows.  4096 admits n=3 with s <= 15 and
-# n=4 with s <= 10.
+# Widest full slice verify admits: the top slice (degree n + 1 in s + 1
+# variables) has comb(s + n + 1, n + 1) monomials.  The oracle's lattice
+# keeps only the monomials no x_i*x_j divides (s + 1 above degree 2), so the
+# bound now guards the sampler, which lists each whole slice to draw from.
+# 4096 admits n=3 with s <= 15 and n=4 with s <= 10.
 MAX_ORACLE_WIDTH = 4096
 
 # Most polynomials verify samples.  Each sample costs a reduce and a
@@ -279,9 +279,17 @@ def _verify_checks(config, samples, seed):
     strict = strict_presentation(config)
     ideal = oracle.GradedIdeal(s + 1, total.relations, n + 1)
 
+    # rho is a ring map, so a relation's image is the product of its factors'
+    # images; each shared factor (y_i, L_i) is mapped once, keyed by identity
+    images = {}
     bad = 0
-    for g in strict.relations:
-        image = rho(config, g)
+    for factors in strict.factored:
+        image = None
+        for f in factors:
+            img = images.get(id(f))
+            if img is None:
+                img = images[id(f)] = rho(config, f)
+            image = img if image is None else image * img
         if not normal_form(config, image).is_zero() or not oracle.membership(
             ideal, image
         ):
@@ -289,7 +297,7 @@ def _verify_checks(config, samples, seed):
     yield (
         bad == 0,
         "strict ideal maps into the total ideal",
-        "%d relations checked" % len(strict.relations),
+        "%d relations checked" % len(strict.factored),
     )
 
     mismatches = 0
@@ -399,7 +407,8 @@ def cmd_curve_example(args) -> int:
         return EXIT_USER_ERROR
     basis = curve_mod.curve_basis_elements(params)[1:]  # drop the unit row
     labels = [label for label, _ in basis]
-    width = max(len(str(el * other)) for _, el in basis for _, other in basis)
+    table = [[str(el * other) for _, other in basis] for _, el in basis]
+    width = max(len(cell) for cells in table for cell in cells)
     width = max(width, max(len(l) for l in labels))
     print(
         "multiplication table, gamma=%d c1=%d (weighted degrees 1,1,2)"
@@ -408,9 +417,8 @@ def cmd_curve_example(args) -> int:
     header = "%-6s | " % "" + "  ".join("%-*s" % (width, l) for l in labels)
     print(header)
     print("-" * len(header))
-    for label, el in basis:
-        cells = ["%-*s" % (width, str(el * other)) for _, other in basis]
-        print("%-6s | %s" % (label, "  ".join(cells)))
+    for label, cells in zip(labels, table):
+        print("%-6s | %s" % (label, "  ".join("%-*s" % (width, cell) for cell in cells)))
     if not args.check:
         return EXIT_OK
     report = curve_mod.curve_ring_checks(params)

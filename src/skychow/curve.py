@@ -78,7 +78,7 @@ class CurveRingElement:
             (0, 0, 1): self.w1,
             (3, 0, 0): self.x0_cu,
         }
-        return Polynomial(3, {e: c for e, c in terms.items() if c})
+        return Polynomial._of(3, {e: c for e, c in terms.items() if c})
 
     def __add__(self, other):
         if not isinstance(other, CurveRingElement):
@@ -121,7 +121,7 @@ def curve_ideal_generators(params: CurveRingParams) -> tuple:
 
 def _to_oracle(p: Polynomial) -> Polynomial:
     # swapping the last two exponents is an involution: this also maps back
-    return Polynomial(3, {(a, c, b): k for (a, b, c), k in p.terms.items()})
+    return Polynomial._of(3, {(a, c, b): k for (a, b, c), k in p.terms.items()})
 
 
 def curve_ideal(params: CurveRingParams, max_degree: int = 4) -> oracle.GradedIdeal:

@@ -8,9 +8,16 @@ echelon form over Z, i.e. column-style Hermite normal form.  Membership,
 canonical coset representatives, quotient ranks, torsion and minimal
 generator counts all come out of that lattice by exact arithmetic.
 
-Columns are monomials of the slice's degree listed largest-first in the
-global graded lex order, so the pivots eat the large monomials and the
-surviving representatives are supported on the small ones.
+A generator with one term and coefficient +-1 is a unit monomial generator.
+Every multiple of one is a unit vector of the slice lattice, so the lattice
+splits off those columns and nothing is lost by dropping them (the row
+selection of F4's symbolic preprocessing, Faugere 1999, without any
+Groebner step).  A slice's columns are therefore the monomials of its
+degree that no unit monomial generator of lower degree divides, listed
+largest-first in the global graded lex order, so the pivots eat the large
+monomials and the surviving representatives are supported on the small
+ones.  The Hermite form on those columns is the full one restricted, and
+membership, representatives, ranks and torsion are those of the full slice.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd
 from operator import itemgetter, mul
 
-from .poly import Polynomial, monomial_degree, monomials_of_degree
+from .poly import Polynomial, monomial_degree
 
 
 def _xgcd(a, b):
@@ -266,8 +273,11 @@ def _smith_divisors(m, ncols):
 
 @dataclass(frozen=True)
 class GradedPiece:
-    """One degree slice: its monomials (largest first) and the ideal lattice.
+    """One degree slice: its columns (largest first) and the ideal lattice.
 
+    The columns are the slice's monomials that no unit monomial generator of
+    lower degree divides; every other monomial of the degree is a dead
+    column, whose unit vector the full lattice holds, so it is left out.
     new_generators is rank(I_d) - rank((m*I)_d) with m the irrelevant ideal:
     how many of the degree-d generators a minimal generating set needs.
     """
@@ -277,17 +287,28 @@ class GradedPiece:
     index: dict
     lattice: HermiteLattice
     new_generators: int
+    weights: tuple
+
+    def _dead(self, exps):
+        """True for a monomial missing from the index that lies in this slice:
+        the ideal's number of variables and this degree."""
+        weights = self.weights
+        return len(exps) == len(weights) and sum(map(mul, exps, weights)) == self.degree
 
     def vector_of(self, p):
-        """The sparse {column: coefficient} vector of a polynomial of this degree."""
+        """The sparse {column: coefficient} vector of a polynomial of this degree.
+
+        Dead terms are dropped: they lie in the ideal.
+        """
         v = {}
         for exps, coef in p.terms.items():
             pos = self.index.get(exps)
-            if pos is None:
+            if pos is not None:
+                v[pos] = coef
+            elif not self._dead(exps):
                 raise ValueError(
                     "monomial %r does not have degree %d" % (exps, self.degree)
                 )
-            v[pos] = coef
         return v
 
     def polynomial_of(self, vec, nvars):
@@ -314,10 +335,12 @@ class GradedIdeal:
 
     Generators must be homogeneous under the (optionally weighted) grading
     and of degree at most max_degree; slices above max_degree are not
-    materialized and querying them raises.  Slice construction is guarded
-    by a lock so concurrent readers share one build; a slice is published
-    only once it is built and in Hermite form, so a lookup of a published
-    slice takes no lock.
+    materialized and querying them raises.  A generator with one term and
+    coefficient +-1 is a unit monomial generator: its multiples are the dead
+    columns every slice above its degree leaves out.  Slice construction is
+    guarded by a lock so concurrent readers share one build; a slice is
+    published only once it is built and in Hermite form, so a lookup of a
+    published slice takes no lock.
     """
 
     def __init__(self, nvars, generators, max_degree, weights=None):
@@ -346,54 +369,116 @@ class GradedIdeal:
         self._degrees = tuple(d for d, _ in kept)  # homogeneous degree of each generator
         self.max_degree = int(max_degree)
         self.weights = weights
+        # A monomial of degree at most max_degree has no exponent above it, so
+        # with base max_degree + 1 the digits never carry: key(a*b) is
+        # key(a) + key(b), and keys order like the global monomial order.
+        base = max(self.max_degree, 0) + 1
+        self._powers = tuple(base**i for i in range(nvars))
+        powers = self._powers
+        self._terms = tuple(
+            tuple((sum(map(mul, exps, powers)), coef) for exps, coef in g.terms.items())
+            for g in self.generators
+        )
+        self._unit = tuple(
+            len(terms) == 1 and abs(terms[0][1]) == 1 for terms in self._terms
+        )
+        self._unit_keys = {}  # degree -> keys of its unit monomial generators
+        for d, terms, unit in zip(self._degrees, self._terms, self._unit):
+            if unit:
+                self._unit_keys.setdefault(d, set()).add(terms[0][0])
+        self._columns = {}  # degree -> its columns as (key, exps, support)
+        self._standard = {}  # degree -> {key: (exps, support)}, no unit divides
         self._pieces = {}
         self._lock = threading.Lock()
 
+    def _columns_of(self, d):
+        """The degree-d columns, largest first, as (key, exps, support) with
+        support the ascending indices of the nonzero exponents.
+
+        Monomials that no unit monomial generator divides form an order
+        ideal S, so every column but 1 is m*x_i with m in S of degree
+        d - w_i and i its largest variable; the candidate is kept when
+        dividing out each other variable of its support also lands in S.
+        The columns of degree d are S_d plus the degree-d unit monomial
+        generators that pass that test.  Columns are memoized per degree.
+        """
+        cols = self._columns.get(d)
+        if cols is not None:
+            return cols
+        if d == 0:
+            cols = [(0, (0,) * self.nvars, ())]
+        else:
+            powers, weights = self._powers, self.weights
+            lower = {w: self._standard_of(d - w) for w in set(weights) if w <= d}
+            cols = []
+            for i, w in enumerate(weights):
+                below = lower.get(w)
+                if not below:
+                    continue
+                step = powers[i]
+                for key, (exps, support) in below.items():
+                    top = support[-1] if support else -1
+                    if top > i:
+                        continue
+                    k = key + step
+                    if any(k - powers[j] not in lower[weights[j]] for j in support if j != i):
+                        continue
+                    e = list(exps)
+                    e[i] += 1
+                    cols.append((k, tuple(e), support if top == i else support + (i,)))
+            cols.sort(reverse=True)  # keys are distinct: the global order
+        units = self._unit_keys.get(d, ())
+        self._standard[d] = {key: (exps, sup) for key, exps, sup in cols if key not in units}
+        self._columns[d] = cols
+        return cols
+
+    def _standard_of(self, d):
+        """S_d: the degree-d monomials that no unit monomial generator divides."""
+        if d not in self._standard:
+            self._columns_of(d)
+        return self._standard[d]
+
     def _build_piece(self, d):
-        nvars, weights = self.nvars, self.weights
-        monos = monomials_of_degree(nvars, d, weights)
-        index = {m: i for i, m in enumerate(monos)}
-        # No exponent in a degree-d slice exceeds d, so base-(d+1) digits
-        # never carry: key(g*m) = key(g) + key(m), under any weights.
-        powers = [(d + 1) ** i for i in range(nvars)]
-        column = {sum(map(mul, m, powers)): i for i, m in enumerate(monos)}
-        lat = HermiteLattice(len(monos))
-        shift_keys = {}  # degree r -> the keys of the monomials of degree r
-        # A row equal to an earlier one already lies in the lattice, and
-        # folding a lattice vector changes nothing.  Monomial generators
-        # repeat single-entry rows (x_i x_j times m meets x_i x_k times m'),
-        # so each distinct (column, coefficient) single is folded once.
+        cols = self._columns_of(d)
+        column = {key: pos for pos, (key, _, _) in enumerate(cols)}
+        monos = tuple(exps for _, exps, _ in cols)
+        lat = HermiteLattice(len(cols))
+        # The full lattice holds the unit vector of every dead column, so it
+        # splits as Z^dead + (its projection onto the columns): a row is g*m
+        # with its dead terms dropped, and a row with no column left is
+        # skipped.  A term of g*m is a column only if m is one in degree r,
+        # and every multiple of a unit monomial generator below d is dead.
+        # A row equal to an earlier one already lies in the lattice, so each
+        # distinct (column, coefficient) single is folded once.
         singles = set()
         # Generators ascend in degree, so the rows of degree-d generators
         # (r == 0) come after every proper multiple; the ones that raise the
         # rank are rank(I_d) - rank((m*I)_d).
         new = 0
-        for g, dg in zip(self.generators, self._degrees):
+        for terms, dg, unit in zip(self._terms, self._degrees, self._unit):
             r = d - dg
             if r < 0:
                 break
-            shifts = shift_keys.get(r)
-            if shifts is None:
-                shifts = shift_keys[r] = [
-                    sum(map(mul, m, powers)) for m in monomials_of_degree(nvars, r, weights)
-                ]
-            terms = [(sum(map(mul, exps, powers)), coef) for exps, coef in g.terms.items()]
-            if len(terms) == 1:
-                ((key, coef),) = terms
-                for k in shifts:
-                    single = (column[key + k], coef)
-                    if single not in singles:
-                        singles.add(single)
-                        if lat.add_row(dict((single,))) and not r:
-                            new += 1
+            if unit and r:
                 continue
-            for k in shifts:
-                # shifting by m is injective, so g*m has one entry per term
-                row = {column[key + k]: coef for key, coef in terms}
+            for k, _, _ in self._columns_of(r):
+                row = {}
+                for key, coef in terms:
+                    pos = column.get(key + k)
+                    if pos is not None:
+                        row[pos] = coef
+                if not row:
+                    continue
+                if len(row) == 1:
+                    (single,) = row.items()
+                    if single in singles:
+                        continue
+                    singles.add(single)
                 if lat.add_row(row) and not r:
                     new += 1
         lat._ensure_reduced()  # published in Hermite form: queries never mutate it
-        return GradedPiece(d, tuple(monos), index, lat, new)
+        index = {m: i for i, m in enumerate(monos)}
+        return GradedPiece(d, monos, index, lat, new, self.weights)
 
     def piece(self, d):
         if not 0 <= d <= self.max_degree:
@@ -414,8 +499,9 @@ def _slice_vector(ideal: GradedIdeal, p: Polynomial):
     """The slice holding a nonzero p, and p's fresh sparse vector in it.
 
     The degree is read off the first term; every other term then has to be
-    found in that slice's index.  On any miss the checks run in full, so a
-    bad p raises what the term-by-term homogeneity scan raises first.
+    found in that slice's index or be one of its dead terms, which are
+    dropped.  On any other miss the checks run in full, so a bad p raises
+    what the term-by-term homogeneity scan raises first.
     """
     d = monomial_degree(next(iter(p.terms)), ideal.weights)
     if 0 <= d <= ideal.max_degree:
@@ -424,9 +510,10 @@ def _slice_vector(ideal: GradedIdeal, p: Polynomial):
         v = {}
         for exps, coef in p.terms.items():
             pos = index.get(exps)
-            if pos is None:
+            if pos is not None:
+                v[pos] = coef
+            elif not piece._dead(exps):
                 break
-            v[pos] = coef
         else:
             return piece, v
     piece = ideal.piece(p.homogeneous_degree(ideal.weights))

@@ -49,20 +49,23 @@ def _slice(nvars: int, degree: int, weights: Sequence[int] | None) -> tuple[Exps
     """The cached slice itself, shared between callers: never mutate it."""
     if degree < 0:
         return ()
-    if weights is None:
-        return _unit_slice(nvars, degree)
-    if len(weights) != nvars or any(w < 1 for w in weights):
-        raise ValueError("weights must be %d positive integers" % nvars)
-    return _slice_monomials(nvars, degree, tuple(weights))
+    if weights is not None:
+        if len(weights) != nvars or any(w < 1 for w in weights):
+            raise ValueError("weights must be %d positive integers" % nvars)
+        if any(w != 1 for w in weights):
+            return _weighted_slice(nvars, degree, tuple(weights))
+    return _unit_slice(nvars, degree)
 
 
 @lru_cache(maxsize=128)
 def _unit_slice(nvars: int, degree: int) -> tuple[Exps, ...]:
-    """The unweighted slice, its unit weights checked once per (nvars, degree)."""
-    return _slice(nvars, degree, (1,) * nvars)
+    """The unweighted slice: one cache entry whether unit weights are given
+    or implied."""
+    if nvars < 0:
+        raise ValueError("weights must be %d positive integers" % nvars)
+    return _slice_monomials(nvars, degree, (1,) * nvars)
 
 
-@lru_cache(maxsize=128)
 def _slice_monomials(nvars: int, degree: int, weights: Exps) -> tuple[Exps, ...]:
     # All monomials of a slice share one weighted degree, so the global order
     # restricted to it is descending lex on the reversed exponent vector:
@@ -85,6 +88,9 @@ def _slice_monomials(nvars: int, degree: int, weights: Exps) -> tuple[Exps, ...]
 
     rec(nvars - 1, degree)
     return tuple(out)
+
+
+_weighted_slice = lru_cache(maxsize=128)(_slice_monomials)
 
 
 def _mul_terms(a: dict, b: dict) -> dict[Exps, int]:

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
+from operator import mul
 from random import Random
 
 from skychow.chowring import total_presentation
-from skychow.oracle import GradedIdeal, _smith_divisors, _xgcd
-from skychow.poly import Polynomial
+from skychow.oracle import GradedIdeal, GradedPiece, HermiteLattice, _smith_divisors, _xgcd
+from skychow.poly import Polynomial, monomials_of_degree
 from skychow.proximity import ProximityConfig, validate_config
 
 
@@ -168,3 +169,44 @@ class DenseHermiteLattice:
         if all(row[c] == 1 for row, c in zip(self.rows, self.pivot_cols)):
             return [1] * self.rank
         return _smith_divisors([row[:] for row in self.rows], self.width)
+
+
+def full_piece(ideal: GradedIdeal, d: int) -> GradedPiece:
+    """Reference for GradedIdeal.piece: the degree-d slice over every monomial
+    of the degree, with every row g*m of every generator folded in.
+
+    It splits off no unit monomial generator, so the presolved slice must
+    equal it restricted to the presolved slice's columns.
+    """
+    nvars, weights = ideal.nvars, ideal.weights
+    monos = monomials_of_degree(nvars, d, weights)
+    index = {m: i for i, m in enumerate(monos)}
+    # No exponent in a degree-d slice exceeds d, so base-(d+1) digits
+    # never carry: key(g*m) = key(g) + key(m), under any weights.
+    powers = [(d + 1) ** i for i in range(nvars)]
+    column = {sum(map(mul, m, powers)): i for i, m in enumerate(monos)}
+    lat = HermiteLattice(len(monos))
+    singles = set()  # a repeated single-entry row adds nothing
+    new = 0
+    for g, dg in zip(ideal.generators, ideal._degrees):
+        r = d - dg
+        if r < 0:
+            break
+        shifts = [sum(map(mul, m, powers)) for m in monomials_of_degree(nvars, r, weights)]
+        terms = [(sum(map(mul, exps, powers)), coef) for exps, coef in g.terms.items()]
+        for k in shifts:
+            row = {column[key + k]: coef for key, coef in terms}
+            if len(row) == 1:
+                (single,) = row.items()
+                if single in singles:
+                    continue
+                singles.add(single)
+            if lat.add_row(row) and not r:
+                new += 1
+    lat._ensure_reduced()
+    return GradedPiece(d, tuple(monos), index, lat, new, weights)
+
+
+def full_reduce(full: GradedPiece, p: Polynomial) -> Polynomial:
+    """reduce on a full reference slice, for a p of its degree."""
+    return full.polynomial_of(full.lattice.reduce_vector(full.vector_of(p)), p.nvars)

@@ -29,6 +29,7 @@ from skychow.proximity import (
     DivisorVector,
     ProximityConfig,
     change_of_basis,
+    enumerate_proximity_configs,
     hyperplane,
     invert_unitriangular,
     strict_class_in_total,
@@ -334,6 +335,44 @@ class TestPresentations:
             image = rho(cfg, rel)
             assert normal_form(cfg, image).is_zero()
             assert oracle.membership(ideal, image)
+
+
+class TestFactoredRelations:
+    def test_rho_of_the_factors_is_rho_of_the_relation(self):
+        # verify maps factors and multiplies the images; the expanded
+        # relation must give the same image, on every small config
+        configs = 0
+        for n in (2, 3):
+            for s in range(1, 5):
+                for cfg in enumerate_proximity_configs(n, s):
+                    configs += 1
+                    pres = strict_presentation(cfg)
+                    assert "relations" not in pres.__dict__  # not yet expanded
+                    assert len(pres.factored) == comb(s + 1, 2) + s
+                    for factors, rel in zip(pres.factored, pres.relations):
+                        product = factors[0]
+                        image = rho(cfg, factors[0])
+                        for f in factors[1:]:
+                            product = product * f
+                            image = image * rho(cfg, f)
+                        assert product == rel
+                        assert image == rho(cfg, rel)
+        assert configs == 142
+
+    def test_products_keep_two_linear_factors(self):
+        cfg = ProximityConfig(n=3, s=4, prox=frozenset({(2, 1), (4, 2), (4, 3)}))
+        pres = strict_presentation(cfg)
+        shapes = [tuple(f.homogeneous_degree() for f in factors) for factors in pres.factored]
+        assert shapes == [(1, 1)] * (4 + comb(4, 2)) + [(3,)] * 4
+        # L_i is shared by every product it enters
+        mixed = pres.factored[4 : 4 + comb(4, 2)]
+        assert mixed[0][0] is mixed[1][0] is mixed[2][0]
+
+    def test_presentations_compare_by_their_relations(self):
+        pres = strict_presentation(SURFACE)
+        expanded = Presentation(pres.variables, tuple((r,) for r in pres.relations), "strict")
+        assert expanded == pres and hash(expanded) == hash(pres)
+        assert expanded != Presentation(pres.variables, expanded.factored, "total")
 
 
 class TestRho:

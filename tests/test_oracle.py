@@ -10,6 +10,7 @@ from __future__ import annotations
 import ast
 import sys
 import threading
+import warnings
 from pathlib import Path
 from random import Random
 
@@ -20,8 +21,9 @@ from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
 import skychow.oracle
-from helpers import DenseHermiteLattice, cached_total_ideal, random_config
-from skychow.chowring import _rho_images, strict_presentation, total_presentation
+import skychow.cli
+from helpers import DenseHermiteLattice, cached_total_ideal, full_piece, full_reduce, random_config
+from skychow.chowring import _rho_images, rho, strict_presentation, total_presentation
 from skychow.cli import load_config, main
 from skychow.curve import CurveRingParams, curve_ideal
 from skychow.oracle import (
@@ -223,6 +225,9 @@ class TestGradedIdeal:
         ("binary", [((2, 0), 1), ((0, 1), 1)], "polynomial is not homogeneous: degrees [1, 2]"),
         ("binary", [((5, 0), 1), ((4, 1), -3)], "degree 5 outside the materialized range 0..3"),
         ("binary", [((3, 0), 1), ((0, 3), 2)], None),  # well formed: no error
+        # x0^2*x1 is a dead term (a multiple of x0*x1): dropped, not an error
+        ("binary", [((2, 1), 1), ((0, 3), 2)], None),
+        ("binary", [((2, 1), 1), ((1, 0), 2)], "polynomial is not homogeneous: degrees [1, 3]"),
         # three variables against two weights: degrees count the first two
         # exponents, so this one reads as homogeneous and then fails at the
         # first term that the slice's index lacks
@@ -256,6 +261,36 @@ class TestGradedIdeal:
         with pytest.raises(ValueError) as err:
             query(ideal, p)
         assert str(err.value) == message
+
+    def test_dead_terms_are_dropped(self):
+        # x0*x1 is a unit monomial generator: in degree 3 every multiple of
+        # it is a dead column, so x0*x1*x2 is no column and lies in the ideal
+        x = [Polynomial.variable(3, i) for i in range(3)]
+        piece = SURFACE_IDEAL.piece(3)
+        dead = x[0] * x[1] * x[2]
+        assert (1, 1, 1) not in piece.index
+        live = x[0] ** 3 + 2 * x[2] ** 3
+        p = live + 5 * dead
+        assert piece.vector_of(p) == piece.vector_of(live)
+        assert piece.vector_of(dead) == {}
+        assert reduce(SURFACE_IDEAL, p) == reduce(SURFACE_IDEAL, live)
+        assert membership(SURFACE_IDEAL, dead)
+        assert membership(SURFACE_IDEAL, p) == membership(SURFACE_IDEAL, live)
+        assert rational_membership(SURFACE_IDEAL, dead)
+
+    def test_vector_of_names_the_first_bad_term_after_dead_ones(self):
+        piece = SURFACE_IDEAL.piece(3)
+        # a dead term, then a term of degree 1
+        p = Polynomial(3, {(1, 1, 1): 1, (1, 0, 0): 1})
+        with pytest.raises(ValueError) as err:
+            piece.vector_of(p)
+        assert str(err.value) == "monomial (1, 0, 0) does not have degree 3"
+        # a term of another ring is never dead, even where its first
+        # exponents spell a dead monomial of this one
+        q = Polynomial(4, {(1, 1, 1, 0): 1, (0, 0, 0, 3): 1})
+        with pytest.raises(ValueError) as err:
+            piece.vector_of(q)
+        assert str(err.value) == "monomial (1, 1, 1, 0) does not have degree 3"
 
     def test_generator_degree_must_fit(self):
         gens = total_presentation(ProximityConfig(n=2, s=2)).relations
@@ -370,33 +405,85 @@ def example_ideals():
             yield GradedIdeal(cfg.s + 1, pres.relations, cfg.n + 1)
 
 
-def reference_lattice(ideal, piece, proper_multiples_only):
+def product_rows_lattice(ideal, full, proper_multiples_only):
     """Fold the rows g*m, as Polynomial products, into the dense reference."""
-    width = len(piece.monomials)
+    width = len(full.monomials)
     lat = DenseHermiteLattice(width)
     low = 1 if proper_multiples_only else 0
     for g in ideal.generators:
-        r = piece.degree - g.homogeneous_degree(ideal.weights)
+        r = full.degree - g.homogeneous_degree(ideal.weights)
         if r < low:
             continue
         for m in monomials_of_degree(ideal.nvars, r, ideal.weights):
             row = [0] * width
             for exps, coef in (g * Polynomial.monomial(ideal.nvars, m)).terms.items():
-                row[piece.index[exps]] = coef
+                row[full.index[exps]] = coef
             lat.add_row(row)
     lat._ensure_reduced()  # slices are published in Hermite form
     return lat
 
 
-def assert_matches_reference(ideal, d):
-    """The slice's rows and new-generator count against the dense reference."""
-    piece = ideal.piece(d)
-    full = reference_lattice(ideal, piece, False)
-    proper = reference_lattice(ideal, piece, True)
-    assert piece.lattice.rows == full.rows
-    assert piece.lattice.pivot_cols == full.pivot_cols
-    assert piece.new_generators == full.rank - proper.rank
+def assert_full_reference_is_product_rows(ideal, full):
+    """The full reference slice against the rows g*m built as Polynomial products."""
+    rows = product_rows_lattice(ideal, full, False)
+    proper = product_rows_lattice(ideal, full, True)
+    assert full.lattice.rows == rows.rows
+    assert full.lattice.pivot_cols == rows.pivot_cols
+    assert full.new_generators == rows.rank - proper.rank
+
+
+def assert_matches_full(ideal, d):
+    """The presolved slice against the full reference restricted to its columns.
+
+    Every dropped column must be a pivot of the full Hermite form whose row
+    is its unit vector; the other rows, restricted to the kept columns, are
+    the presolved rows.  Ranks, torsion and new-generator counts agree.
+    """
+    piece, full = ideal.piece(d), full_piece(ideal, d)
+    kept = [full.index[m] for m in piece.monomials]
+    assert kept == sorted(kept)  # the full slice's order
+    position = {c: k for k, c in enumerate(kept)}
+    width = len(full.monomials)
+    rows, pivots = [], []
+    for row, c in zip(full.lattice.rows, full.lattice.pivot_cols):
+        if c in position:
+            rows.append([row[t] for t in kept])
+            pivots.append(position[c])
+        else:
+            assert row == [int(t == c) for t in range(width)]
+    assert set(full.lattice.pivot_cols) >= set(range(width)) - set(kept)
+    assert piece.lattice.rows == rows
+    assert piece.lattice.pivot_cols == pivots
+    assert piece.new_generators == full.new_generators
+    assert len(piece.monomials) - piece.lattice.rank == width - full.lattice.rank
+    ours = [e for e in piece.lattice.elementary_divisors() if e != 1]
+    theirs = [e for e in full.lattice.elementary_divisors() if e != 1]
+    assert ours == theirs
     return piece, full
+
+
+def assert_oracle_matches_full(ideal, rng, queries=20):
+    """Every slice, the minimal generator counts, and reduce, membership and
+    rational membership of random polynomials against the full reference."""
+    fulls = [assert_matches_full(ideal, d)[1] for d in range(ideal.max_degree + 1)]
+    expected = {full.degree: full.new_generators for full in fulls if full.new_generators}
+    assert minimal_generator_count(ideal) == expected
+    nvars, weights = ideal.nvars, ideal.weights
+    for _ in range(queries):
+        d = rng.randint(0, ideal.max_degree)
+        p = random_homogeneous(rng, nvars, d, weights=weights)
+        below = [(g, dg) for g, dg in zip(ideal.generators, ideal._degrees) if dg <= d]
+        if below and rng.random() < 0.5:
+            # add an ideal element so that members are drawn too
+            g, dg = below[rng.randrange(len(below))]
+            p = p + g * random_homogeneous(rng, nvars, d - dg, weights=weights)
+        full = fulls[d]
+        residue = full_reduce(full, p)
+        assert reduce(ideal, p) == residue
+        assert membership(ideal, p) == residue.is_zero()
+        assert rational_membership(ideal, p) == (
+            not full.lattice.copy().add_row(full.vector_of(p))
+        )
 
 
 def test_slices_match_polynomial_product_rows():
@@ -407,14 +494,41 @@ def test_slices_match_polynomial_product_rows():
     assert [g.homogeneous_degree() for g in descending.generators] == [2] * 6 + [3] * 3
     for ideal in (*example_ideals(), descending):
         for d in range(ideal.max_degree + 1):
-            assert_matches_reference(ideal, d)
+            _, full = assert_matches_full(ideal, d)
+            assert_full_reference_is_product_rows(ideal, full)
     assert minimal_generator_count(descending) == {2: 6, 3: 3}
 
 
+@pytest.mark.parametrize("n", (2, 3))
+def test_presolved_oracle_matches_the_full_reference(n):
+    # the total ideal of each (n, s) and the strict ideal of every config
+    rng = Random(n)
+    configs = 0
+    for s in range(1, 5):
+        total = total_presentation(ProximityConfig(n=n, s=s)).relations
+        assert_oracle_matches_full(GradedIdeal(s + 1, total, n + 1), rng)
+        for cfg in enumerate_proximity_configs(n, s):
+            configs += 1
+            strict = strict_presentation(cfg).relations
+            assert_oracle_matches_full(GradedIdeal(s + 1, strict, n + 1), rng)
+    assert configs == {2: 67, 3: 75}[n]  # 142 in all
+
+
+def test_presolved_curve_oracle_matches_the_full_reference():
+    rng = Random(5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # gamma=1
+        for gamma in range(1, 6):
+            for c1 in range(-5, 6):
+                ideal = curve_ideal(CurveRingParams(gamma=gamma, c1=c1))
+                assert_oracle_matches_full(ideal, rng)
+
+
 def test_verify_builds_each_slice_once(monkeypatch, capsys):
-    # each slice and the rho images once per run; every _sparse call comes
-    # from add_row, since queries hand their fresh vectors to the reduction
-    # and slices are published already in Hermite form
+    # each slice and the rho images once per run, and rho once per distinct
+    # factor of the strict relations, whose expansion verify never needs;
+    # every _sparse call comes from add_row, since queries hand their fresh
+    # vectors to the reduction and slices are published in Hermite form
     n = 3
     built = []
     original = GradedIdeal._build_piece
@@ -434,6 +548,21 @@ def test_verify_builds_each_slice_once(monkeypatch, capsys):
             return _method(self, *args)
 
         monkeypatch.setattr(HermiteLattice, name, counting)
+    presentations = []
+
+    def keep(config):
+        pres = strict_presentation(config)
+        presentations.append(pres)
+        return pres
+
+    monkeypatch.setattr(skychow.cli, "strict_presentation", keep)
+    rho_calls = []
+
+    def counting_rho(config, p):
+        rho_calls.append(p)
+        return rho(config, p)
+
+    monkeypatch.setattr(skychow.cli, "rho", counting_rho)
     _rho_images.cache_clear()
     path = str(CONFIG_DIR / "threefold_chain.json")
     cfg = load_config(path)
@@ -443,8 +572,12 @@ def test_verify_builds_each_slice_once(monkeypatch, capsys):
     assert sorted(piece.degree for piece in built) == list(range(n + 2))
     assert all(piece.lattice._reduced for piece in built)
     assert calls["add_row"] > 0 and calls["_sparse"] == calls["add_row"]
+    (pres,) = presentations
+    assert "relations" not in pres.__dict__  # never expanded
+    distinct = {id(f): f for factors in pres.factored for f in factors}
+    assert len(rho_calls) == len(distinct) < sum(map(len, pres.factored))
     info = _rho_images.cache_info()
-    assert (info.misses, info.hits) == (1, len(strict_presentation(cfg).relations) - 1)
+    assert (info.misses, info.hits) == (1, len(rho_calls) - 1)
 
 
 def test_concurrent_queries_share_one_build_per_slice(monkeypatch):
@@ -505,41 +638,52 @@ def test_strict_presentation_is_complete():
 
 
 def test_top_slice_folds_each_distinct_single_once(monkeypatch):
-    # n=3, s=7: the verify benchmark's top slice, 330 columns
+    # n=3, s=7: the verify benchmark's top slice; no row of a unit monomial
+    # generator x_i*x_j is folded, and each distinct single once
     n, s = 3, 7
     ideal = GradedIdeal(s + 1, total_presentation(ProximityConfig(n=n, s=s)).relations, n + 1)
     folded = []
     original = HermiteLattice.add_row
 
     def counting(self, vec):
-        folded.append(vec)
+        folded.append(dict(vec))
         return original(self, vec)
 
     monkeypatch.setattr(HermiteLattice, "add_row", counting)
-    piece = ideal.piece(n + 1)
-    singles, binomial_rows, all_rows = set(), 0, 0
-    for g in ideal.generators:
-        for m in monomials_of_degree(s + 1, n + 1 - g.homogeneous_degree()):
-            all_rows += 1
-            row = g * Polynomial.monomial(s + 1, m)
-            if len(row.terms) == 1:
-                singles.update(row.terms.items())
-            else:
-                binomial_rows += 1
-    assert len(folded) <= len(singles) + binomial_rows < all_rows
-    expected = reference_lattice(ideal, piece, False)
-    assert piece.lattice.rows == expected.rows
-    assert piece.lattice.rank == len(piece.monomials) == 330
+    ideal.piece(n + 1)
+    monkeypatch.undo()
+    # x_i^3 +- x_0^3 times x_i leaves the single x_i^4, times x_0 the single
+    # x_0^4 (7 times, folded once), and times any other variable nothing
+    singles = [tuple(v.items()) for v in folded if len(v) == 1]
+    assert len(singles) == len(set(singles)) == len(folded) == s + 1
+    piece, full = assert_matches_full(ideal, n + 1)
+    assert piece.lattice.rank == len(piece.monomials) == s + 1
+    assert len(full.monomials) == 330
+
+
+def test_total_slices_keep_the_pure_powers_above_degree_two():
+    # the x_i*x_j are unit monomial generators: above degree 2 only the
+    # s + 1 pure powers are columns, and in degree 2 they stay as columns
+    n, s = 3, 7
+    ideal = GradedIdeal(s + 1, total_presentation(ProximityConfig(n=n, s=s)).relations, n + 1)
+    powers = lambda d: tuple(tuple(d if t == i else 0 for t in range(s + 1)) for i in range(s, -1, -1))
+    assert ideal.piece(n + 1).monomials == powers(n + 1)
+    assert ideal.piece(n).monomials == powers(n)
+    assert ideal.piece(2).monomials == tuple(monomials_of_degree(s + 1, 2))
+    assert [len(ideal.piece(d).monomials) for d in range(n + 2)] == [1, 8, 36, 8, 8]
 
 
 def test_singles_sharing_a_column_keep_their_coefficients():
     # 2*v0*v1 and 3*v1*v0 land in one column: folding only the first would
-    # leave the pivot 2 where the lattice has gcd(2, 3) = 1
+    # leave the pivot 2 where the lattice has gcd(2, 3) = 1.  2*v0 and 3*v1
+    # are no unit monomial generators, so their multiples stay rows
     v = [Polynomial.variable(3, i) for i in range(3)]
     ideal = GradedIdeal(3, [2 * v[0], 3 * v[1], 2 * v[0] * v[2], v[1] * v[2]], 3)
+    assert ideal._unit == (False, False, False, True)
     for d in range(ideal.max_degree + 1):
-        piece, expected = assert_matches_reference(ideal, d)
-        assert piece.lattice.elementary_divisors() == expected.elementary_divisors()
+        assert_matches_full(ideal, d)  # torsion included
+    assert (0, 1, 1) in ideal.piece(2).index  # a unit generator of its own degree
+    assert (0, 2, 1) not in ideal.piece(3).index  # a multiple of one
     assert quotient_structure(ideal, 1).torsion == (6,)  # Z/2 + Z/3
     assert membership(ideal, v[0] * v[1])
 
