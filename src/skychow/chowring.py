@@ -331,15 +331,20 @@ def total_presentation(config: ProximityConfig) -> Presentation:
     n, s = config.n, config.s
     nv = s + 1
     rels = []
+    row = [0] * nv
     for i in range(nv):
+        row[i] = 1
         for j in range(i + 1, nv):
-            exps = tuple(1 if t in (i, j) else 0 for t in range(nv))
-            rels.append((Polynomial.monomial(nv, exps),))
+            row[j] = 1
+            rels.append((Polynomial._of(nv, {tuple(row): 1}),))
+            row[j] = 0
+        row[i] = 0
     sign = (-1) ** n
-    x0n = tuple(n if t == 0 else 0 for t in range(nv))
+    x0n = (n,) + (0,) * s
     for i in range(1, nv):
-        xin = tuple(n if t == i else 0 for t in range(nv))
-        rels.append((Polynomial(nv, {xin: sign, x0n: 1}),))
+        row[i] = n
+        rels.append((Polynomial._of(nv, {tuple(row): sign, x0n: 1}),))
+        row[i] = 0
     names = tuple("x%d" % i for i in range(nv))
     return Presentation(names, tuple(rels), "total")
 

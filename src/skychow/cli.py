@@ -14,6 +14,7 @@ import argparse
 import json
 import re
 import sys
+import warnings
 from dataclasses import replace
 from math import comb
 from random import Random
@@ -61,9 +62,10 @@ MAX_VERIFY_SAMPLES = 100_000
 
 # Most exponent entries present may build.  Every term of a presentation
 # holds a dense exponent tuple of length s + 1, so a presentation of T terms
-# holds T * (s + 1) entries; an n=3 chain's total basis took 4.6 s and
-# 138 MiB at s=300 on a 2-vCPU host.  The bound admits the total basis up to
-# s=366 and the strict basis of a chain up to s=45.
+# holds T * (s + 1) entries; present --basis total on an n=3 chain with
+# s=300 takes 1.3 s and 140 MiB as a whole process (text output, 2-vCPU
+# host).  The bound admits the total basis up to s=366 and the strict basis
+# of a chain up to s=45.
 MAX_PRESENT_ENTRIES = 25_000_000
 
 # Largest ambient dimension a config file may ask for.  final and intersect
@@ -400,11 +402,17 @@ def cmd_dot(args) -> int:
 
 
 def cmd_curve_example(args) -> int:
-    try:
-        params = curve_mod.CurveRingParams(gamma=args.gamma, c1=args.c1)
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USER_ERROR
+    # The library warns on gamma=1.  Python's warning machinery would print
+    # that once per process, with a source location; print it on every run.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            params = curve_mod.CurveRingParams(gamma=args.gamma, c1=args.c1)
+        except ValueError as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            return EXIT_USER_ERROR
+    for w in caught:
+        print("warning: %s" % w.message, file=sys.stderr)
     basis = curve_mod.curve_basis_elements(params)[1:]  # drop the unit row
     labels = [label for label, _ in basis]
     table = [[str(el * other) for _, other in basis] for _, el in basis]
@@ -439,47 +447,53 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.add_argument("--basis", choices=("total", "strict"), default="total")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_present)
 
     p = sub.add_parser("intersect", help="evaluate an intersection product")
     p.add_argument("config")
     p.add_argument("expression", help="product of h, Ei (total), ei (strict), e.g. 'e1*e2' or 'h^2'")
-    p.set_defaults(func=cmd_intersect)
 
     p = sub.add_parser("final", help="finality of each exceptional divisor")
     p.add_argument("config")
     p.add_argument("--method", choices=("proximity", "chow", "both"), default="both")
     p.add_argument("--format", choices=("table", "json"), default="table")
-    p.set_defaults(func=cmd_final)
 
     p = sub.add_parser("verify", help="cross-check rewrite engine vs lattice oracle")
     p.add_argument("config")
     p.add_argument("--samples", type=int, default=250)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("dot", help="proximity graph in DOT format")
     p.add_argument("config")
-    p.set_defaults(func=cmd_dot)
 
     p = sub.add_parser("curve-example", help="the curve blow-up ring of P^3")
     p.add_argument("--gamma", type=int, required=True)
     p.add_argument("--c1", type=int, required=True)
     p.add_argument("--check", action="store_true")
-    p.set_defaults(func=cmd_curve_example)
 
     return parser
 
 
+# The parser main reuses, built on its first call rather than at import.
+# parse_args leaves a parser unchanged, and argparse reads the terminal width
+# and sys.stdout / sys.stderr when it prints, not when it is built.
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one subcommand in-process and return its exit code; never raises
+    SystemExit."""
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits with 2 on bad usage, which matches our contract
         return int(exc.code) if exc.code else EXIT_OK
+    # looked up per call, so a rebound cmd_* function takes effect
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except (InvalidConfigError, ExpressionError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USER_ERROR

@@ -38,6 +38,7 @@ def surface_path(tmp_path):
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 THREEFOLD_PATH = str(CONFIG_DIR / "threefold_chain.json")
 SURFACE_PATH = str(CONFIG_DIR / "surface.json")
+SATELLITE_PATH = str(CONFIG_DIR / "satellite.json")
 
 
 def chain_doc(n, s):
@@ -530,6 +531,17 @@ class TestCurveExample:
         assert cli.main(["curve-example", "--gamma", "0", "--c1", "1"]) == 2
         assert "gamma" in capsys.readouterr().err
 
+    def test_line_note_is_printed_on_every_call(self):
+        argv = ["curve-example", "--gamma", "1", "--c1", "0"]
+        first, second = run_quiet(argv), run_quiet(argv)
+        assert first == second
+        code, out, err = first
+        assert code == 0 and out.startswith("multiplication table, gamma=1")
+        assert err == (
+            "warning: gamma=1 (a line) is below the usual range for this model; "
+            "the arithmetic goes through unchanged\n"
+        )
+
 
 class TestUsage:
     def test_internal_error_has_its_own_exit_code(self, surface_path, capsys, monkeypatch):
@@ -554,6 +566,46 @@ def run_quiet(argv):
     with redirect_stdout(out), redirect_stderr(err):
         code = cli.main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+REENTRANT_ARGVS = (
+    ["present", SATELLITE_PATH, "--basis", "strict"],
+    ["intersect", THREEFOLD_PATH, "e1*e2*h"],
+    ["final", SATELLITE_PATH, "--format", "json"],
+    ["verify", SURFACE_PATH, "--samples", "20"],
+    ["dot", THREEFOLD_PATH],
+    ["curve-example", "--gamma", "2", "--c1", "6", "--check"],
+    ["--help"],
+    ["final", "--help"],
+    ["no-such-command"],
+    ["present", SURFACE_PATH, "--format", "xml"],
+    ["intersect", SURFACE_PATH],
+    ["curve-example", "--gamma", "1", "--c1", "0"],
+)
+
+
+class TestReentrancy:
+    """main builds its parser once per process; no call may see another."""
+
+    def test_cached_parser_answers_like_a_fresh_one(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        fresh = []
+        for argv in REENTRANT_ARGVS:
+            monkeypatch.setattr(cli, "_parser", None)
+            fresh.append(run_quiet(argv))
+        assert [code for code, _, _ in fresh] == [0] * 8 + [2] * 3 + [0]
+
+        build_parser, builds = cli.build_parser, []
+
+        def counted():
+            builds.append(None)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        monkeypatch.setattr(cli, "_parser", None)
+        passes = [[run_quiet(argv) for argv in REENTRANT_ARGVS] for _ in range(2)]
+        assert len(builds) == 1
+        assert passes[0] == passes[1] == fresh
 
 
 JUNK = st.one_of(
@@ -675,7 +727,6 @@ class TestExitCodeFuzz:
         else:
             assert out.count("PASS") == 5
 
-    @pytest.mark.filterwarnings("ignore:gamma=1")
     @given(option_texts((-3, 9), (-HUGE, HUGE)), option_texts((-9, 9), (-HUGE, HUGE)), st.booleans())
     def test_curve_example_options(self, gamma, c1, check):
         argv = ["curve-example", "--gamma", gamma, "--c1", c1] + ["--check"] * check

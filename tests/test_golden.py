@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 
@@ -54,6 +56,9 @@ def _cases():
         cases["curve-g%d-c%d" % (gamma, c1)] = [
             "curve-example", "--gamma", str(gamma), "--c1", str(c1), "--check",
         ]
+    cases["help"] = ["--help"]
+    for command in ("present", "intersect", "final", "verify", "dot", "curve-example"):
+        cases["%s-help" % command] = [command, "--help"]
     return cases
 
 
@@ -61,10 +66,12 @@ CASES = _cases()
 
 
 def run(argv):
-    """(stdout, exit code) of main(argv), config paths taken from the repo root."""
+    """(stdout, exit code) of main(argv), config paths taken from the repo root.
+
+    COLUMNS is pinned, since argparse wraps help text to the terminal width."""
     argv = [str(ROOT / a) if a.startswith("configs/") else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
+    with redirect_stdout(out), redirect_stderr(err), patch.dict(os.environ, COLUMNS="80"):
         code = main(argv)
     return out.getvalue(), code
 
