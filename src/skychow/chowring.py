@@ -315,6 +315,37 @@ class Presentation:
             "relations": [poly_to_term_list(rel) for rel in self.relations],
         }
 
+    def to_json_text(self) -> str:
+        """json.dumps(self.to_json_dict(), indent=2), written directly.
+
+        The stdlib drops to its pure-Python encoder whenever indent is set;
+        strings go through the C function it would use for them.
+        """
+        from json.encoder import encode_basestring_ascii as quote
+
+        def block(items, pad):
+            # a list whose items are already rendered, each item indented by pad
+            if not items:
+                return "[]"
+            return "[\n" + pad + (",\n" + pad).join(items) + "\n" + pad[:-2] + "]"
+
+        relations = [
+            block(
+                [
+                    '{\n        "exps": %s,\n        "coef": %d\n      }'
+                    % (block(list(map(str, exps)), " " * 10), coef)
+                    for exps, coef in rel.sorted_terms()
+                ],
+                " " * 6,
+            )
+            for rel in self.relations
+        ]
+        return '{\n  "vars": %s,\n  "basis": %s,\n  "relations": %s\n}' % (
+            block([quote(v) for v in self.variables], " " * 4),
+            quote(self.basis),
+            block(relations, " " * 4),
+        )
+
     @classmethod
     def from_json_dict(cls, doc) -> "Presentation":
         variables = tuple(str(v) for v in doc["vars"])

@@ -13,7 +13,6 @@ mean an implementation bug, not a mathematical surprise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
 
 from .proximity import ProximityConfig, strict_class_in_total
 
@@ -32,26 +31,33 @@ def _support_index(e):
     return index
 
 
-def _integral(n, factors):
-    """Integral of n classes given as {t: coefficient of E_t} dicts with no h part.
+def _pair_integral(n, shared, r):
+    """Integral of e_i^(n-r) * e_j^r, given shared = [(e_i[t], e_j[t]) for
+    each t in both supports].
 
-    Mixed products vanish and each E_t^n integrates to (-1)^(n+1).
+    Mixed products vanish and each E_t^n integrates to (-1)^(n+1), so only
+    the support points the two classes share contribute.
     """
-    shared = set(factors[0]).intersection(*factors[1:])
-    return (1 if n % 2 else -1) * sum(prod(f[t] for f in factors) for t in shared)
+    return (1 if n % 2 else -1) * sum(x ** (n - r) * y ** r for x, y in shared)
 
 
 def _meeting(n, e, index, i):
-    """Indices j != i, ascending, with e[i] * e[j] nonzero.
+    """(j, shared) for each j != i, ascending, with e[i] * e[j] nonzero.
 
-    Below degree n the product is coordinate-wise: nonzero iff supports
-    overlap, so the candidates are the classes sharing a support point with
-    e[i].  For n = 2 the product is an integral, which can still be zero.
+    shared is the list _pair_integral reads, built in one pass over e[i]'s
+    support.  Below degree n the product is coordinate-wise: nonzero iff the
+    supports overlap.  For n = 2 the product is an integral, which can
+    still be zero.
     """
-    candidates = sorted({j for t in e[i] for j in index[t]} - {i})
+    shared = {}
+    for t, x in e[i].items():
+        for j in index[t]:
+            if j != i:
+                shared.setdefault(j, []).append((x, e[j][t]))
+    pairs = sorted(shared.items())
     if n == 2:
-        return [j for j in candidates if _integral(n, (e[i], e[j]))]
-    return candidates
+        return [(j, sh) for j, sh in pairs if _pair_integral(n, sh, 1)]
+    return pairs
 
 
 def _check_index(config, i):
@@ -73,15 +79,16 @@ def intersecting_indices(config: ProximityConfig, i: int) -> set:
     """
     _check_index(config, i)
     e = _strict_classes(config)
-    return set(_meeting(config.n, e, _support_index(e), i))
+    return {j for j, _ in _meeting(config.n, e, _support_index(e), i)}
 
 
 def _chow_conditions(n, e, index, i):
     """(final?, witness) from the intersection-product characterization."""
-    ein = _integral(n, [e[i]] * n)
-    for j in _meeting(n, e, index, i):
+    # e_i^n pairs e_i with itself over its whole support
+    ein = _pair_integral(n, [(x, x) for x in e[i].values()], 0)
+    for j, shared in _meeting(n, e, index, i):
         # condition (11): e_j^(n-1) * e_i must be the point class
-        lhs = _integral(n, [e[j]] * (n - 1) + [e[i]])
+        lhs = _pair_integral(n, shared, n - 1)
         if lhs != 1:
             return (
                 False,
@@ -89,7 +96,7 @@ def _chow_conditions(n, e, index, i):
             )
         # condition (10): e_i^n == (-1)^r e_i^(n-r) e_j^r for every r
         for r in range(1, n):
-            rhs = _integral(n, [e[i]] * (n - r) + [e[j]] * r) * (-1) ** r
+            rhs = _pair_integral(n, shared, r) * (-1) ** r
             if ein != rhs:
                 return (
                     False,
@@ -142,6 +149,30 @@ class FinalityReport:
                 for d in self.divisors
             ]
         }
+
+    def to_json_text(self):
+        """json.dumps(self.to_json_dict(), indent=2), written directly.
+
+        The stdlib drops to its pure-Python encoder whenever indent is set;
+        strings go through the C function it would use for them.
+        """
+        from json.encoder import encode_basestring_ascii as quote
+
+        if not self.divisors:
+            return '{\n  "divisors": []\n}'
+        word = {True: "true", False: "false", None: "null"}
+        items = [
+            '    {\n      "i": %d,\n      "final_proximity": %s,\n'
+            '      "final_chow": %s,\n      "witness": %s\n    }'
+            % (
+                d.index,
+                word[d.final_proximity],
+                word[d.final_chow],
+                "null" if d.witness is None else quote(d.witness),
+            )
+            for d in self.divisors
+        ]
+        return '{\n  "divisors": [\n' + ",\n".join(items) + "\n  ]\n}"
 
 
 def finality_report(config: ProximityConfig) -> FinalityReport:

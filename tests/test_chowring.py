@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from math import comb
 from random import Random
 
@@ -465,6 +466,32 @@ class TestSerialization:
         cfg = ProximityConfig(n=3, s=3, prox=frozenset({(2, 1), (3, 1)}))
         pres = strict_presentation(cfg)
         assert Presentation.from_json_dict(pres.to_json_dict()) == pres
+
+    def test_json_text_matches_the_stdlib_encoder(self):
+        configs = 0
+        for n in (2, 3):
+            total = {}
+            for s in range(1, 5):
+                total[s] = total_presentation(ProximityConfig(n=n, s=s))
+                for cfg in enumerate_proximity_configs(n, s):
+                    configs += 1
+                    for pres in (total[s], strict_presentation(cfg)):
+                        want = json.dumps(pres.to_json_dict(), indent=2)
+                        assert pres.to_json_text() == want
+        assert configs == 142
+
+    @pytest.mark.parametrize(
+        "pres",
+        [
+            Presentation(("x0", "x1"), (), "total"),
+            Presentation(("x0",), ((Polynomial.constant(1, 0),),), "total"),
+            Presentation((), ((Polynomial.constant(0, 3),),), "strict"),
+            Presentation(('a"b', "c\\d", "é∂", "\n"), (), "strict"),
+        ],
+        ids=["no-relations", "zero-relation", "no-variables", "escaped-names"],
+    )
+    def test_json_text_edge_cases(self, pres):
+        assert pres.to_json_text() == json.dumps(pres.to_json_dict(), indent=2)
 
     def test_text_form(self):
         text = total_presentation(SURFACE).to_text()

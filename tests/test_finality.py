@@ -2,17 +2,25 @@
 
 from __future__ import annotations
 
+import json
+from dataclasses import replace
 from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_config
+from helpers import cached_total_ideal, random_config
+from skychow import oracle
 from skychow.chowring import degree_integral, from_divisor
+from skychow.poly import Polynomial
 from skychow.finality import (
-    _integral,
+    _meeting,
+    _pair_integral,
     _strict_classes,
+    _support_index,
+    DivisorFinality,
+    FinalityReport,
     final_by_chow,
     final_by_proximity,
     finality_report,
@@ -112,6 +120,46 @@ class TestReport:
         }
 
 
+class TestJsonText:
+    """FinalityReport.to_json_text against the stdlib's indent=2 encoder."""
+
+    @staticmethod
+    def blanked(report, method):
+        # what final --method prints: the column not asked for, and the
+        # witness, blanked to None
+        if method == "both":
+            return report
+        blank = "final_chow" if method == "proximity" else "final_proximity"
+        divisors = tuple(replace(d, **{blank: None, "witness": None}) for d in report.divisors)
+        return replace(report, divisors=divisors)
+
+    def test_every_small_config_and_method(self):
+        configs = 0
+        for n in (2, 3):
+            for s in range(1, 5):
+                for cfg in enumerate_proximity_configs(n, s):
+                    configs += 1
+                    report = finality_report(cfg)
+                    for method in ("proximity", "chow", "both"):
+                        shown = self.blanked(report, method)
+                        want = json.dumps(shown.to_json_dict(), indent=2)
+                        assert shown.to_json_text() == want
+        assert configs == 142
+
+    @pytest.mark.parametrize(
+        "divisors",
+        [
+            (),
+            (DivisorFinality(1, False, False, 'quote " backslash \\ \u00e9\u2202 \n'),),
+            (DivisorFinality(1, None, True, ""), DivisorFinality(2, True, None, None)),
+        ],
+        ids=["empty", "escaped-witness", "blank-columns"],
+    )
+    def test_edge_cases(self, divisors):
+        report = FinalityReport(SURFACE, divisors)
+        assert report.to_json_text() == json.dumps(report.to_json_dict(), indent=2)
+
+
 class TestEquivalenceSamples:
     def test_exhaustive_tiny(self):
         for cfg in enumerate_proximity_configs(2, 3):
@@ -138,6 +186,7 @@ class TestClosedFormMatchesRing:
             e = from_divisor(cfg, strict_exceptional(cfg, i))
             powers.append([e**a for a in range(n + 1)])
         sparse = _strict_classes(cfg)
+        index = _support_index(sparse)
         for i in range(1, s + 1):
             meets = {
                 j
@@ -145,9 +194,57 @@ class TestClosedFormMatchesRing:
                 if j != i and not (powers[i][1] * powers[j][1]).is_zero()
             }
             assert intersecting_indices(cfg, i) == meets
-            # conditions (10) and (11) integrate e_i^a e_j^(n-a) for a in 1..n
-            for j in meets:
-                for a in range(1, n + 1):
-                    factors = [sparse[i]] * a + [sparse[j]] * (n - a)
+            pairs = _meeting(n, sparse, index, i)
+            assert [j for j, _ in pairs] == sorted(meets)
+            # e_i^n pairs e_i with itself over its whole support
+            own = [(x, x) for x in sparse[i].values()]
+            assert _pair_integral(n, own, 0) == degree_integral(powers[i][n])
+            # conditions (10) and (11) integrate e_i^a e_j^(n-a) for a in 1..n-1
+            for j, shared in pairs:
+                for a in range(1, n):
                     ring = degree_integral(powers[i][a] * powers[j][n - a])
-                    assert _integral(n, factors) == ring
+                    assert _pair_integral(n, shared, n - a) == ring
+
+
+class TestOracleCertifiesIntegrals:
+    """The pair integrals certified by the lattice oracle, past s <= 5.
+
+    Each strict class is built here as a Polynomial in the total generators,
+    e_i = x_i - sum of x_j over the points j proximate to i, straight from
+    the proximity relation.  An integral c of a degree-n product p holds
+    exactly when p - c * x0^n lies in the total ideal, since x0^n does not.
+    """
+
+    def test_meeting_pair_integrals(self):
+        rng = Random(13)
+        checked = nonzero = 0
+        for n, s in ((2, 10), (2, 20), (2, 30), (2, 40), (3, 10), (3, 20), (3, 30), (3, 40)):
+            cfg = random_config(rng, n, s)
+            ideal = cached_total_ideal(n, s)
+            point = Polynomial.variable(s + 1, 0) ** n
+            strict = [None] + [
+                Polynomial.variable(s + 1, i)
+                - sum(
+                    (Polynomial.variable(s + 1, j) for j in cfg.proximate_points(i)),
+                    Polynomial.constant(s + 1, 0),
+                )
+                for i in range(1, s + 1)
+            ]
+            e = _strict_classes(cfg)
+            index = _support_index(e)
+
+            def certify(p, c):
+                nonlocal checked, nonzero
+                assert oracle.membership(ideal, p - point * c)
+                assert not oracle.membership(ideal, p - point * (c + 1))
+                checked += 1
+                nonzero += c != 0
+
+            for i in range(1, s + 1):
+                own = [(x, x) for x in e[i].values()]
+                certify(strict[i] ** n, _pair_integral(n, own, 0))
+                for j, shared in _meeting(n, e, index, i):
+                    for a in range(1, n):
+                        c = _pair_integral(n, shared, n - a)
+                        certify(strict[i] ** a * strict[j] ** (n - a), c)
+        assert checked > 1100 and nonzero > 1000

@@ -52,6 +52,13 @@ def _cases():
         cases["dot-%s" % name] = ["dot", cfg]
         for seed in (0, 7):
             cases["verify-%s-seed%d" % (name, seed)] = ["verify", cfg, "--seed", str(seed)]
+    # a larger n=3 config whose witnesses name both condition (10) and (11);
+    # it lives under tests/, since the oracle tests build every configs/ file
+    cfg = "tests/configs/threefold_mixed.json"
+    for method, fmt in (("both", "table"), ("both", "json"), ("chow", "json")):
+        cases["final-threefold_mixed-%s-%s" % (method, fmt)] = [
+            "final", cfg, "--method", method, "--format", fmt,
+        ]
     for gamma, c1 in ((1, 0), (2, 6), (3, -4)):
         cases["curve-g%d-c%d" % (gamma, c1)] = [
             "curve-example", "--gamma", str(gamma), "--c1", str(c1), "--check",
@@ -69,7 +76,7 @@ def run(argv):
     """(stdout, exit code) of main(argv), config paths taken from the repo root.
 
     COLUMNS is pinned, since argparse wraps help text to the terminal width."""
-    argv = [str(ROOT / a) if a.startswith("configs/") else a for a in argv]
+    argv = [str(ROOT / a) if a.endswith(".json") else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err), patch.dict(os.environ, COLUMNS="80"):
         code = main(argv)
