@@ -124,10 +124,11 @@ def _to_oracle(p: Polynomial) -> Polynomial:
     return Polynomial._of(3, {(a, c, b): k for (a, b, c), k in p.terms.items()})
 
 
-def curve_ideal(params: CurveRingParams, max_degree: int = 4) -> oracle.GradedIdeal:
-    """The defining ideal as a graded-lattice oracle (internal variable order)."""
+def curve_ideal(params: CurveRingParams) -> oracle.GradedIdeal:
+    """The defining ideal as a graded-lattice oracle (internal variable order),
+    with slices up to one degree past the top, where everything dies."""
     gens = [_to_oracle(g) for g in curve_ideal_generators(params)]
-    return oracle.GradedIdeal(3, gens, max_degree, weights=(1, 2, 1))
+    return oracle.GradedIdeal(3, gens, TOP_DEGREE + 1, weights=(1, 2, 1))
 
 
 def curve_normal_form(params: CurveRingParams, p: Polynomial) -> CurveRingElement:

@@ -17,20 +17,6 @@ from dataclasses import dataclass
 from .proximity import ProximityConfig, strict_class_in_total
 
 
-def _strict_classes(config):
-    # index 0 unused; entry i is the i-th strict class as {t: coefficient of E_t}
-    return [None] + [strict_class_in_total(config, i) for i in range(1, config.s + 1)]
-
-
-def _support_index(e):
-    """t -> ascending indices i whose class e[i] has t in its support."""
-    index = {}
-    for i in range(1, len(e)):
-        for t in e[i]:
-            index.setdefault(t, []).append(i)
-    return index
-
-
 def _pair_integral(n, shared, r):
     """Integral of e_i^(n-r) * e_j^r, given shared = [(e_i[t], e_j[t]) for
     each t in both supports].
@@ -41,22 +27,27 @@ def _pair_integral(n, shared, r):
     return (1 if n % 2 else -1) * sum(x ** (n - r) * y ** r for x, y in shared)
 
 
-def _meeting(n, e, index, i):
-    """(j, shared) for each j != i, ascending, with e[i] * e[j] nonzero.
+def _meeting(config, i, ei):
+    """(j, shared) for each j != i, ascending, with e_i * e_j nonzero.
 
-    shared is the list _pair_integral reads, built in one pass over e[i]'s
-    support.  Below degree n the product is coordinate-wise: nonzero iff the
-    supports overlap.  For n = 2 the product is an integral, which can
-    still be zero.
+    ei is e_i as strict_class_in_total gives it.  The classes holding a
+    support point t are e_t, with coefficient 1, and the e_k of the points
+    t is proximate to, with coefficient -1; so shared, the list
+    _pair_integral reads, comes from one pass over e_i's support.  Below
+    degree n the product is coordinate-wise: nonzero iff the supports
+    overlap.  For n = 2 the product is an integral, which can still be zero.
     """
+    targets = config._adjacency[0]
     shared = {}
-    for t, x in e[i].items():
-        for j in index[t]:
-            if j != i:
-                shared.setdefault(j, []).append((x, e[j][t]))
+    for t, x in ei.items():
+        if t != i:
+            shared.setdefault(t, []).append((x, 1))
+        for k in targets.get(t, ()):
+            if k != i:
+                shared.setdefault(k, []).append((x, -1))
     pairs = sorted(shared.items())
-    if n == 2:
-        return [(j, sh) for j, sh in pairs if _pair_integral(n, sh, 1)]
+    if config.n == 2:
+        return [(j, sh) for j, sh in pairs if _pair_integral(2, sh, 1)]
     return pairs
 
 
@@ -78,15 +69,15 @@ def intersecting_indices(config: ProximityConfig, i: int) -> set:
     can differ (a satellite point can separate two earlier divisors).
     """
     _check_index(config, i)
-    e = _strict_classes(config)
-    return {j for j, _ in _meeting(config.n, e, _support_index(e), i)}
+    return {j for j, _ in _meeting(config, i, strict_class_in_total(config, i))}
 
 
-def _chow_conditions(n, e, index, i):
+def _chow_conditions(config, i):
     """(final?, witness) from the intersection-product characterization."""
+    n, ei = config.n, strict_class_in_total(config, i)
     # e_i^n pairs e_i with itself over its whole support
-    ein = _pair_integral(n, [(x, x) for x in e[i].values()], 0)
-    for j, shared in _meeting(n, e, index, i):
+    ein = _pair_integral(n, [(x, x) for x in ei.values()], 0)
+    for j, shared in _meeting(config, i, ei):
         # condition (11): e_j^(n-1) * e_i must be the point class
         lhs = _pair_integral(n, shared, n - 1)
         if lhs != 1:
@@ -109,8 +100,7 @@ def _chow_conditions(n, e, index, i):
 def final_by_chow(config: ProximityConfig, i: int) -> bool:
     """Finality decided purely from intersection products."""
     _check_index(config, i)
-    e = _strict_classes(config)
-    ok, _ = _chow_conditions(config.n, e, _support_index(e), i)
+    ok, _ = _chow_conditions(config, i)
     return ok
 
 
@@ -177,11 +167,9 @@ class FinalityReport:
 
 def finality_report(config: ProximityConfig) -> FinalityReport:
     """Both deciders on every divisor, with a witness for each chow failure."""
-    e = _strict_classes(config)
-    index = _support_index(e)
     entries = []
     for i in range(1, config.s + 1):
         by_prox = final_by_proximity(config, i)
-        by_chow, witness = _chow_conditions(config.n, e, index, i)
+        by_chow, witness = _chow_conditions(config, i)
         entries.append(DivisorFinality(i, by_prox, by_chow, witness))
     return FinalityReport(config, tuple(entries))

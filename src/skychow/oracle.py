@@ -180,11 +180,36 @@ class HermiteLattice:
         return not self.reduce_vector(vec)
 
     def elementary_divisors(self):
-        """Smith normal form divisors of the row matrix (rank many, positive)."""
+        """Smith normal form divisors of the row matrix (rank many, positive).
+
+        Alternating Hermite forms (Kannan & Bachem 1979): the columns of the
+        rows span the transpose, whose Hermite form has the same divisors.
+        Each pass folds them into a fresh lattice and back-substitutes,
+        until every row has one entry.  The lattice itself is only read.
+        """
         if all(p == 1 for p in self.pivot_values()):
             # unit pivots: the rows extend to a basis of Z^width
             return [1] * self.rank
-        return _smith_divisors(self.rows, self.width)
+        rows = self._rows
+        while any(len(row) > 1 for row in rows):
+            columns = {}
+            for k, row in enumerate(rows):
+                for t, c in row.items():
+                    columns.setdefault(t, {})[k] = c
+            lat = HermiteLattice(len(rows))
+            for t in sorted(columns):
+                lat.add_row(columns[t])
+            lat._ensure_reduced()
+            rows = lat._rows
+        divisors = [c for row in rows for c in row.values()]
+        # enforce the divisibility chain d_1 | d_2 | ...
+        for i in range(len(divisors)):
+            for j in range(i + 1, len(divisors)):
+                a, b = divisors[i], divisors[j]
+                if b % a:
+                    g = gcd(a, b)
+                    divisors[i], divisors[j] = g, a * b // g
+        return divisors
 
 
 def _put(v, t, c):
@@ -210,65 +235,6 @@ def _axpy(v, q, row, heap, watch):
                 v[t] = vt
             else:
                 del v[t]
-
-
-def _smith_divisors(m, ncols):
-    nr = len(m)
-    divisors = []
-    k = 0
-    while k < nr and k < ncols:
-        best = None
-        for i in range(k, nr):
-            row = m[i]
-            for j in range(k, ncols):
-                v = row[j]
-                if v and (best is None or abs(v) < best[0]):
-                    best = (abs(v), i, j)
-        if best is None:
-            break
-        _, i0, j0 = best
-        m[k], m[i0] = m[i0], m[k]
-        if j0 != k:
-            for row in m:
-                row[k], row[j0] = row[j0], row[k]
-        done = False
-        while not done:
-            done = True
-            piv = m[k][k]
-            for i in range(k + 1, nr):
-                v = m[i][k]
-                if v:
-                    q = v // piv
-                    if q:
-                        mi, mk = m[i], m[k]
-                        for t in range(k, ncols):
-                            mi[t] -= q * mk[t]
-                    if m[i][k]:
-                        m[k], m[i] = m[i], m[k]
-                        done = False
-                        piv = m[k][k]
-            for j in range(k + 1, ncols):
-                v = m[k][j]
-                if v:
-                    q = v // piv
-                    if q:
-                        for row in m:
-                            row[j] -= q * row[k]
-                    if m[k][j]:
-                        for row in m:
-                            row[k], row[j] = row[j], row[k]
-                        done = False
-                        piv = m[k][k]
-        divisors.append(abs(m[k][k]))
-        k += 1
-    # enforce the divisibility chain d_1 | d_2 | ...
-    for i in range(len(divisors)):
-        for j in range(i + 1, len(divisors)):
-            a, b = divisors[i], divisors[j]
-            if b % a:
-                g = gcd(a, b)
-                divisors[i], divisors[j] = g, a * b // g
-    return divisors
 
 
 @dataclass(frozen=True)

@@ -370,18 +370,17 @@ def random_homogeneous(
     rng: Random,
     nvars: int,
     degree: int,
-    max_terms: int = 4,
-    coef_bound: int = 9,
     weights: Sequence[int] | None = None,
 ) -> Polynomial:
-    """Random homogeneous polynomial; may be zero only if no monomials exist."""
+    """Random homogeneous polynomial of 1 to 4 terms with coefficients in
+    +-1..9; it is zero only if no monomials exist."""
     monos = _slice(nvars, degree, weights)
     if not monos:
         return Polynomial.zero(nvars)
-    k = rng.randint(1, min(max_terms, len(monos)))
+    k = rng.randint(1, min(4, len(monos)))
     chosen = rng.sample(monos, k)
     terms = {}
     for exps in chosen:
-        c = rng.randint(1, coef_bound) * rng.choice((1, -1))
+        c = rng.randint(1, 9) * rng.choice((1, -1))
         terms[exps] = c
     return Polynomial._of(nvars, terms)

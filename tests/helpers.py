@@ -4,11 +4,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
+from math import gcd
 from operator import mul
 from random import Random
 
 from skychow.chowring import total_presentation
-from skychow.oracle import GradedIdeal, GradedPiece, HermiteLattice, _smith_divisors, _xgcd
+from skychow.oracle import GradedIdeal, GradedPiece, HermiteLattice, _xgcd
 from skychow.poly import Polynomial, monomials_of_degree
 from skychow.proximity import ProximityConfig, validate_config
 
@@ -81,6 +82,65 @@ def dag_path_counts(config: ProximityConfig, j: int, i: int) -> int:
         if t >= i:
             total += dag_path_counts(config, t, i)
     return total
+
+
+def _smith_divisors(m, ncols):
+    nr = len(m)
+    divisors = []
+    k = 0
+    while k < nr and k < ncols:
+        best = None
+        for i in range(k, nr):
+            row = m[i]
+            for j in range(k, ncols):
+                v = row[j]
+                if v and (best is None or abs(v) < best[0]):
+                    best = (abs(v), i, j)
+        if best is None:
+            break
+        _, i0, j0 = best
+        m[k], m[i0] = m[i0], m[k]
+        if j0 != k:
+            for row in m:
+                row[k], row[j0] = row[j0], row[k]
+        done = False
+        while not done:
+            done = True
+            piv = m[k][k]
+            for i in range(k + 1, nr):
+                v = m[i][k]
+                if v:
+                    q = v // piv
+                    if q:
+                        mi, mk = m[i], m[k]
+                        for t in range(k, ncols):
+                            mi[t] -= q * mk[t]
+                    if m[i][k]:
+                        m[k], m[i] = m[i], m[k]
+                        done = False
+                        piv = m[k][k]
+            for j in range(k + 1, ncols):
+                v = m[k][j]
+                if v:
+                    q = v // piv
+                    if q:
+                        for row in m:
+                            row[j] -= q * row[k]
+                    if m[k][j]:
+                        for row in m:
+                            row[k], row[j] = row[j], row[k]
+                        done = False
+                        piv = m[k][k]
+        divisors.append(abs(m[k][k]))
+        k += 1
+    # enforce the divisibility chain d_1 | d_2 | ...
+    for i in range(len(divisors)):
+        for j in range(i + 1, len(divisors)):
+            a, b = divisors[i], divisors[j]
+            if b % a:
+                g = gcd(a, b)
+                divisors[i], divisors[j] = g, a * b // g
+    return divisors
 
 
 class DenseHermiteLattice:

@@ -375,16 +375,16 @@ class TestFinal:
     @pytest.mark.parametrize("method", ["proximity", "chow", "both"])
     def test_strict_classes_are_built_once(self, tmp_path, capsys, monkeypatch, method):
         calls = []
-        original = finality._strict_classes
+        original = finality.strict_class_in_total
 
-        def counting(config):
-            calls.append(config.s)
-            return original(config)
+        def counting(config, i):
+            calls.append(i)
+            return original(config, i)
 
-        monkeypatch.setattr(finality, "_strict_classes", counting)
+        monkeypatch.setattr(finality, "strict_class_in_total", counting)
         path = write_config(tmp_path, chain_doc(3, 6))
         assert cli.main(["final", path, "--method", method]) == 0
-        assert calls == [6]
+        assert calls == [1, 2, 3, 4, 5, 6]
 
     def test_long_chain(self, tmp_path, capsys):
         # every divisor but the last has a later point proximate to it

@@ -17,8 +17,6 @@ from skychow.poly import Polynomial
 from skychow.finality import (
     _meeting,
     _pair_integral,
-    _strict_classes,
-    _support_index,
     DivisorFinality,
     FinalityReport,
     final_by_chow,
@@ -30,6 +28,7 @@ from skychow.proximity import (
     InvalidConfigError,
     ProximityConfig,
     enumerate_proximity_configs,
+    strict_class_in_total,
     strict_exceptional,
 )
 
@@ -185,8 +184,6 @@ class TestClosedFormMatchesRing:
         for i in range(1, s + 1):
             e = from_divisor(cfg, strict_exceptional(cfg, i))
             powers.append([e**a for a in range(n + 1)])
-        sparse = _strict_classes(cfg)
-        index = _support_index(sparse)
         for i in range(1, s + 1):
             meets = {
                 j
@@ -194,10 +191,11 @@ class TestClosedFormMatchesRing:
                 if j != i and not (powers[i][1] * powers[j][1]).is_zero()
             }
             assert intersecting_indices(cfg, i) == meets
-            pairs = _meeting(n, sparse, index, i)
+            ei = strict_class_in_total(cfg, i)
+            pairs = _meeting(cfg, i, ei)
             assert [j for j, _ in pairs] == sorted(meets)
             # e_i^n pairs e_i with itself over its whole support
-            own = [(x, x) for x in sparse[i].values()]
+            own = [(x, x) for x in ei.values()]
             assert _pair_integral(n, own, 0) == degree_integral(powers[i][n])
             # conditions (10) and (11) integrate e_i^a e_j^(n-a) for a in 1..n-1
             for j, shared in pairs:
@@ -230,9 +228,6 @@ class TestOracleCertifiesIntegrals:
                 )
                 for i in range(1, s + 1)
             ]
-            e = _strict_classes(cfg)
-            index = _support_index(e)
-
             def certify(p, c):
                 nonlocal checked, nonzero
                 assert oracle.membership(ideal, p - point * c)
@@ -241,9 +236,10 @@ class TestOracleCertifiesIntegrals:
                 nonzero += c != 0
 
             for i in range(1, s + 1):
-                own = [(x, x) for x in e[i].values()]
+                ei = strict_class_in_total(cfg, i)
+                own = [(x, x) for x in ei.values()]
                 certify(strict[i] ** n, _pair_integral(n, own, 0))
-                for j, shared in _meeting(n, e, index, i):
+                for j, shared in _meeting(cfg, i, ei):
                     for a in range(1, n):
                         c = _pair_integral(n, shared, n - a)
                         certify(strict[i] ** a * strict[j] ** (n - a), c)
