@@ -16,6 +16,7 @@ from .chowring import (
     graded_rank,
     normal_form,
     rho,
+    sparse_product,
     strict_presentation,
     total_presentation,
 )

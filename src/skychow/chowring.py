@@ -31,8 +31,6 @@ from .proximity import (
     DivisorVector,
     ProximityConfig,
     strict_to_total,
-    total_exceptional,
-    total_to_strict,
 )
 
 
@@ -213,8 +211,8 @@ def normal_form(config: ProximityConfig, p: Polynomial) -> ChowElement:
     return ChowElement(n, s, terms)
 
 
-def _total_coords(config: ProximityConfig, v: DivisorVector) -> tuple[int, ...]:
-    """Coordinates of v in the total basis, checked to have length s + 1."""
+def _total_support(config: ProximityConfig, v: DivisorVector) -> dict[int, int]:
+    """The nonzero total coordinates {t: coefficient} of v, checked to have length s + 1."""
     if v.basis == "strict":
         v = strict_to_total(config, v)
     if len(v.coords) != config.s + 1:
@@ -222,23 +220,26 @@ def _total_coords(config: ProximityConfig, v: DivisorVector) -> tuple[int, ...]:
             "coordinate vector has length %d, expected %d"
             % (len(v.coords), config.s + 1)
         )
-    return v.coords
+    return {t: c for t, c in enumerate(v.coords) if c}
 
 
 def from_divisor(config: ProximityConfig, v: DivisorVector) -> ChowElement:
     """Degree-1 class of a divisor coordinate vector, in canonical form."""
-    terms = {(1, t): c for t, c in enumerate(_total_coords(config, v)) if c}
+    terms = {(1, t): c for t, c in _total_support(config, v).items()}
     return ChowElement(config.n, config.s, terms)
 
 
-def divisor_product(config: ProximityConfig, factors) -> ChowElement:
-    """Canonical form of a product of (DivisorVector, k) factors, each meaning v^k.
+def sparse_product(config: ProximityConfig, factors) -> ChowElement:
+    """Canonical form of a product of ({t: c}, k) factors, each meaning v^k.
 
-    Degree-1 classes multiply coordinate-wise: the product of degree d is
-    sum over t of (prod v_t) x_t^d, which the rewrite rule turns into
-    prod v_0 + (-1)^(n+1) * sum over t >= 1 of prod v_t times x_0^n when
-    d = n.  A product of more than n classes is zero.  Equal to the ChowElement product of
-    the from_divisor factors, without forming any intermediate element.
+    A factor's dict holds the nonzero total coordinates of a degree-1 class
+    sum of c x_t, with 0 <= t <= s (x_0 the hyperplane class).  Degree-1
+    classes multiply coordinate-wise, so the product of degree d is the sum
+    over the t in every factor's support of (prod v_t) x_t^d, which the
+    rewrite rule turns into prod v_0 + (-1)^(n+1) * sum over t >= 1 of
+    prod v_t times x_0^n when d = n.  A product of more than n classes is
+    zero.  Equal to the ChowElement product of the degree-1 factors, without
+    forming any intermediate element.
     """
     if not factors or min(k for _, k in factors) < 1:
         raise ValueError("need at least one factor, each with exponent >= 1")
@@ -247,13 +248,24 @@ def divisor_product(config: ProximityConfig, factors) -> ChowElement:
     if d > n:
         # the product vanishes; skip raising coordinates to large exponents
         return ChowElement.zero(n, s)
-    coords = [1] * (s + 1)
-    for v, k in factors:
-        coords = [a * c**k for a, c in zip(coords, _total_coords(config, v))]
+    # the product lives on the intersection of the supports: start from the smallest
+    factors = sorted(factors, key=lambda f: len(f[0]))
+    v, k = factors[0]
+    coords = {t: c**k for t, c in v.items()}
+    for v, k in factors[1:]:
+        coords = {t: a * v[t] ** k for t, a in coords.items() if t in v}
     terms = {}
-    for t, c in enumerate(coords):
-        _add_power(terms, n, d, t, c)
+    for t in sorted(coords):
+        _add_power(terms, n, d, t, coords[t])
     return ChowElement(n, s, terms)
+
+
+def divisor_product(config: ProximityConfig, factors) -> ChowElement:
+    """Canonical form of a product of (DivisorVector, k) factors, each meaning v^k.
+
+    sparse_product on each vector's nonzero total coordinates.
+    """
+    return sparse_product(config, [(_total_support(config, v), k) for v, k in factors])
 
 
 def degree_integral(a: ChowElement) -> int:
@@ -392,19 +404,23 @@ def strict_presentation(config: ProximityConfig) -> Presentation:
     n, s = config.n, config.s
     nv = s + 1
     rels = []
-    y = [Polynomial.variable(nv, t) for t in range(nv)]
+    units = [tuple(int(t == k) for t in range(nv)) for k in range(nv)]
+    y = [Polynomial._of(nv, {unit: 1}) for unit in units]
     for i in range(1, nv):
         rels.append((y[0], y[i]))
-    combos = {}
-    for i in range(1, nv):
-        # column i of the inverse proximity matrix is E_i in strict coordinates
-        column = total_to_strict(config, total_exceptional(config, i)).coords
-        L = y[i]
-        for k in range(i + 1, nv):
-            c = column[k]
-            if c:
-                L = L + c * y[k]
-        combos[i] = L
+    # Column i of the inverse proximity matrix (E_i in strict coordinates)
+    # counts the proximity chains down to i, so it is the unit at i plus the
+    # columns of the points proximate to i: one descending pass builds them.
+    columns, combos = {}, {}
+    for i in range(s, 0, -1):
+        column = columns[i] = {i: 1}
+        for j in config.proximate_points(i):
+            for k, c in columns[j].items():
+                column[k] = column.get(k, 0) + c
+        # a point nothing is proximate to keeps L_i = y_i, the same object
+        combos[i] = y[i] if len(column) == 1 else Polynomial._of(
+            nv, {units[k]: column[k] for k in sorted(column)}
+        )
     for i in range(1, nv):
         for j in range(i + 1, nv):
             rels.append((combos[i], combos[j]))

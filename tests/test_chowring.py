@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import cached_total_ideal, random_config, reference_rho
+from helpers import assert_well_stored, cached_total_ideal, random_config, reference_rho
 from skychow import oracle
 from skychow.chowring import (
     ChowElement,
@@ -325,7 +325,16 @@ class TestPresentations:
                 for i in range(1, nv)
             ]
         )
-        assert strict_presentation(cfg).relations == tuple(expected)
+        pres = strict_presentation(cfg)
+        assert pres.relations == tuple(expected)
+        # each L_i is one object, shared by every product it enters
+        mixed = pres.factored[cfg.s : cfg.s + comb(cfg.s, 2)]
+        pairs = [(i, j) for i in range(1, nv) for j in range(i + 1, nv)]
+        shared = {}
+        for (i, j), (a, b) in zip(pairs, mixed):
+            for k, f in ((i, a), (j, b)):
+                assert shared.setdefault(k, f) is f
+                assert_well_stored(f)
 
     @given(st.integers(0, 2**30))
     def test_strict_relations_map_into_the_total_ideal(self, seed):

@@ -12,12 +12,28 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import skychow
 import skychow.cli as cli
 from helpers import random_config
-from skychow import finality
-from skychow.chowring import Presentation, total_presentation, strict_presentation
+from skychow import chowring, finality, proximity
+from skychow.chowring import (
+    ChowElement,
+    Presentation,
+    divisor_product,
+    from_divisor,
+    sparse_product,
+    strict_presentation,
+    total_presentation,
+)
 from skychow.finality import DivisorFinality, FinalityReport
-from skychow.proximity import InvalidConfigError, ProximityConfig
+from skychow.proximity import (
+    InvalidConfigError,
+    ProximityConfig,
+    hyperplane,
+    strict_exceptional,
+    strict_to_total,
+    total_exceptional,
+)
 
 SURFACE_DOC = {
     "ambient_dimension": 2,
@@ -43,6 +59,11 @@ SATELLITE_PATH = str(CONFIG_DIR / "satellite.json")
 
 def chain_doc(n, s):
     points = [{"id": j, "proximate_to": [j - 1] if j > 1 else []} for j in range(1, s + 1)]
+    return {"ambient_dimension": n, "points": points}
+
+
+def star_doc(n, s):
+    points = [{"id": j, "proximate_to": [1] if j > 1 else []} for j in range(1, s + 1)]
     return {"ambient_dimension": n, "points": points}
 
 
@@ -344,6 +365,83 @@ class TestIntersect:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+
+    def test_repeated_atoms_build_one_class(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        original = cli.strict_class_in_total
+
+        def counting(config, i):
+            calls.append(i)
+            return original(config, i)
+
+        monkeypatch.setattr(cli, "strict_class_in_total", counting)
+        path = write_config(tmp_path, star_doc(3, 2000))
+        assert cli.main(["intersect", path, "*".join(["e1"] * 20000)]) == 0
+        assert capsys.readouterr().out == "normal form: 0\n"
+        assert calls == [1]
+
+    @pytest.mark.parametrize("expr,integral", [("e1*E7*e1", 1), ("e1^3", -1998)])
+    def test_no_dense_divisor_vector(self, tmp_path, capsys, monkeypatch, expr, integral):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a dense divisor vector was built")
+
+        for module in (skychow, proximity, chowring):
+            monkeypatch.setattr(module, "DivisorVector", forbidden)
+            monkeypatch.setattr(module, "strict_to_total", forbidden)
+        with pytest.raises(AssertionError):
+            proximity.strict_exceptional(ProximityConfig(n=3, s=1), 1)
+        path = write_config(tmp_path, star_doc(3, 2000))
+        assert cli.main(["intersect", path, expr]) == 0
+        assert capsys.readouterr().out.endswith("degree integral: %d\n" % integral)
+
+    @given(st.integers(2, 8), st.integers(1, 50), st.integers(0, 2**30))
+    def test_sparse_classes_match_the_dense_route(self, n, s, seed):
+        # parse_expression and sparse_product against dense vectors,
+        # strict_to_total and ChowElement products of from_divisor factors
+        rng = Random(seed)
+        cfg = random_config(rng, n, s)
+
+        def dense(kind, i):
+            if kind == "h":
+                return hyperplane(cfg)
+            if kind == "E":
+                return total_exceptional(cfg, i)
+            return strict_to_total(cfg, strict_exceptional(cfg, i))
+
+        for _ in range(3):
+            atoms = []
+            for _ in range(rng.randint(1, n + 1)):
+                kind = rng.choice("hEe")
+                atoms.append((kind, 0 if kind == "h" else rng.randint(1, s), rng.randint(1, 3)))
+            atoms += rng.sample(atoms, rng.randint(0, len(atoms)))  # repeated atoms
+            rng.shuffle(atoms)
+            huge = rng.random() < 0.2
+            if huge:
+                atoms[0] = (*atoms[0][:2], 10**30)
+            text = "*".join(
+                ("h" if kind == "h" else "%s%d" % (kind, i)) + ("^%d" % k if k > 1 else "")
+                for kind, i, k in atoms
+            )
+            factors, degree = cli.parse_expression(text, cfg)
+
+            merged = {}
+            for kind, i, k in atoms:
+                merged[kind, i] = merged.get((kind, i), 0) + k
+            assert factors == [
+                ({t: c for t, c in enumerate(dense(kind, i).coords) if c}, min(k, n + 1))
+                for (kind, i), k in merged.items()
+            ]
+            d = sum(k for _, _, k in atoms)
+            assert degree == d if d <= n else degree > n
+
+            expected = ChowElement.zero(n, s)
+            if not huge:
+                expected = ChowElement.one(n, s)
+                for kind, i, k in atoms:
+                    expected = expected * from_divisor(cfg, dense(kind, i)) ** k
+            got = sparse_product(cfg, factors)
+            assert got == expected and str(got) == str(expected)
+            assert divisor_product(cfg, [(dense(kind, i), k) for kind, i, k in atoms]) == got
 
 
 class TestFinal:

@@ -32,6 +32,24 @@ PRODUCTS = {
     "threefold_chain": ("h^3", "e1*e2*h", "E2^2*e3", "e4^3", "e1*e5", "h^4"),
 }
 
+# intersect products on tests/configs/threefold_mixed.json (n=3, s=16): strict
+# classes with overlapping supports (e2, e3 share E4 and E5), unrelated pairs
+# whose products are 0, mixes with h and E, repeated atoms, and degree above n
+MIXED_PRODUCTS = (
+    "e2*e3*E4",
+    "e8*e9*e12",
+    "h^2*e3",
+    "e2*e3",
+    "h*h",
+    "e1*e13*e6",
+    "e9*e16*e9",
+    "e3^2*E7",
+    "E10*e9",
+    "e3^3",
+    "e6*e9^2",
+    "e3^2*e3^2",
+)
+
 
 def _cases():
     cases = {}
@@ -59,6 +77,8 @@ def _cases():
         cases["final-threefold_mixed-%s-%s" % (method, fmt)] = [
             "final", cfg, "--method", method, "--format", fmt,
         ]
+    for k, expr in enumerate(MIXED_PRODUCTS):
+        cases["intersect-threefold_mixed-%d" % k] = ["intersect", cfg, expr]
     for gamma, c1 in ((1, 0), (2, 6), (3, -4)):
         cases["curve-g%d-c%d" % (gamma, c1)] = [
             "curve-example", "--gamma", str(gamma), "--c1", str(c1), "--check",
