@@ -75,7 +75,12 @@ class ExpressionError(ValueError):
 
 
 def load_config(path: str) -> ProximityConfig:
-    """Read a sequence configuration file; the returned config is valid."""
+    """Read a sequence configuration file; the returned config is valid.
+
+    One pass over the points checks each entry and builds the adjacency
+    lists the config keeps.  A strictly ascending proximate_to list is kept
+    as it is; any other is checked, then sorted with its repeats dropped.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -101,7 +106,10 @@ def load_config(path: str) -> ProximityConfig:
         )
     if not isinstance(points, list) or not points:
         raise InvalidConfigError("points must be a nonempty list")
-    prox = set()
+    # n is checked after the points, and a bad n is reported before any
+    # crowded point, so until then a limit no list reaches stands in for it.
+    limit = n if type(n) is int else len(points)
+    targets, proximate, as_listed, crowded = {}, {}, {}, 0
     for pos, entry in enumerate(points, start=1):
         if not isinstance(entry, dict):
             raise InvalidConfigError("point entry %d must be an object" % pos)
@@ -111,23 +119,39 @@ def load_config(path: str) -> ProximityConfig:
             raise InvalidConfigError(
                 "point ids must be 1..s in order: entry %d has id %r" % (pos, pid)
             )
-        targets = entry.get("proximate_to", [])
-        if not isinstance(targets, list):
+        listed = entry.get("proximate_to", [])
+        if not isinstance(listed, list):
             raise InvalidConfigError("proximate_to of point %d must be a list" % pos)
-        for t in targets:
+        if not listed:
+            continue
+        prev = 0
+        for t in listed:
             # type, not isinstance: a JSON true or false is a bool, an int subclass
-            if type(t) is not int or not 1 <= t < pos:
-                raise InvalidConfigError(
-                    "point %d lists %r in proximate_to; only earlier ids are allowed"
-                    % (pos, t)
-                )
-            prox.add((pos, t))
+            if type(t) is not int or not prev < t < pos:
+                as_listed[pos] = listed
+                listed = _checked_targets(pos, listed)
+                break
+            prev = t
+        targets[pos] = listed
+        for t in listed:
+            proximate.setdefault(t, []).append(pos)
+        if len(listed) > limit and not crowded:
+            crowded = pos
     snc = doc.get("strict_snc_check", True)
     if not isinstance(snc, bool):
         raise InvalidConfigError("strict_snc_check must be a boolean")
-    return ProximityConfig(
-        n=n, s=len(points), prox=frozenset(prox), strict_snc_check=snc
-    )
+    return ProximityConfig._of(n, len(points), targets, proximate, snc, crowded, as_listed)
+
+
+def _checked_targets(pos: int, listed: list) -> list:
+    """A proximate_to list that is not strictly ascending, sorted without
+    repeats once every entry is an earlier id."""
+    for t in listed:
+        if type(t) is not int or not 1 <= t < pos:
+            raise InvalidConfigError(
+                "point %d lists %r in proximate_to; only earlier ids are allowed" % (pos, t)
+            )
+    return sorted(set(listed))
 
 
 _ATOM_RE = re.compile(r"^(h|[Ee]\d+)(?:\^(\d+))?$")

@@ -44,6 +44,36 @@ class ProximityConfig:
         )
         validate_config(self)
 
+    @classmethod
+    def _of(cls, n, s, targets, proximate, strict_snc_check, crowded, as_listed):
+        """Wrap adjacency lists a loader has already checked, uncopied.
+
+        targets and proximate map points to ascending lists of the points
+        they are proximate to and that are proximate to them, the keys of
+        targets ascending, every pair with 1 <= i < j <= s.  crowded is the
+        first point proximate to more than n others, or 0; as_listed holds
+        the lists the file gave in another order or with repeats.  n and s
+        are checked here, then crowded, in validate_config's order and words.
+        """
+        _check_sizes(n, s)
+        if strict_snc_check and crowded:
+            raise _crowded_error(crowded, len(targets[crowded]), n)
+        # A frozenset's iteration order, and so the repr, depends on how it
+        # was built.  The pairs go, in file order, through a set, a frozenset
+        # of it and a frozenset of that: the route a set of the file's pairs
+        # takes through ProximityConfig(prox=frozenset(pairs)).
+        in_file_order = {**targets, **as_listed} if as_listed else targets
+        pairs = set([(j, i) for j, row in in_file_order.items() for i in row])
+        config = cls.__new__(cls)
+        config.__dict__.update(
+            n=n,
+            s=s,
+            prox=frozenset(iter(frozenset(pairs))),
+            strict_snc_check=strict_snc_check,
+            _adjacency=(targets, proximate),
+        )
+        return config
+
     @cached_property
     def _adjacency(self):
         # (targets, proximate): point -> ascending list; keys of targets ascend
@@ -67,14 +97,7 @@ def validate_config(config: ProximityConfig) -> ProximityConfig:
 
     ProximityConfig construction calls this, so an invalid config never exists.
     """
-    if not isinstance(config.n, int) or config.n < 2:
-        raise InvalidConfigError(
-            "ambient dimension must be an integer >= 2, got %r" % (config.n,)
-        )
-    if not isinstance(config.s, int) or config.s < 1:
-        raise InvalidConfigError(
-            "number of points must be an integer >= 1, got %r" % (config.s,)
-        )
+    _check_sizes(config.n, config.s)
     bad = [(j, i) for j, i in config.prox if not 1 <= i < j <= config.s]
     if bad:
         raise InvalidConfigError(
@@ -85,11 +108,22 @@ def validate_config(config: ProximityConfig) -> ProximityConfig:
         counts = Counter(j for j, _ in config.prox)
         j = min((j for j, c in counts.items() if c > config.n), default=0)
         if j:
-            raise InvalidConfigError(
-                "point %d is proximate to %d points, more than the ambient dimension %d"
-                % (j, counts[j], config.n)
-            )
+            raise _crowded_error(j, counts[j], config.n)
     return config
+
+
+def _check_sizes(n, s) -> None:
+    if not isinstance(n, int) or n < 2:
+        raise InvalidConfigError("ambient dimension must be an integer >= 2, got %r" % (n,))
+    if not isinstance(s, int) or s < 1:
+        raise InvalidConfigError("number of points must be an integer >= 1, got %r" % (s,))
+
+
+def _crowded_error(j, count, n) -> InvalidConfigError:
+    return InvalidConfigError(
+        "point %d is proximate to %d points, more than the ambient dimension %d"
+        % (j, count, n)
+    )
 
 
 def change_of_basis(config: ProximityConfig, k: int) -> IntMatrix:

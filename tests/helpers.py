@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from bisect import bisect_left
 from functools import lru_cache
 from math import gcd
@@ -9,9 +10,10 @@ from operator import mul
 from random import Random
 
 from skychow.chowring import total_presentation
+from skychow.cli import MAX_AMBIENT_DIMENSION
 from skychow.oracle import GradedIdeal, GradedPiece, HermiteLattice, _xgcd
 from skychow.poly import Polynomial, monomials_of_degree
-from skychow.proximity import ProximityConfig, validate_config
+from skychow.proximity import InvalidConfigError, ProximityConfig, validate_config
 
 
 @lru_cache(maxsize=None)
@@ -30,6 +32,63 @@ def random_config(rng: Random, n: int, s: int) -> ProximityConfig:
         for i in rng.sample(range(1, j), k):
             prox.add((j, i))
     return validate_config(ProximityConfig(n=n, s=s, prox=frozenset(prox)))
+
+
+def reference_load_config(path: str) -> ProximityConfig:
+    """Reference for cli.load_config: the per-point lists become a set of
+    pairs, and ProximityConfig construction validates them."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InvalidConfigError("config is not valid JSON: %s" % exc) from exc
+        except UnicodeDecodeError as exc:
+            raise InvalidConfigError("config is not UTF-8 text: %s" % exc) from exc
+        except RecursionError as exc:
+            raise InvalidConfigError("config is nested too deeply: %s" % exc) from exc
+        except ValueError as exc:
+            # an integer literal longer than the interpreter converts (4300 digits)
+            raise InvalidConfigError("config holds an integer too long to read") from exc
+    if not isinstance(doc, dict):
+        raise InvalidConfigError("config must be a JSON object")
+    try:
+        n = doc["ambient_dimension"]
+        points = doc["points"]
+    except KeyError as exc:
+        raise InvalidConfigError("config is missing the %s key" % exc) from exc
+    if isinstance(n, int) and n > MAX_AMBIENT_DIMENSION:
+        raise InvalidConfigError(
+            "ambient dimension %d is above the limit of %d" % (n, MAX_AMBIENT_DIMENSION)
+        )
+    if not isinstance(points, list) or not points:
+        raise InvalidConfigError("points must be a nonempty list")
+    prox = set()
+    for pos, entry in enumerate(points, start=1):
+        if not isinstance(entry, dict):
+            raise InvalidConfigError("point entry %d must be an object" % pos)
+        pid = entry.get("id")
+        # type, not equality: a JSON true equals 1 and 1.0 equals 1
+        if type(pid) is not int or pid != pos:
+            raise InvalidConfigError(
+                "point ids must be 1..s in order: entry %d has id %r" % (pos, pid)
+            )
+        targets = entry.get("proximate_to", [])
+        if not isinstance(targets, list):
+            raise InvalidConfigError("proximate_to of point %d must be a list" % pos)
+        for t in targets:
+            # type, not isinstance: a JSON true or false is a bool, an int subclass
+            if type(t) is not int or not 1 <= t < pos:
+                raise InvalidConfigError(
+                    "point %d lists %r in proximate_to; only earlier ids are allowed"
+                    % (pos, t)
+                )
+            prox.add((pos, t))
+    snc = doc.get("strict_snc_check", True)
+    if not isinstance(snc, bool):
+        raise InvalidConfigError("strict_snc_check must be a boolean")
+    return ProximityConfig(
+        n=n, s=len(points), prox=frozenset(prox), strict_snc_check=snc
+    )
 
 
 def expand_substitute(p: Polynomial, images) -> Polynomial:

@@ -5,27 +5,31 @@ from __future__ import annotations
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 from random import Random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import skychow
 import skychow.cli as cli
-from helpers import random_config
+from helpers import random_config, reference_load_config
 from skychow import chowring, finality, proximity
 from skychow.chowring import (
     ChowElement,
     Presentation,
     divisor_product,
     from_divisor,
+    graded_rank,
+    normal_form,
     sparse_product,
     strict_presentation,
     total_presentation,
 )
 from skychow.finality import DivisorFinality, FinalityReport
+from skychow.poly import Polynomial
 from skychow.proximity import (
     InvalidConfigError,
     ProximityConfig,
@@ -206,6 +210,59 @@ class TestLoadConfig:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "point 2 lists %r in proximate_to; only earlier ids" % flag in captured.err
+
+    @staticmethod
+    def crowded_doc(**extra):
+        """n=2 with point 4 proximate to 1, 2 and 3, one more than n allows."""
+        doc = star_doc(2, 7)
+        doc["points"][3]["proximate_to"] = [3, 1, 2]
+        doc.update(extra)
+        return doc
+
+    def test_bad_id_is_named_before_a_crowded_point(self, tmp_path):
+        doc = self.crowded_doc()
+        doc["points"][5]["id"] = 7
+        with pytest.raises(InvalidConfigError) as exc:
+            cli.load_config(write_config(tmp_path, doc))
+        assert str(exc.value) == "point ids must be 1..s in order: entry 6 has id 7"
+
+    def test_bad_dimension_is_named_before_a_crowded_point(self, tmp_path):
+        doc = self.crowded_doc(ambient_dimension="3")
+        doc["points"][4]["proximate_to"] = [4, 3, 2, 1]
+        with pytest.raises(InvalidConfigError) as exc:
+            cli.load_config(write_config(tmp_path, doc))
+        assert str(exc.value) == "ambient dimension must be an integer >= 2, got '3'"
+
+    def test_bad_flag_is_named_before_a_crowded_point(self, tmp_path):
+        doc = self.crowded_doc(strict_snc_check="yes")
+        with pytest.raises(InvalidConfigError) as exc:
+            cli.load_config(write_config(tmp_path, doc))
+        assert str(exc.value) == "strict_snc_check must be a boolean"
+
+    def test_crowded_point_is_named_last(self, tmp_path):
+        doc = self.crowded_doc()
+        doc["points"][4]["proximate_to"] = [1, 2, 3, 4]
+        with pytest.raises(InvalidConfigError) as exc:
+            cli.load_config(write_config(tmp_path, doc))
+        assert str(exc.value) == (
+            "point 4 is proximate to 3 points, more than the ambient dimension 2"
+        )
+        cfg = cli.load_config(write_config(tmp_path, self.crowded_doc(strict_snc_check=False)))
+        assert cfg.proximity_targets(4) == [1, 2, 3]
+
+    def test_unsorted_targets_with_repeats_read_as_a_set(self, tmp_path):
+        doc = star_doc(3, 10)
+        doc["points"][3]["proximate_to"] = [1, 3, 3]
+        doc["points"][4]["proximate_to"] = [4, 1, 4, 2, 1]
+        doc["points"][9]["proximate_to"] = [9, 1, 9]  # a set of {9, 1} iterates 9 first
+        cfg = cli.load_config(write_config(tmp_path, doc))
+        prox = {(j, 1) for j in range(2, 11)} | {(4, 3), (5, 2), (5, 4), (10, 9)}
+        assert cfg == ProximityConfig(n=3, s=10, prox=frozenset(prox))
+        assert cfg.proximity_targets(4) == [1, 3]
+        assert cfg.proximity_targets(5) == [1, 2, 4]
+        assert cfg.proximity_targets(10) == [1, 9]
+        assert cfg.proximate_points(1) == list(range(2, 11))
+        assert cfg.proximate_points(4) == [5]
 
 
 class TestPresent:
@@ -586,6 +643,67 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "FAIL finality deciders agree on every divisor (s = 2 divisors)" in out
 
+    def test_off_strict_power_constant_fails_the_first_check(
+        self, surface_path, capsys, monkeypatch
+    ):
+        def off_by_one(config):
+            # y_s^n + (c + 1) * y_0^n in place of the last power relation
+            pres = strict_presentation(config)
+            y0n = Polynomial.monomial(config.s + 1, (config.n,) + (0,) * config.s)
+            (last,) = pres.factored[-1]
+            return replace(pres, factored=pres.factored[:-1] + ((last + y0n,),))
+
+        monkeypatch.setattr(cli, "strict_presentation", off_by_one)
+        assert cli.main(["verify", surface_path, "--samples", "20"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "FAIL strict ideal maps into the total ideal (5 relations checked)"
+        assert all(l.startswith("PASS") for l in lines[1:])
+
+    def test_flipped_point_class_sign_fails_the_second_check(
+        self, surface_path, capsys, monkeypatch
+    ):
+        def flipped(config, p):
+            nf = normal_form(config, p)
+            terms = dict(nf.terms)
+            if (config.n, 0) in terms:
+                terms[config.n, 0] = -terms[config.n, 0]
+            return ChowElement(nf.n, nf.s, terms)
+
+        monkeypatch.setattr(cli, "normal_form", flipped)
+        assert cli.main(["verify", surface_path, "--samples", "20"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == (
+            "FAIL normal forms match the lattice oracle (20 sampled polynomials (seed 0))"
+        )
+        assert all(l.startswith("PASS") for l in lines[:1] + lines[2:])
+
+    def test_off_graded_rank_fails_the_third_check(self, surface_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "graded_rank", lambda config, d: graded_rank(config, d) + (d == 1))
+        assert cli.main(["verify", surface_path, "--samples", "20"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2] == (
+            "FAIL graded ranks are (1, s+1 repeated, 1, 0) and torsion-free (degrees 0..3)"
+        )
+        assert all(l.startswith("PASS") for l in lines[:2] + lines[3:])
+
+    def test_dropped_total_relation_fails_the_rank_and_count_checks(
+        self, surface_path, capsys, monkeypatch
+    ):
+        def dropped(config):
+            pres = total_presentation(config)
+            return replace(pres, factored=pres.factored[1:])
+
+        monkeypatch.setattr(cli, "total_presentation", dropped)
+        assert cli.main(["verify", surface_path, "--samples", "20"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2] == (
+            "FAIL graded ranks are (1, s+1 repeated, 1, 0) and torsion-free (degrees 0..3)"
+        )
+        assert lines[3] == (
+            "FAIL minimal generator count "
+            "(computed 4; C(s+1,2)+s = 5 (MISMATCH); binom(n+1,2)+n = 5 (MISMATCH))"
+        )
+
     def test_failure_exit_code(self, surface_path, capsys, monkeypatch):
         def broken(cfg, samples, seed):
             yield False, "synthetic check", "always fails"
@@ -767,6 +885,31 @@ def config_texts(draw):
     return json.dumps(doc)
 
 
+@st.composite
+def loose_config_texts(draw):
+    """Config file text whose proximate_to lists hold up to six earlier ids
+    in any order, with repeats, so some points are crowded; n or the flag
+    may be a string or junk, and sometimes one id or target is broken."""
+    n = draw(st.one_of(st.integers(2, 4), st.integers(2, 4).map(str), JUNK))
+    points = [{"id": 1, "proximate_to": []}]
+    for pos in range(2, draw(st.integers(1, 8)) + 1):
+        targets = draw(st.lists(st.integers(1, pos - 1), max_size=6))
+        points.append({"id": pos, "proximate_to": targets})
+    doc = {"ambient_dimension": n, "points": points}
+    if draw(st.booleans()):
+        doc["strict_snc_check"] = draw(st.one_of(st.booleans(), JUNK))
+    pos = draw(st.integers(0, len(points) - 1))
+    fault = draw(st.sampled_from((None, None, "id", "target")))
+    if fault == "id":
+        points[pos]["id"] = draw(st.one_of(st.integers(-1, 9), JUNK))
+    elif fault == "target" and points[pos]["proximate_to"]:
+        targets = points[pos]["proximate_to"]
+        targets[draw(st.integers(0, len(targets) - 1))] = draw(
+            st.one_of(st.integers(-1, 9), JUNK)
+        )
+    return json.dumps(doc)
+
+
 def option_texts(*ranges):
     """Integer option text: values from the given (low, high) ranges, and
     non-integers.  Decimal digits of any script stay out of the free text,
@@ -779,6 +922,40 @@ def option_texts(*ranges):
 
 
 HUGE = 10**40
+
+
+class TestLoaderMatchesReference:
+    """load_config against the loader it replaced, kept in tests/helpers.py."""
+
+    @given(st.one_of(config_texts(), loose_config_texts()))
+    # the order the file lists point 7's targets in shows in the frozenset's repr
+    @example(text=json.dumps({"ambient_dimension": 2, "points": [
+        {"id": 1}, {"id": 2}, {"id": 3}, {"id": 4, "proximate_to": [1]},
+        {"id": 5}, {"id": 6}, {"id": 7, "proximate_to": [2, 1]},
+    ]}))
+    def test_matches_the_reference_loader(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "loaded.json"
+        path.write_text(text, encoding="utf-8", errors="surrogatepass")
+        results = []
+        for load in (cli.load_config, reference_load_config):
+            try:
+                results.append(load(str(path)))
+            except InvalidConfigError as exc:
+                results.append(str(exc))
+        got, want = results
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+        points = range(1, want.s + 1)
+        assert [got.proximity_targets(j) for j in points] == [
+            want.proximity_targets(j) for j in points
+        ]
+        assert [got.proximate_points(i) for i in points] == [
+            want.proximate_points(i) for i in points
+        ]
+        # total_to_strict substitutes forward, so the targets map must ascend
+        assert list(got._adjacency[0]) == list(want._adjacency[0])
 
 
 class TestExitCodeFuzz:

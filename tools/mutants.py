@@ -1,0 +1,93 @@
+"""Check that the test suite catches a listed set of single-token bugs.
+
+Each mutant copies the tree into a temporary directory, makes one source
+change there, and runs the suite with -x.  A mutant the suite passes
+survives; the script prints the survivors and exits 1 if there are any
+(2 if a mutation no longer matches its source).  Standard library only.
+
+    python tools/mutants.py               # every mutant, about 10 s each
+    python tools/mutants.py meeting-test  # only the named ones
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# name -> (file, text, mutated text); the text must occur exactly once
+MUTANTS = {
+    "pair-integral-sign": (
+        "src/skychow/finality.py",
+        "return (1 if n % 2 else -1) * sum(",
+        "return (1 if n % 2 else 1) * sum(",
+    ),
+    "meeting-test": (
+        "src/skychow/finality.py",
+        "if _pair_integral(2, sh, 1)]",
+        "if _pair_integral(2, sh, 0)]",
+    ),
+    "substitution-order": (
+        "src/skychow/poly.py",
+        "for i, e in enumerate(exps):\n                if e:",
+        "for i, e in enumerate(exps[::-1]):\n                if e:",
+    ),
+    "ascending-list-test": (
+        "src/skychow/cli.py",
+        "not prev < t < pos",
+        "not prev <= t < pos",
+    ),
+}
+
+IGNORED = shutil.ignore_patterns(
+    ".git", ".hypothesis", ".pytest_cache", ".perfbench_out", ".benchmarks", "__pycache__"
+)
+
+TIMEOUT_S = 600
+
+
+def run_mutant(name: str) -> str:
+    """'killed', 'survived' or 'stale' (the text to mutate is not there once)."""
+    rel, text, mutated = MUTANTS[name]
+    with tempfile.TemporaryDirectory(prefix="skychow-mutant-") as tmp:
+        tree = Path(tmp) / "tree"
+        shutil.copytree(ROOT, tree, ignore=IGNORED)
+        path = tree / rel
+        source = path.read_text(encoding="utf-8")
+        if source.count(text) != 1:
+            return "stale"
+        path.write_text(source.replace(text, mutated), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+        argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                "--continue-on-collection-errors"]
+        try:
+            done = subprocess.run(argv, cwd=tree, env=env, capture_output=True,
+                                  timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return "killed"  # a hang is noticed too
+        return "survived" if done.returncode == 0 else "killed"
+
+
+def main(names) -> int:
+    unknown = [n for n in names if n not in MUTANTS]
+    if unknown:
+        print("unknown mutant(s): %s; known: %s" % (", ".join(unknown), ", ".join(MUTANTS)))
+        return 2
+    verdicts = {}
+    for name in names or MUTANTS:
+        verdicts[name] = run_mutant(name)
+        print("%-22s %s" % (name, verdicts[name]), flush=True)
+    survivors = [n for n, v in verdicts.items() if v == "survived"]
+    print("surviving mutants: %s" % (", ".join(survivors) or "none"))
+    if "stale" in verdicts.values():
+        return 2
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
