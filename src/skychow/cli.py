@@ -109,7 +109,7 @@ def load_config(path: str) -> ProximityConfig:
     # n is checked after the points, and a bad n is reported before any
     # crowded point, so until then a limit no list reaches stands in for it.
     limit = n if type(n) is int else len(points)
-    targets, proximate, as_listed, crowded = {}, {}, {}, 0
+    targets, proximate, crowded = {}, {}, 0
     for pos, entry in enumerate(points, start=1):
         if not isinstance(entry, dict):
             raise InvalidConfigError("point entry %d must be an object" % pos)
@@ -128,7 +128,6 @@ def load_config(path: str) -> ProximityConfig:
         for t in listed:
             # type, not isinstance: a JSON true or false is a bool, an int subclass
             if type(t) is not int or not prev < t < pos:
-                as_listed[pos] = listed
                 listed = _checked_targets(pos, listed)
                 break
             prev = t
@@ -140,7 +139,7 @@ def load_config(path: str) -> ProximityConfig:
     snc = doc.get("strict_snc_check", True)
     if not isinstance(snc, bool):
         raise InvalidConfigError("strict_snc_check must be a boolean")
-    return ProximityConfig._of(n, len(points), targets, proximate, snc, crowded, as_listed)
+    return ProximityConfig._of(n, len(points), targets, proximate, snc, crowded)
 
 
 def _checked_targets(pos: int, listed: list) -> list:

@@ -7,11 +7,14 @@ Chern class).  The grading is weighted: deg x0 = deg x1 = 1, deg w1 = 2.
 Additively the ring is spanned by {1; x0, x1; x0^2, w1; x0^3} and degree
 4 vanishes up to possible finite torsion, which the checks report.
 
-Two reduction routes are implemented: a rewrite system driving every
-monomial to the canonical basis, and the generic graded-lattice oracle on
-the defining ideal.  curve_ring_checks compares them on every monomial of
-weighted degree at most 4 and classifies any difference as torsion (a
-class killed by an integer multiple) or a genuine failure.
+Ring elements are kept on their six basis coordinates, and products come
+straight from the structure constants of that basis, the products the
+rewrite rules give for pairs of basis monomials.  Two reduction routes
+are implemented: a rewrite system driving every monomial to the
+canonical basis, and the generic graded-lattice oracle on the defining
+ideal.  curve_ring_checks compares them on all 22 monomials of weighted
+degree at most 4 and classifies any difference as torsion (a class
+killed by an integer multiple) or a genuine failure.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import warnings
 from dataclasses import dataclass
 
 from . import oracle
-from .poly import Polynomial, format_polynomial, monomials_of_degree
+from .poly import Polynomial, format_polynomial, format_terms, monomials_of_degree
 
 # public variable order and weights
 CURVE_VARIABLES = ("x0", "x1", "w1")
@@ -28,6 +31,7 @@ CURVE_WEIGHTS = (1, 1, 2)
 TOP_DEGREE = 3
 
 _BASIS_LABELS = ("1", "x0", "x1", "x0^2", "w1", "x0^3")
+_PRINT_ORDER = ("x0^3", "x0^2", "w1", "x1", "x0", "")
 
 
 @dataclass(frozen=True)
@@ -95,12 +99,28 @@ class CurveRingElement:
             return NotImplemented
         if self.params != other.params:
             raise ValueError("elements belong to different parameter values")
-        return curve_normal_form(self.params, self.to_polynomial() * other.to_polynomial())
+        g, c1 = self.params.gamma, self.params.c1
+        a0, a1, a2, a3, a4, a5 = self.coords()
+        b0, b1, b2, b3, b4, b5 = other.coords()
+        # the basis products: x0*x0 = x0^2, x0*x1 = gamma*w1,
+        # x1*x1 = c1*w1 - gamma*x0^2, x0*x0^2 = x0^3, x1*w1 = -x0^3, and
+        # x0*w1 = x1*x0^2 = 0; every product above degree 3 dies
+        return CurveRingElement(
+            self.params,
+            a0 * b0,
+            a0 * b1 + a1 * b0,
+            a0 * b2 + a2 * b0,
+            a0 * b3 + a3 * b0 + a1 * b1 - g * a2 * b2,
+            a0 * b4 + a4 * b0 + g * (a1 * b2 + a2 * b1) + c1 * a2 * b2,
+            a0 * b5 + a5 * b0 + a1 * b3 + a3 * b1 - a2 * b4 - a4 * b2,
+        )
 
     __rmul__ = __mul__
 
     def __str__(self):
-        return format_polynomial(self.to_polynomial(), CURVE_VARIABLES)
+        # format_polynomial's term order on the basis: x0^3, x0^2, w1, x1, x0, 1
+        coords = (self.x0_cu, self.x0_sq, self.w1, self.x1, self.x0, self.unit)
+        return format_terms((mono, c) for mono, c in zip(_PRINT_ORDER, coords) if c)
 
 
 def curve_ideal_generators(params: CurveRingParams) -> tuple:
@@ -254,10 +274,10 @@ def curve_ring_checks(params: CurveRingParams) -> CurveCheckReport:
     resolved = []
     mismatches = []
     for d in range(0, 5):
-        for exps in monomials_of_degree(3, d, CURVE_WEIGHTS):
-            mono = Polynomial.monomial(3, exps)
+        for a, b, c in monomials_of_degree(3, d, CURVE_WEIGHTS):
+            mono = Polynomial._of(3, {(a, b, c): 1})
             rewrite = curve_normal_form(params, mono).to_polynomial()
-            residue = _to_oracle(oracle.reduce(ideal, _to_oracle(mono)))
+            residue = _to_oracle(oracle.reduce(ideal, Polynomial._of(3, {(a, c, b): 1})))
             if rewrite == residue:
                 continue
             diff = _to_oracle(rewrite - residue)

@@ -23,7 +23,7 @@ class InvalidConfigError(ValueError):
     """A proximity configuration violates a structural invariant."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class ProximityConfig:
     """Blow-up sequence data: s points in P^n plus the proximity relation.
 
@@ -31,6 +31,7 @@ class ProximityConfig:
     proximate to the i-th.  ``strict_snc_check`` keeps the validation rule
     that no point is proximate to more than n earlier ones; turn it off to
     experiment with degenerate configurations.  Construction validates.
+    The repr lists the pairs sorted, so equal configs print alike.
     """
 
     n: int
@@ -44,31 +45,31 @@ class ProximityConfig:
         )
         validate_config(self)
 
+    def __repr__(self):
+        # the pairs sorted: a frozenset iterates in an order its insertions set
+        pairs = "{%s}" % ", ".join(map(repr, sorted(self.prox))) if self.prox else ""
+        return "ProximityConfig(n=%r, s=%r, prox=frozenset(%s), strict_snc_check=%r)" % (
+            self.n, self.s, pairs, self.strict_snc_check
+        )
+
     @classmethod
-    def _of(cls, n, s, targets, proximate, strict_snc_check, crowded, as_listed):
+    def _of(cls, n, s, targets, proximate, strict_snc_check, crowded):
         """Wrap adjacency lists a loader has already checked, uncopied.
 
         targets and proximate map points to ascending lists of the points
         they are proximate to and that are proximate to them, the keys of
         targets ascending, every pair with 1 <= i < j <= s.  crowded is the
-        first point proximate to more than n others, or 0; as_listed holds
-        the lists the file gave in another order or with repeats.  n and s
-        are checked here, then crowded, in validate_config's order and words.
+        first point proximate to more than n others, or 0.  n and s are
+        checked here, then crowded, in validate_config's order and words.
         """
         _check_sizes(n, s)
         if strict_snc_check and crowded:
             raise _crowded_error(crowded, len(targets[crowded]), n)
-        # A frozenset's iteration order, and so the repr, depends on how it
-        # was built.  The pairs go, in file order, through a set, a frozenset
-        # of it and a frozenset of that: the route a set of the file's pairs
-        # takes through ProximityConfig(prox=frozenset(pairs)).
-        in_file_order = {**targets, **as_listed} if as_listed else targets
-        pairs = set([(j, i) for j, row in in_file_order.items() for i in row])
         config = cls.__new__(cls)
         config.__dict__.update(
             n=n,
             s=s,
-            prox=frozenset(iter(frozenset(pairs))),
+            prox=frozenset([(j, i) for j, row in targets.items() for i in row]),
             strict_snc_check=strict_snc_check,
             _adjacency=(targets, proximate),
         )

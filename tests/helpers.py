@@ -11,8 +11,9 @@ from random import Random
 
 from skychow.chowring import total_presentation
 from skychow.cli import MAX_AMBIENT_DIMENSION
+from skychow.curve import CURVE_VARIABLES, CurveRingElement, curve_normal_form
 from skychow.oracle import GradedIdeal, GradedPiece, HermiteLattice, _xgcd
-from skychow.poly import Polynomial, monomials_of_degree
+from skychow.poly import Polynomial, format_polynomial, monomials_of_degree
 from skychow.proximity import InvalidConfigError, ProximityConfig, validate_config
 
 
@@ -89,6 +90,19 @@ def reference_load_config(path: str) -> ProximityConfig:
     return ProximityConfig(
         n=n, s=len(points), prox=frozenset(prox), strict_snc_check=snc
     )
+
+
+def reference_curve_product(a: CurveRingElement, b: CurveRingElement) -> CurveRingElement:
+    """Reference for CurveRingElement.__mul__: the polynomial product of the
+    two representatives, sent back through the rewrite system."""
+    if a.params != b.params:
+        raise ValueError("elements belong to different parameter values")
+    return curve_normal_form(a.params, a.to_polynomial() * b.to_polynomial())
+
+
+def reference_curve_str(a: CurveRingElement) -> str:
+    """Reference for CurveRingElement.__str__: the representative, printed."""
+    return format_polynomial(a.to_polynomial(), CURVE_VARIABLES)
 
 
 def expand_substitute(p: Polynomial, images) -> Polynomial:

@@ -928,7 +928,7 @@ class TestLoaderMatchesReference:
     """load_config against the loader it replaced, kept in tests/helpers.py."""
 
     @given(st.one_of(config_texts(), loose_config_texts()))
-    # the order the file lists point 7's targets in shows in the frozenset's repr
+    # repr does not depend on the listed order: point 7 lists its targets descending
     @example(text=json.dumps({"ambient_dimension": 2, "points": [
         {"id": 1}, {"id": 2}, {"id": 3}, {"id": 4, "proximate_to": [1]},
         {"id": 5}, {"id": 6}, {"id": 7, "proximate_to": [2, 1]},

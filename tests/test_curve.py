@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-from contextlib import nullcontext
+import io
+import warnings
+from contextlib import nullcontext, redirect_stderr, redirect_stdout
+from functools import lru_cache
 from math import gcd
 from random import Random
 
@@ -10,10 +13,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import skychow.cli as cli
+from helpers import reference_curve_product, reference_curve_str
 from skychow import oracle
 from skychow.curve import (
     CurveRingElement,
     CurveRingParams,
+    curve_basis_elements,
     curve_degree_integral,
     curve_ideal,
     curve_ideal_generators,
@@ -35,6 +41,21 @@ def params_grid():
             with ctx:
                 out.append(CurveRingParams(gamma=g, c1=c))
     return out
+
+
+def full_grid():
+    """Every gamma in 1..8 with every c1 in -8..8: 136 parameter values."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # gamma = 1
+        return [CurveRingParams(gamma=g, c1=c) for g in range(1, 9) for c in range(-8, 9)]
+
+
+def random_elements(params, rng, count):
+    """Seeded elements whose coordinates mix 0, +-1, small and large values."""
+    def coord():
+        return rng.choice((0, 0, 1, -1, rng.randint(-9, 9), rng.randint(-10**12, 10**12)))
+
+    return [CurveRingElement(params, *(coord() for _ in range(6))) for _ in range(count)]
 
 
 def mono(a, b, c):
@@ -99,19 +120,85 @@ class TestRewrite:
         right = curve_normal_form(self.P, p) + curve_normal_form(self.P, q)
         assert left.coords() == right.coords()
 
-    def test_element_products(self):
-        e_x1 = CurveRingElement(self.P, x1=1)
-        e_w1 = CurveRingElement(self.P, w1=1)
-        e_x0 = CurveRingElement(self.P, x0=1)
-        assert (e_x1 * e_w1).coords() == (0, 0, 0, 0, 0, -1)
-        assert (e_x0 * e_w1).is_zero()
-        assert (e_x0 * e_x1).coords() == (0, 0, 0, 0, 2, 0)
-        assert curve_degree_integral(e_x1 * e_w1) == -1
+    def test_degree_integral(self):
+        assert curve_degree_integral(curve_normal_form(self.P, mono(0, 1, 1))) == -1
 
     def test_mixed_params_are_rejected(self):
         other = CurveRingParams(gamma=3, c1=6)
         with pytest.raises(ValueError, match="different parameter"):
             CurveRingElement(self.P, x0=1) * CurveRingElement(other, x1=1)
+
+
+class TestClosedFormProduct:
+    """Products and printing on the six coordinates against the polynomial
+    route they replaced, kept in tests/helpers.py."""
+
+    def test_basis_pairs_match_the_reference(self):
+        # both routes are bilinear in the coordinates and linear in
+        # (gamma, c1), so the basis pairs on this grid decide equality
+        for params in full_grid():
+            basis = [el for _, el in curve_basis_elements(params)]
+            for a in basis:
+                for b in basis:
+                    assert a * b == reference_curve_product(a, b), (params, a, b)
+
+    def test_str_matches_the_reference(self):
+        params = CurveRingParams(gamma=2, c1=6)
+        zero = CurveRingElement(params)
+        assert str(zero) == reference_curve_str(zero) == "0"
+        for el in random_elements(params, Random(5), 3000):
+            assert str(el) == reference_curve_str(el), el
+
+    def test_curve_example_matches_the_reference_route(self, monkeypatch):
+        def run_grid():
+            runs = []
+            for params in full_grid():
+                out, err = io.StringIO(), io.StringIO()
+                argv = ["curve-example", "--gamma", str(params.gamma),
+                        "--c1", str(params.c1), "--check"]
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = cli.main(argv)
+                runs.append((code, out.getvalue(), err.getvalue()))
+            return runs
+
+        closed_form = run_grid()
+        monkeypatch.setattr(CurveRingElement, "__mul__", reference_curve_product)
+        monkeypatch.setattr(CurveRingElement, "__rmul__", reference_curve_product)
+        monkeypatch.setattr(CurveRingElement, "__str__", reference_curve_str)
+        assert run_grid() == closed_form
+
+
+class TestRingLaws:
+    """The closed-form product makes the six coordinates a commutative ring."""
+
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def triples():
+        """50 seeded triples at each grid point, built once for every law."""
+        rng = Random(13)
+        out = []
+        for params in full_grid():
+            elements = random_elements(params, rng, 150)
+            out.extend(zip(elements[0::3], elements[1::3], elements[2::3]))
+        return out
+
+    def test_commutative(self):
+        for a, b, _ in self.triples():
+            assert a * b == b * a
+
+    def test_associative(self):
+        for a, b, c in self.triples():
+            assert (a * b) * c == a * (b * c)
+
+    def test_unit(self):
+        for a, _, _ in self.triples():
+            one = CurveRingElement(a.params, unit=1)
+            assert one * a == a * one == a
+
+    def test_distributive(self):
+        for a, b, c in self.triples():
+            assert a * (b + c) == a * b + a * c
+            assert 3 * a == a * 3 == a + a + a
 
 
 class TestOracleSide:

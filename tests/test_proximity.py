@@ -93,6 +93,19 @@ class TestValidation:
         assert repr(used) == repr(fresh)
         assert "adjacency" not in repr(used)
 
+    def test_repr_does_not_depend_on_insertion_order(self):
+        pairs = [(4, 1), (7, 2), (7, 1)]
+        inserted = ProximityConfig(n=2, s=7, prox=frozenset(pairs))
+        ascending = ProximityConfig(n=2, s=7, prox=frozenset(sorted(pairs)))
+        assert inserted == ascending
+        assert repr(inserted) == repr(ascending) == (
+            "ProximityConfig(n=2, s=7, prox=frozenset({(4, 1), (7, 1), (7, 2)}), "
+            "strict_snc_check=True)"
+        )
+        assert repr(ProximityConfig(n=3, s=1, strict_snc_check=False)) == (
+            "ProximityConfig(n=3, s=1, prox=frozenset(), strict_snc_check=False)"
+        )
+
     def test_lookups_return_fresh_lists(self):
         cfg = ProximityConfig(n=2, s=3, prox=frozenset({(2, 1), (3, 1)}))
         cfg.proximate_points(1).append(99)

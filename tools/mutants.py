@@ -42,6 +42,21 @@ MUTANTS = {
         "not prev < t < pos",
         "not prev <= t < pos",
     ),
+    "curve-x1w1-sign": (
+        "src/skychow/curve.py",
+        "- a2 * b4 - a4 * b2",
+        "+ a2 * b4 - a4 * b2",
+    ),
+    "power-rule-parity": (
+        "src/skychow/chowring.py",
+        "if not n % 2:",
+        "if n % 2:",
+    ),
+    "hermite-reduce-step": (
+        "src/skychow/oracle.py",
+        "_axpy(v, -q, row, heap, pivots)",
+        "_axpy(v, q, row, heap, pivots)",
+    ),
 }
 
 IGNORED = shutil.ignore_patterns(
