@@ -31,7 +31,7 @@ from .chowring import (
     total_presentation,
 )
 from .finality import final_by_proximity, finality_report
-from .poly import Polynomial, format_polynomial, random_homogeneous
+from .poly import Polynomial, format_polynomial, randbelow, random_homogeneous
 from .proximity import InvalidConfigError, ProximityConfig, strict_class_in_total
 
 EXIT_OK = 0
@@ -325,16 +325,20 @@ def _verify_checks(config, samples, seed):
         "%d relations checked" % len(strict.factored),
     )
 
+    # randint(1, n + 1) and randrange(len(relations)), drawn by Random's rule
+    bits = rng.getrandbits
+    relations = total.relations
+    degrees = [g.homogeneous_degree() for g in relations]
     mismatches = 0
     for _ in range(samples):
-        d = rng.randint(1, n + 1)
+        d = 1 + randbelow(bits, n + 1)
         p = random_homogeneous(rng, s + 1, d)
         if rng.random() < 0.5:
             # stir in an ideal element so both membership branches get hit
-            g = total.relations[rng.randrange(len(total.relations))]
-            dg = g.homogeneous_degree()
+            r = randbelow(bits, len(relations))
+            dg = degrees[r]
             if dg <= d:
-                p = p + g * random_homogeneous(rng, s + 1, d - dg)
+                p = p + relations[r] * random_homogeneous(rng, s + 1, d - dg)
         nf = normal_form(config, p)
         if oracle.reduce(ideal, p) != nf.to_polynomial():
             mismatches += 1

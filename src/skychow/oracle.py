@@ -18,6 +18,13 @@ largest-first in the global graded lex order, so the pivots eat the large
 monomials and the surviving representatives are supported on the small
 ones.  The Hermite form on those columns is the full one restricted, and
 membership, representatives, ranks and torsion are those of the full slice.
+
+When every pivot of a slice is 1, its fully reduced rows are zero on every
+pivot column but their own, so reduction is a linear map read off the rows
+(F4's normal form as one product with a reduced echelon matrix): the slice
+stores each column's image, and a query sums the images of its terms in
+the scan that finds their columns.  Other slices reduce a fresh vector
+against the rows.  Either way a published slice is never mutated.
 """
 
 from __future__ import annotations
@@ -179,6 +186,22 @@ class HermiteLattice:
     def contains(self, vec):
         return not self.reduce_vector(vec)
 
+    def unit_pivot_images(self):
+        """Each column's canonical representative, or None unless every pivot is 1.
+
+        A fully reduced row with pivot 1 is zero on every other pivot
+        column, so reduce_vector is then linear: a free column t maps to
+        {t: 1} and a pivot column p to minus row p without its pivot entry.
+        Images are tuples of (column, entry) pairs; the rows are only read.
+        """
+        self._ensure_reduced()
+        images = [((t, 1),) for t in range(self.width)]
+        for p, row in self._pivots.items():
+            if row[p] != 1:
+                return None
+            images[p] = tuple([(u, -c) for u, c in row.items() if u != p])
+        return tuple(images)
+
     def elementary_divisors(self):
         """Smith normal form divisors of the row matrix (rank many, positive).
 
@@ -246,6 +269,11 @@ class GradedPiece:
     column, whose unit vector the full lattice holds, so it is left out.
     new_generators is rank(I_d) - rank((m*I)_d) with m the irrelevant ideal:
     how many of the degree-d generators a minimal generating set needs.
+    images is set when every pivot of the lattice is 1: then reduction is
+    the linear map that sends column t to images[t], a tuple of (column,
+    coefficient) pairs read off the Hermite rows.  It is None otherwise,
+    and queries reduce a fresh vector against the rows.  Neither route
+    mutates the lattice, the index or the images.
     """
 
     degree: int
@@ -254,6 +282,7 @@ class GradedPiece:
     lattice: HermiteLattice
     new_generators: int
     weights: tuple
+    images: tuple | None = None
 
     def _dead(self, exps):
         """True for a monomial missing from the index that lies in this slice:
@@ -443,8 +472,9 @@ class GradedIdeal:
                 if lat.add_row(row) and not r:
                     new += 1
         lat._ensure_reduced()  # published in Hermite form: queries never mutate it
+        images = lat.unit_pivot_images()
         index = {m: i for i, m in enumerate(monos)}
-        return GradedPiece(d, monos, index, lat, new, self.weights)
+        return GradedPiece(d, monos, index, lat, new, self.weights, images)
 
     def piece(self, d):
         if not 0 <= d <= self.max_degree:
@@ -461,37 +491,49 @@ class GradedIdeal:
         return piece
 
 
-def _slice_vector(ideal: GradedIdeal, p: Polynomial):
-    """The slice holding a nonzero p, and p's fresh sparse vector in it.
+def _slice_vector(ideal: GradedIdeal, p: Polynomial, reduced: bool):
+    """The slice holding a nonzero p, and a fresh sparse vector in it: p's
+    own, or with reduced set, that of p's canonical representative, whose
+    entries may then be zero where images cancel.
 
     The degree is read off the first term; every other term then has to be
     found in that slice's index or be one of its dead terms, which are
-    dropped.  On any other miss the checks run in full, so a bad p raises
-    what the term-by-term homogeneity scan raises first.
+    dropped.  On a slice with images the representative is summed from the
+    images of p's terms in that same scan.  On any other miss the checks
+    run in full, so a bad p raises what the term-by-term homogeneity scan
+    raises first.
     """
     d = monomial_degree(next(iter(p.terms)), ideal.weights)
     if 0 <= d <= ideal.max_degree:
         piece = ideal.piece(d)
         index = piece.index
+        images = piece.images if reduced else None
         v = {}
         for exps, coef in p.terms.items():
             pos = index.get(exps)
-            if pos is not None:
-                v[pos] = coef
-            elif not piece._dead(exps):
+            if pos is None:
+                if piece._dead(exps):
+                    continue
                 break
+            if images is None:
+                v[pos] = coef
+            else:
+                for t, c in images[pos]:
+                    v[t] = v.get(t, 0) + coef * c
         else:
+            if reduced and images is None:
+                v = piece.lattice._reduce_owned(v)
             return piece, v
     piece = ideal.piece(p.homogeneous_degree(ideal.weights))
-    return piece, piece.vector_of(p)
+    v = piece.vector_of(p)
+    return piece, piece.lattice._reduce_owned(v) if reduced else v
 
 
 def membership(ideal: GradedIdeal, p: Polynomial) -> bool:
     """Exact test p in ideal, for homogeneous p of degree <= max_degree."""
     if p.is_zero():
         return True
-    piece, v = _slice_vector(ideal, p)
-    return not piece.lattice._reduce_owned(v)
+    return not any(_slice_vector(ideal, p, True)[1].values())
 
 
 def reduce(ideal: GradedIdeal, p: Polynomial) -> Polynomial:
@@ -502,8 +544,8 @@ def reduce(ideal: GradedIdeal, p: Polynomial) -> Polynomial:
     """
     if p.is_zero():
         return Polynomial.zero(ideal.nvars)
-    piece, v = _slice_vector(ideal, p)
-    return piece.polynomial_of(piece.lattice._reduce_owned(v), ideal.nvars)
+    piece, v = _slice_vector(ideal, p, True)
+    return piece.polynomial_of(v, ideal.nvars)
 
 
 def quotient_structure(ideal: GradedIdeal, d: int) -> QuotientSlice:
@@ -524,7 +566,7 @@ def rational_membership(ideal: GradedIdeal, p: Polynomial) -> bool:
     """True when some nonzero integer multiple of p lies in the ideal slice."""
     if p.is_zero():
         return True
-    piece, v = _slice_vector(ideal, p)
+    piece, v = _slice_vector(ideal, p, False)
     return not piece.lattice.copy().add_row(v)
 
 

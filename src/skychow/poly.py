@@ -366,6 +366,21 @@ def poly_from_term_list(nvars: int, data) -> Polynomial:
     return Polynomial(nvars, terms)
 
 
+def randbelow(getrandbits, n: int) -> int:
+    """An int in [0, n), for n >= 1, drawn as random.Random draws it.
+
+    Takes n.bit_length() bits from getrandbits and draws again while the
+    value is n or more, the rejection rule behind Random's randrange,
+    randint, choice and sample: the value rng.randrange(n) returns, with
+    the stream left at the same position.
+    """
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def random_homogeneous(
     rng: Random,
     nvars: int,
@@ -373,14 +388,45 @@ def random_homogeneous(
     weights: Sequence[int] | None = None,
 ) -> Polynomial:
     """Random homogeneous polynomial of 1 to 4 terms with coefficients in
-    +-1..9; it is zero only if no monomials exist."""
+    +-1..9; it is zero only if no monomials exist.
+
+    The picks are those of rng.randint(1, min(4, N)) for the number of
+    terms k, then rng.sample(monos, k) over the N monomials of the slice,
+    then rng.randint(1, 9) * rng.choice((1, -1)) per picked monomial, in
+    that order.  They are drawn straight from rng.getrandbits by the same
+    rules, so a seed's picks, their term order and the stream position
+    after the call are unchanged from those calls.
+    """
     monos = _slice(nvars, degree, weights)
-    if not monos:
+    n = len(monos)
+    if not n:
         return Polynomial.zero(nvars)
-    k = rng.randint(1, min(4, len(monos)))
-    chosen = rng.sample(monos, k)
+    bits = rng.getrandbits
+    k = 1 + randbelow(bits, min(4, n))
+    chosen = []
+    if n <= 21:
+        # sample's shrinking pool: the last unpicked item fills each gap
+        pool = list(monos)
+        for last in range(n - 1, n - 1 - k, -1):
+            j = randbelow(bits, last + 1)
+            chosen.append(pool[j])
+            pool[j] = pool[last]
+    else:
+        # sample's set of picked positions: a repeat is drawn again
+        picked = set()
+        for _ in range(k):
+            j = randbelow(bits, n)
+            while j in picked:
+                j = randbelow(bits, n)
+            picked.add(j)
+            chosen.append(monos[j])
     terms = {}
     for exps in chosen:
-        c = rng.randint(1, 9) * rng.choice((1, -1))
-        terms[exps] = c
+        c = bits(4)  # randint(1, 9)
+        while c >= 9:
+            c = bits(4)
+        sign = bits(2)  # choice((1, -1))
+        while sign >= 2:
+            sign = bits(2)
+        terms[exps] = -1 - c if sign else 1 + c
     return Polynomial._of(nvars, terms)

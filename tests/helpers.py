@@ -13,7 +13,7 @@ from skychow.chowring import total_presentation
 from skychow.cli import MAX_AMBIENT_DIMENSION
 from skychow.curve import CURVE_VARIABLES, CurveRingElement, curve_normal_form
 from skychow.oracle import GradedIdeal, GradedPiece, HermiteLattice, _xgcd
-from skychow.poly import Polynomial, format_polynomial, monomials_of_degree
+from skychow.poly import Polynomial, _slice, format_polynomial, monomials_of_degree
 from skychow.proximity import InvalidConfigError, ProximityConfig, validate_config
 
 
@@ -33,6 +33,21 @@ def random_config(rng: Random, n: int, s: int) -> ProximityConfig:
         for i in rng.sample(range(1, j), k):
             prox.add((j, i))
     return validate_config(ProximityConfig(n=n, s=s, prox=frozenset(prox)))
+
+
+def reference_random_homogeneous(rng, nvars, degree, weights=None) -> Polynomial:
+    """Reference for random_homogeneous: the same picks through Random's own
+    randint, sample and choice."""
+    monos = _slice(nvars, degree, weights)
+    if not monos:
+        return Polynomial.zero(nvars)
+    k = rng.randint(1, min(4, len(monos)))
+    chosen = rng.sample(monos, k)
+    terms = {}
+    for exps in chosen:
+        c = rng.randint(1, 9) * rng.choice((1, -1))
+        terms[exps] = c
+    return Polynomial._of(nvars, terms)
 
 
 def reference_load_config(path: str) -> ProximityConfig:

@@ -11,6 +11,7 @@ import ast
 import sys
 import threading
 import warnings
+from math import gcd
 from pathlib import Path
 from random import Random
 
@@ -79,6 +80,28 @@ class TestHermiteLattice:
         assert lat.pivot_values() == [2]
         assert lat.contains(sparse([2, 0]))
         assert not lat.contains(sparse([1, 0]))
+
+    def test_gcd_step_matches_the_dense_reference(self):
+        # pivots a and b that divide neither way: add_row replaces the two
+        # rows by a unimodular combination, leaving gcd(a, b) as the pivot
+        steps = 0
+        for a in range(2, 10):
+            for b in range(2, 10):
+                if a % b == 0 or b % a == 0:
+                    continue
+                for rows in ([[a, 1, 0], [b, 0, 1]], [[0, a, 2, 1], [3, 0, 0, 0], [0, b, 0, 5]]):
+                    width = len(rows[0])
+                    lat, ref = HermiteLattice(width), DenseHermiteLattice(width)
+                    for row in rows:
+                        assert lat.add_row(sparse(row)) == ref.add_row(row)
+                        assert lat.rows == ref.rows
+                        assert lat.pivot_cols == ref.pivot_cols
+                    # echelon: each row's first entry sits at its own pivot
+                    assert [min(sparse(r)) for r in lat.rows] == lat.pivot_cols
+                    col = rows[0].index(a)
+                    assert lat.pivot_values()[lat.pivot_cols.index(col)] == gcd(a, b)
+                    steps += 1
+        assert steps == 2 * 44
 
     def test_membership_frozen_case(self):
         # rows (2, 1, 0) and (0, 3, 1): their sum and integer combos only
@@ -570,6 +593,95 @@ def test_presolved_curve_oracle_matches_the_full_reference():
             for c1 in range(-5, 6):
                 ideal = curve_ideal(CurveRingParams(gamma=gamma, c1=c1))
                 assert_oracle_matches_full(ideal, rng)
+
+
+def full_check_error(ideal, p):
+    """The message the full checks give a bad p: homogeneity, then range."""
+    with pytest.raises(ValueError) as err:
+        ideal.piece(p.homogeneous_degree(ideal.weights))
+    return str(err.value)
+
+
+def assert_routes_agree(ideal, rng, queries=6):
+    """reduce and membership on every slice against HermiteLattice.reduce_vector.
+
+    The heap route reduces the raw column vector, so it checks the images
+    of a unit-pivot slice and the in-place reduction of any other slice
+    alike.  Queries carry dead terms; bad ones must raise what the full
+    checks raise.  Returns the counts of slices with and without images.
+    """
+    nvars, weights = ideal.nvars, ideal.weights
+    routes = [0, 0]
+    for d in range(ideal.max_degree + 1):
+        piece = ideal.piece(d)
+        lat = piece.lattice
+        rows, pivot_cols = lat.rows, list(lat.pivot_cols)
+        unit = set(lat.pivot_values()) <= {1}
+        assert (piece.images is not None) == unit
+        routes[not unit] += 1
+        width = len(piece.monomials)
+        if unit:
+            assert len(piece.images) == width
+            for t, image in enumerate(piece.images):
+                assert dict(image) == lat.reduce_vector({t: 1})
+        dead = [m for m in monomials_of_degree(nvars, d, weights) if m not in piece.index]
+        for _ in range(queries):
+            vec = {t: rng.randint(-9, 9) for t in rng.sample(range(width), min(width, 4))}
+            residue = lat.reduce_vector(vec)
+            member = {t: vec.get(t, 0) - residue.get(t, 0) for t in vec.keys() | residue.keys()}
+            for v in (vec, member):
+                terms = {piece.monomials[t]: c for t, c in v.items() if c}
+                for m in rng.sample(dead, min(len(dead), rng.randint(0, 2))):
+                    terms[m] = rng.choice((-2, 1, 5))
+                p = Polynomial(nvars, terms)
+                expected = lat.reduce_vector(v)
+                assert reduce(ideal, p) == piece.polynomial_of(expected, nvars)
+                assert membership(ideal, p) == (not expected)
+        # one term of the slice beside one a variable higher, either order,
+        # and a pure power past the materialized range
+        mono = piece.monomials[0] if width else dead[0]
+        higher = (mono[0] + 1,) + mono[1:]
+        past = (ideal.max_degree + 1,) + (0,) * (nvars - 1)
+        for terms in ([(mono, 1), (higher, 2)], [(higher, 2), (mono, 1)], [(past, 3)]):
+            p = Polynomial(nvars, terms)
+            message = full_check_error(ideal, p)
+            for query in (membership, reduce):
+                with pytest.raises(ValueError) as err:
+                    query(ideal, p)
+                assert str(err.value) == message
+        assert lat.rows == rows and lat.pivot_cols == pivot_cols  # only read
+    return routes
+
+
+@pytest.mark.parametrize("n", (2, 3))
+def test_image_route_matches_the_heap_route(n):
+    # the total ideal of each (n, s) and the strict ideals of seeded configs
+    rng = Random(40 + n)
+    routes = [0, 0]
+    for s in range(1, 6):
+        total = total_presentation(ProximityConfig(n=n, s=s)).relations
+        # every slice of a total ideal has unit pivots
+        assert assert_routes_agree(GradedIdeal(s + 1, total, n + 1), rng) == [n + 2, 0]
+        for _ in range(3):
+            strict = strict_presentation(random_config(rng, n, s)).relations
+            for k, count in enumerate(assert_routes_agree(GradedIdeal(s + 1, strict, n + 1), rng)):
+                routes[k] += count
+    assert sum(routes) == 5 * 3 * (n + 2) and routes[0]
+
+
+def test_image_route_matches_the_heap_route_on_the_curve_grid():
+    rng = Random(7)
+    routes = [0, 0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # gamma=1
+        for gamma in range(1, 9):
+            for c1 in range(-8, 9):
+                ideal = curve_ideal(CurveRingParams(gamma=gamma, c1=c1))
+                for k, count in enumerate(assert_routes_agree(ideal, rng)):
+                    routes[k] += count
+    # the torsion slices: one per grid point with gcd(gamma, c1) > 1
+    with_gcd = sum(gcd(g, c) > 1 for g in range(1, 9) for c in range(-8, 9))
+    assert routes == [5 * 136 - with_gcd, with_gcd]
 
 
 def test_verify_builds_each_slice_once(monkeypatch, capsys):

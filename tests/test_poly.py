@@ -10,7 +10,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import assert_well_stored, cached_total_ideal, expand_substitute
+from helpers import (
+    assert_well_stored,
+    cached_total_ideal,
+    expand_substitute,
+    reference_random_homogeneous,
+)
 from skychow import oracle
 from skychow.chowring import normal_form
 from skychow.poly import (
@@ -21,6 +26,7 @@ from skychow.poly import (
     monomials_of_degree,
     poly_from_term_list,
     poly_to_term_list,
+    randbelow,
     random_homogeneous,
 )
 from skychow.proximity import ProximityConfig
@@ -218,6 +224,39 @@ def test_random_homogeneous_draws_are_pinned(seed):
     weighted = random_homogeneous(rng, 3, 4, weights=(1, 2, 1))
     drawn.append(format_polynomial(weighted, names[:3]))
     assert drawn == PINNED_DRAWS[seed]
+
+
+def test_randbelow_draws_what_randrange_draws():
+    for seed in range(40):
+        ours, theirs = Random(seed), Random(seed)
+        for n in range(1, 70):
+            assert randbelow(ours.getrandbits, n) == theirs.randrange(n)
+        assert ours.random() == theirs.random()
+
+
+# (nvars, degree) slices of 21 and 22 monomials: sample keeps a shrinking
+# pool up to 21 items and rejects repeated positions above that
+SAMPLE_EDGES = ((2, 20), (6, 2), (21, 1), (2, 21), (22, 1))
+
+
+@pytest.mark.parametrize("weighted", (False, True))
+def test_random_homogeneous_draws_what_the_stdlib_calls_draw(weighted):
+    # the same terms in the same order, and the stream left at the same
+    # place: the next draw from each generator agrees too
+    shapes = [(nv, d) for nv in range(1, 11) for d in range(6)] + list(SAMPLE_EDGES)
+    seen = set()
+    for seed in range(12):
+        pick = Random(1000 + seed)
+        ours, theirs = Random(seed), Random(seed)
+        for nvars, degree in shapes:
+            weights = tuple(pick.randint(1, 3) for _ in range(nvars)) if weighted else None
+            p = random_homogeneous(ours, nvars, degree, weights)
+            q = reference_random_homogeneous(theirs, nvars, degree, weights)
+            assert list(p.terms.items()) == list(q.terms.items())
+            assert ours.random() == theirs.random()
+            seen.add((len(_slice(nvars, degree, weights)) <= 21, len(p.terms)))
+    expected = {(small, k) for small in (True, False) for k in range(1, 5)}
+    assert seen >= expected
 
 
 @given(

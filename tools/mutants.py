@@ -57,6 +57,21 @@ MUTANTS = {
         "_axpy(v, -q, row, heap, pivots)",
         "_axpy(v, q, row, heap, pivots)",
     ),
+    "hermite-gcd-step": (
+        "src/skychow/oracle.py",
+        "_put(vec, t, ag * vt - bg * rt)",
+        "_put(vec, t, ag * vt + bg * rt)",
+    ),
+    "reduction-image-sign": (
+        "src/skychow/oracle.py",
+        "tuple([(u, -c) for u, c in row.items() if u != p])",
+        "tuple([(u, c) for u, c in row.items() if u != p])",
+    ),
+    "strict-column-sum": (
+        "src/skychow/chowring.py",
+        "column[k] = column.get(k, 0) + c",
+        "column[k] = c",
+    ),
 }
 
 IGNORED = shutil.ignore_patterns(
