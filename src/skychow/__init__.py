@@ -11,7 +11,6 @@ from .chowring import (
     ChowElement,
     Presentation,
     degree_integral,
-    divisor_product,
     from_divisor,
     graded_rank,
     normal_form,
@@ -55,12 +54,9 @@ from .proximity import (
     augmented_change_of_basis,
     change_of_basis,
     enumerate_proximity_configs,
-    hyperplane,
     invert_unitriangular,
     strict_class_in_total,
-    strict_exceptional,
     strict_to_total,
-    total_exceptional,
     total_to_strict,
     validate_config,
 )

@@ -10,8 +10,9 @@ the pure powers
 
 where x_0^n is the point class, whose integral against the fundamental
 class is 1.  ChowElement stores the nonzero coefficients of that form, and
-_add_power is the one place that applies the rewrite rule.  Strict transform
-input is converted at the boundary by the proximity change of basis.
+_add_power is the one place that applies the rewrite rule.  A degree-1
+class is a sparse {t: c} dict over x_0 = h and x_t = E_t in total
+coordinates; a strict class e_i enters as strict_class_in_total gives it.
 """
 
 from __future__ import annotations
@@ -27,11 +28,7 @@ from .poly import (
     poly_from_term_list,
     poly_to_term_list,
 )
-from .proximity import (
-    DivisorVector,
-    ProximityConfig,
-    strict_to_total,
-)
+from .proximity import ProximityConfig, strict_class_in_total
 
 
 def _add_power(terms, n, d, i, c):
@@ -211,21 +208,17 @@ def normal_form(config: ProximityConfig, p: Polynomial) -> ChowElement:
     return ChowElement(n, s, terms)
 
 
-def _total_support(config: ProximityConfig, v: DivisorVector) -> dict[int, int]:
-    """The nonzero total coordinates {t: coefficient} of v, checked to have length s + 1."""
-    if v.basis == "strict":
-        v = strict_to_total(config, v)
-    if len(v.coords) != config.s + 1:
-        raise ValueError(
-            "coordinate vector has length %d, expected %d"
-            % (len(v.coords), config.s + 1)
-        )
-    return {t: c for t, c in enumerate(v.coords) if c}
+def _check_support(config: ProximityConfig, v: dict[int, int]) -> None:
+    """Raise ValueError unless every key of the {t: c} class v is in 0..s."""
+    if v and (min(v) < 0 or max(v) > config.s):
+        bad = min(v) if min(v) < 0 else max(v)
+        raise ValueError("coordinate %d out of range 0..%d" % (bad, config.s))
 
 
-def from_divisor(config: ProximityConfig, v: DivisorVector) -> ChowElement:
-    """Degree-1 class of a divisor coordinate vector, in canonical form."""
-    terms = {(1, t): c for t, c in _total_support(config, v).items()}
+def from_divisor(config: ProximityConfig, v: dict[int, int]) -> ChowElement:
+    """Degree-1 class of sum c x_t over a {t: c} dict, 0 <= t <= s, in canonical form."""
+    _check_support(config, v)
+    terms = {(1, t): c for t, c in v.items() if c}
     return ChowElement(config.n, config.s, terms)
 
 
@@ -239,10 +232,13 @@ def sparse_product(config: ProximityConfig, factors) -> ChowElement:
     rewrite rule turns into prod v_0 + (-1)^(n+1) * sum over t >= 1 of
     prod v_t times x_0^n when d = n.  A product of more than n classes is
     zero.  Equal to the ChowElement product of the degree-1 factors, without
-    forming any intermediate element.
+    forming any intermediate element.  Raises ValueError for an empty
+    product, an exponent below 1 or a coordinate outside 0..s.
     """
     if not factors or min(k for _, k in factors) < 1:
         raise ValueError("need at least one factor, each with exponent >= 1")
+    for v, _ in factors:
+        _check_support(config, v)
     n, s = config.n, config.s
     d = sum(k for _, k in factors)
     if d > n:
@@ -258,14 +254,6 @@ def sparse_product(config: ProximityConfig, factors) -> ChowElement:
     for t in sorted(coords):
         _add_power(terms, n, d, t, coords[t])
     return ChowElement(n, s, terms)
-
-
-def divisor_product(config: ProximityConfig, factors) -> ChowElement:
-    """Canonical form of a product of (DivisorVector, k) factors, each meaning v^k.
-
-    sparse_product on each vector's nonzero total coordinates.
-    """
-    return sparse_product(config, [(_total_support(config, v), k) for v, k in factors])
 
 
 def degree_integral(a: ChowElement) -> int:
@@ -455,16 +443,8 @@ def _rho_images(config: ProximityConfig) -> tuple[Polynomial, ...]:
     Shared between calls: substitute only reads them and returns fresh terms.
     """
     nv = config.s + 1
-    units = []
-    for i in range(nv):
-        exps = [0] * nv
-        exps[i] = 1
-        units.append(tuple(exps))
-    images = []
-    for i, unit in enumerate(units):
-        img = {unit: 1}
-        if i:
-            for j in config.proximate_points(i):
-                img[units[j]] = -1
-        images.append(Polynomial._of(nv, img))
-    return tuple(images)
+    units = [tuple(int(t == k) for t in range(nv)) for k in range(nv)]
+    classes = [{0: 1}] + [strict_class_in_total(config, i) for i in range(1, nv)]
+    return tuple(
+        Polynomial._of(nv, {units[t]: c for t, c in v.items()}) for v in classes
+    )

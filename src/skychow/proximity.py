@@ -3,10 +3,12 @@
 A configuration records the ambient dimension n, the number of blown-up
 points s, and which later centers are proximate to which earlier ones,
 i.e. lie on the strict transform of that earlier exceptional divisor.
-From it we build the lower unitriangular change-of-basis matrices between
-the total transform and strict transform bases of the degree-1 classes,
-and convert divisor coordinate vectors both ways (one strict class also
-sparsely, straight from the adjacency lists).
+A degree-1 class is a sparse {t: c} dict in the total transform basis
+(t = 0 the hyperplane class); strict_class_in_total reads the strict
+class e_i that way straight from the adjacency lists.  The dense
+change-of-basis matrices between the total and strict bases, and the
+DivisorVector conversions through them, are the reference it is checked
+against.
 """
 
 from __future__ import annotations
@@ -239,29 +241,13 @@ def total_to_strict(config: ProximityConfig, v: DivisorVector) -> DivisorVector:
     return DivisorVector("strict", tuple(out))
 
 
-def hyperplane(config: ProximityConfig) -> DivisorVector:
-    return DivisorVector("total", (1,) + (0,) * config.s)
-
-
-def total_exceptional(config: ProximityConfig, i: int) -> DivisorVector:
-    if not 1 <= i <= config.s:
-        raise ValueError("exceptional index %d out of range 1..%d" % (i, config.s))
-    return DivisorVector("total", tuple(1 if t == i else 0 for t in range(config.s + 1)))
-
-
-def strict_exceptional(config: ProximityConfig, i: int) -> DivisorVector:
-    if not 1 <= i <= config.s:
-        raise ValueError("exceptional index %d out of range 1..%d" % (i, config.s))
-    return DivisorVector("strict", tuple(1 if t == i else 0 for t in range(config.s + 1)))
-
-
 def strict_class_in_total(config: ProximityConfig, i: int) -> dict[int, int]:
     """The i-th strict exceptional class in total coordinates, zeros left out.
 
     e_i = E_i - sum of E_j over the points j proximate to i, as an ascending
-    {t: coefficient of E_t} dict: the nonzero entries of
-    strict_to_total(config, strict_exceptional(config, i)), read from the
-    adjacency lists without a length-(s+1) vector.
+    {t: coefficient of E_t} dict: the nonzero entries of strict_to_total of
+    the i-th strict unit vector, read from the adjacency lists without a
+    length-(s+1) vector.
     """
     if not 1 <= i <= config.s:
         raise ValueError("exceptional index %d out of range 1..%d" % (i, config.s))

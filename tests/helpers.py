@@ -14,7 +14,13 @@ from skychow.cli import MAX_AMBIENT_DIMENSION
 from skychow.curve import CURVE_VARIABLES, CurveRingElement, curve_normal_form
 from skychow.oracle import GradedIdeal, GradedPiece, HermiteLattice, _xgcd
 from skychow.poly import Polynomial, _slice, format_polynomial, monomials_of_degree
-from skychow.proximity import InvalidConfigError, ProximityConfig, validate_config
+from skychow.proximity import (
+    DivisorVector,
+    InvalidConfigError,
+    ProximityConfig,
+    strict_to_total,
+    validate_config,
+)
 
 
 @lru_cache(maxsize=None)
@@ -132,6 +138,20 @@ def expand_substitute(p: Polynomial, images) -> Polynomial:
                 term = term * img
         result = result + term
     return result
+
+
+def dense_class(config: ProximityConfig, kind: str, i: int = 0) -> DivisorVector:
+    """Reference for the sparse degree-1 classes: h (kind "h"), E_i ("E") or
+    e_i ("e") as a dense total-basis vector, e_i through strict_to_total."""
+    unit = tuple(int(t == i) for t in range(config.s + 1))
+    if kind == "e":
+        return strict_to_total(config, DivisorVector.strict(unit))
+    return DivisorVector.total(unit)
+
+
+def support(v: DivisorVector) -> dict[int, int]:
+    """The nonzero coordinates {t: c} of a dense vector."""
+    return {t: c for t, c in enumerate(v.coords) if c}
 
 
 def reference_rho(config: ProximityConfig, p: Polynomial) -> Polynomial:

@@ -11,7 +11,7 @@ import warnings
 from math import comb, gcd
 from random import Random
 
-from helpers import cached_total_ideal, random_config
+from helpers import cached_total_ideal, dense_class, random_config, support
 from skychow import oracle
 from skychow.chowring import (
     degree_integral,
@@ -24,13 +24,7 @@ from skychow.chowring import (
 from skychow.curve import CurveRingParams, curve_basis_elements, curve_ring_checks
 from skychow.finality import final_by_chow, final_by_proximity
 from skychow.poly import Polynomial, random_homogeneous
-from skychow.proximity import (
-    ProximityConfig,
-    enumerate_proximity_configs,
-    hyperplane,
-    strict_exceptional,
-    total_exceptional,
-)
+from skychow.proximity import ProximityConfig, enumerate_proximity_configs
 
 SURFACE = ProximityConfig(n=2, s=2, prox=frozenset({(2, 1)}))
 
@@ -67,11 +61,10 @@ def power(element, k):
 
 def test_1_classical_surface_numbers(capsys):
     cfg = SURFACE
-    h = from_divisor(cfg, hyperplane(cfg))
-    e1 = from_divisor(cfg, strict_exceptional(cfg, 1))
-    e2 = from_divisor(cfg, strict_exceptional(cfg, 2))
-    t1 = from_divisor(cfg, total_exceptional(cfg, 1))
-    t2 = from_divisor(cfg, total_exceptional(cfg, 2))
+    h, e1, e2, t1, t2 = (
+        from_divisor(cfg, support(dense_class(cfg, kind, i)))
+        for kind, i in (("h", 0), ("e", 1), ("e", 2), ("E", 1), ("E", 2))
+    )
     integrals = (
         ("e1*e2", degree_integral(e1 * e2), 1),
         ("e1^2", degree_integral(e1 * e1), -2),
@@ -96,10 +89,7 @@ def test_1_classical_surface_numbers(capsys):
 
 
 def _degree_one_table(cfg):
-    vectors = [hyperplane(cfg)] + [
-        total_exceptional(cfg, i) for i in range(1, cfg.s + 1)
-    ]
-    elements = [from_divisor(cfg, v) for v in vectors]
+    elements = [from_divisor(cfg, {t: 1}) for t in range(cfg.s + 1)]
     return tuple((a * b).to_polynomial() for a in elements for b in elements)
 
 
@@ -271,8 +261,8 @@ def test_8_self_intersection_laws(capsys):
         n, s = cfg.n, cfg.s
         for i in range(1, s + 1):
             checked += 1
-            total_power = power(from_divisor(cfg, total_exceptional(cfg, i)), n)
-            strict_power = power(from_divisor(cfg, strict_exceptional(cfg, i)), n)
+            total_power = power(from_divisor(cfg, {i: 1}), n)
+            strict_power = power(from_divisor(cfg, support(dense_class(cfg, "e", i))), n)
             m_i = len(cfg.proximate_points(i))
             point = (n,) + (0,) * s
             want = Polynomial.monomial(s + 1, point, -((-1) ** n + m_i))

@@ -10,33 +10,35 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import assert_well_stored, cached_total_ideal, random_config, reference_rho
+from helpers import (
+    assert_well_stored,
+    cached_total_ideal,
+    dense_class,
+    random_config,
+    reference_rho,
+    support,
+)
 from skychow import oracle
 from skychow.chowring import (
     ChowElement,
     _add_power,
     Presentation,
     degree_integral,
-    divisor_product,
     from_divisor,
     graded_rank,
     normal_form,
     rho,
+    sparse_product,
     strict_presentation,
     total_presentation,
 )
 from skychow.poly import Polynomial, format_polynomial, random_homogeneous
 from skychow.proximity import (
-    DivisorVector,
     ProximityConfig,
     change_of_basis,
     enumerate_proximity_configs,
-    hyperplane,
     invert_unitriangular,
     strict_class_in_total,
-    strict_exceptional,
-    strict_to_total,
-    total_exceptional,
 )
 
 SURFACE = ProximityConfig(n=2, s=2, prox=frozenset({(2, 1)}))
@@ -177,23 +179,23 @@ class TestRingArithmetic:
             ChowElement.one(2, 2) * ChowElement.one(3, 2)
 
     def test_top_degree_truncates(self):
-        h = from_divisor(SURFACE, hyperplane(SURFACE))
+        h = from_divisor(SURFACE, {0: 1})
         assert (h**3).is_zero()
         assert degree_integral(h**2) == 1
 
 
 class TestDivisors:
     def test_strict_class_canonical_form(self):
-        e1 = from_divisor(SURFACE, strict_exceptional(SURFACE, 1))
+        e1 = from_divisor(SURFACE, strict_class_in_total(SURFACE, 1))
         assert e1.component(1) == (0, 1, -1)
 
     def test_zero_vector_gives_zero(self):
-        z = from_divisor(SURFACE, DivisorVector.total((0, 0, 0)))
-        assert z.is_zero()
+        assert from_divisor(SURFACE, {}).is_zero()
+        assert from_divisor(SURFACE, {0: 0, 2: 0}).is_zero()
 
     def test_surface_intersection_numbers(self):
-        e1 = from_divisor(SURFACE, strict_exceptional(SURFACE, 1))
-        e2 = from_divisor(SURFACE, strict_exceptional(SURFACE, 2))
+        e1 = from_divisor(SURFACE, strict_class_in_total(SURFACE, 1))
+        e2 = from_divisor(SURFACE, strict_class_in_total(SURFACE, 2))
         assert degree_integral(e1 * e2) == 1
         assert degree_integral(e1 * e1) == -2
         assert degree_integral(e2 * e2) == -1
@@ -203,12 +205,10 @@ class TestDivisors:
         rng = Random(seed)
         cfg = random_config(rng, rng.choice((2, 3)), rng.randint(1, 4))
         n, s = cfg.n, cfg.s
-        h = from_divisor(cfg, hyperplane(cfg))
+        h = from_divisor(cfg, {0: 1})
         assert degree_integral(h**n) == 1
         for i in range(1, s + 1):
-            ei_tot = from_divisor(
-                cfg, DivisorVector.total(tuple(1 if t == i else 0 for t in range(s + 1)))
-            )
+            ei_tot = from_divisor(cfg, {i: 1})
             assert degree_integral(ei_tot**n) == (-1) ** (n + 1)
             assert (h * ei_tot).is_zero()
 
@@ -220,33 +220,33 @@ class TestDivisors:
         n = cfg.n
         point = normal_form(cfg, Polynomial.monomial(cfg.s + 1, (n,) + (0,) * cfg.s))
         for i in range(1, cfg.s + 1):
-            e = from_divisor(cfg, strict_exceptional(cfg, i))
+            e = from_divisor(cfg, strict_class_in_total(cfg, i))
             m_i = len(cfg.proximate_points(i))
             assert e**n == point * -((-1) ** n + m_i)
 
 
 class TestClosedFormProducts:
-    """divisor_product and strict_class_in_total against the dense, general routes."""
+    """sparse_product and strict_class_in_total against the dense, general routes."""
 
     @given(st.integers(2, 8), st.integers(1, 50), st.integers(0, 2**30))
     def test_product_matches_ring_products(self, n, s, seed):
         rng = Random(seed)
         cfg = random_config(rng, n, s)
         for _ in range(3):
-            factors = []
+            atoms = []
             for _ in range(rng.randint(1, n)):
                 kind = rng.choice("hEe")
-                if kind == "h":
-                    vec = hyperplane(cfg)
-                elif kind == "E":
-                    vec = total_exceptional(cfg, rng.randint(1, s))
-                else:
-                    vec = strict_exceptional(cfg, rng.randint(1, s))
-                factors.append((vec, rng.randint(1, 3)))
+                atoms.append((kind, 0 if kind == "h" else rng.randint(1, s), rng.randint(1, 3)))
             expected = ChowElement.one(n, s)
-            for vec, k in factors:
-                expected = expected * from_divisor(cfg, vec) ** k
-            got = divisor_product(cfg, factors)
+            for kind, i, k in atoms:
+                expected = expected * from_divisor(cfg, support(dense_class(cfg, kind, i))) ** k
+            got = sparse_product(
+                cfg,
+                [
+                    (strict_class_in_total(cfg, i) if kind == "e" else {i: 1}, k)
+                    for kind, i, k in atoms
+                ],
+            )
             assert got == expected
             assert str(got) == str(expected)
 
@@ -254,17 +254,28 @@ class TestClosedFormProducts:
     def test_sparse_strict_class_matches_the_dense_conversion(self, n, s, seed):
         cfg = random_config(Random(seed), n, s)
         for i in range(1, s + 1):
-            dense = strict_to_total(cfg, strict_exceptional(cfg, i)).coords
+            dense = dense_class(cfg, "e", i).coords
             sparse = strict_class_in_total(cfg, i)
             assert list(sparse.items()) == [(t, c) for t, c in enumerate(dense) if c]
 
     def test_rejects_empty_products_and_zero_exponents(self):
         with pytest.raises(ValueError, match="at least one factor"):
-            divisor_product(SURFACE, [])
+            sparse_product(SURFACE, [])
         with pytest.raises(ValueError, match="exponent"):
-            divisor_product(SURFACE, [(hyperplane(SURFACE), 1), (hyperplane(SURFACE), 0)])
+            sparse_product(SURFACE, [({0: 1}, 1), ({0: 1}, 0)])
         with pytest.raises(ValueError, match="out of range"):
             strict_class_in_total(SURFACE, 3)
+
+    def test_rejects_coordinates_outside_0_to_s(self):
+        cfg = ProximityConfig(n=3, s=5)
+        for v in ({6: 1}, {-1: 2}, {0: 1, 6: 1}, {-1: 1, 5: 1}):
+            for k in (1, 3, 4):  # below, at and above the top degree
+                with pytest.raises(ValueError, match="out of range 0..5"):
+                    sparse_product(cfg, [({0: 1, 5: 1}, 1), (v, k)])
+            with pytest.raises(ValueError, match="out of range 0..5"):
+                from_divisor(cfg, v)
+        assert degree_integral(sparse_product(cfg, [({0: 1, 5: 2}, 3)])) == 9
+        assert from_divisor(cfg, {0: 1, 5: 2}).component(1) == (1, 0, 0, 0, 0, 2)
 
 
 class TestPresentations:

@@ -15,12 +15,11 @@ from hypothesis import strategies as st
 
 import skychow
 import skychow.cli as cli
-from helpers import random_config, reference_load_config
+from helpers import dense_class, random_config, reference_load_config, support
 from skychow import chowring, finality, proximity
 from skychow.chowring import (
     ChowElement,
     Presentation,
-    divisor_product,
     from_divisor,
     graded_rank,
     normal_form,
@@ -30,14 +29,7 @@ from skychow.chowring import (
 )
 from skychow.finality import DivisorFinality, FinalityReport
 from skychow.poly import Polynomial
-from skychow.proximity import (
-    InvalidConfigError,
-    ProximityConfig,
-    hyperplane,
-    strict_exceptional,
-    strict_to_total,
-    total_exceptional,
-)
+from skychow.proximity import InvalidConfigError, ProximityConfig
 
 SURFACE_DOC = {
     "ambient_dimension": 2,
@@ -442,11 +434,16 @@ class TestIntersect:
         def forbidden(*args, **kwargs):
             raise AssertionError("a dense divisor vector was built")
 
-        for module in (skychow, proximity, chowring):
+        assert not hasattr(chowring, "DivisorVector")
+        assert not hasattr(chowring, "strict_to_total")
+        # the original conversion builds its result through the module's name
+        to_total = proximity.strict_to_total
+        unit = proximity.DivisorVector.strict((0, 1))
+        for module in (skychow, proximity):
             monkeypatch.setattr(module, "DivisorVector", forbidden)
             monkeypatch.setattr(module, "strict_to_total", forbidden)
         with pytest.raises(AssertionError):
-            proximity.strict_exceptional(ProximityConfig(n=3, s=1), 1)
+            to_total(ProximityConfig(n=3, s=1), unit)
         path = write_config(tmp_path, star_doc(3, 2000))
         assert cli.main(["intersect", path, expr]) == 0
         assert capsys.readouterr().out.endswith("degree integral: %d\n" % integral)
@@ -459,11 +456,7 @@ class TestIntersect:
         cfg = random_config(rng, n, s)
 
         def dense(kind, i):
-            if kind == "h":
-                return hyperplane(cfg)
-            if kind == "E":
-                return total_exceptional(cfg, i)
-            return strict_to_total(cfg, strict_exceptional(cfg, i))
+            return support(dense_class(cfg, kind, i))
 
         for _ in range(3):
             atoms = []
@@ -484,10 +477,7 @@ class TestIntersect:
             merged = {}
             for kind, i, k in atoms:
                 merged[kind, i] = merged.get((kind, i), 0) + k
-            assert factors == [
-                ({t: c for t, c in enumerate(dense(kind, i).coords) if c}, min(k, n + 1))
-                for (kind, i), k in merged.items()
-            ]
+            assert factors == [(dense(kind, i), min(k, n + 1)) for (kind, i), k in merged.items()]
             d = sum(k for _, _, k in atoms)
             assert degree == d if d <= n else degree > n
 
@@ -498,7 +488,7 @@ class TestIntersect:
                     expected = expected * from_divisor(cfg, dense(kind, i)) ** k
             got = sparse_product(cfg, factors)
             assert got == expected and str(got) == str(expected)
-            assert divisor_product(cfg, [(dense(kind, i), k) for kind, i, k in atoms]) == got
+            assert sparse_product(cfg, [(dense(kind, i), k) for kind, i, k in atoms]) == got
 
 
 class TestFinal:

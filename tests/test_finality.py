@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import cached_total_ideal, random_config
+from helpers import cached_total_ideal, dense_class, random_config, support
 from skychow import oracle
 from skychow.chowring import degree_integral, from_divisor
 from skychow.poly import Polynomial
@@ -29,7 +29,6 @@ from skychow.proximity import (
     ProximityConfig,
     enumerate_proximity_configs,
     strict_class_in_total,
-    strict_exceptional,
 )
 
 SURFACE = ProximityConfig(n=2, s=2, prox=frozenset({(2, 1)}))
@@ -182,7 +181,7 @@ class TestClosedFormMatchesRing:
         cfg = random_config(Random(seed), n, s)
         powers = [None]
         for i in range(1, s + 1):
-            e = from_divisor(cfg, strict_exceptional(cfg, i))
+            e = from_divisor(cfg, support(dense_class(cfg, "e", i)))
             powers.append([e**a for a in range(n + 1)])
         for i in range(1, s + 1):
             meets = {

@@ -18,9 +18,7 @@ from skychow.proximity import (
     change_of_basis,
     enumerate_proximity_configs,
     invert_unitriangular,
-    strict_exceptional,
     strict_to_total,
-    total_exceptional,
     total_to_strict,
     validate_config,
 )
@@ -186,23 +184,23 @@ class TestMatrices:
 
 class TestConversions:
     def test_strict_e1_in_total_coordinates(self):
-        got = strict_to_total(SURFACE, strict_exceptional(SURFACE, 1))
+        got = strict_to_total(SURFACE, DivisorVector.strict((0, 1, 0)))
         assert got == DivisorVector.total((0, 1, -1))
 
     def test_total_e1_in_strict_coordinates(self):
-        got = total_to_strict(SURFACE, total_exceptional(SURFACE, 1))
+        got = total_to_strict(SURFACE, DivisorVector.total((0, 1, 0)))
         assert got == DivisorVector.strict((0, 1, 1))
 
     def test_last_exceptional_is_shared(self):
         cfg = ProximityConfig(n=2, s=4, prox=frozenset({(2, 1), (4, 3)}))
-        got = strict_to_total(cfg, strict_exceptional(cfg, 4))
+        got = strict_to_total(cfg, DivisorVector.strict((0, 0, 0, 0, 1)))
         assert got == DivisorVector.total((0, 0, 0, 0, 1))
 
     def test_basis_tag_is_enforced(self):
         with pytest.raises(ValueError, match="strict-basis"):
-            strict_to_total(SURFACE, total_exceptional(SURFACE, 1))
+            strict_to_total(SURFACE, DivisorVector.total((0, 1, 0)))
         with pytest.raises(ValueError, match="total-basis"):
-            total_to_strict(SURFACE, strict_exceptional(SURFACE, 1))
+            total_to_strict(SURFACE, DivisorVector.strict((0, 1, 0)))
 
     def test_length_is_enforced(self):
         with pytest.raises(ValueError, match="length"):

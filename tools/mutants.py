@@ -72,6 +72,16 @@ MUTANTS = {
         "column[k] = column.get(k, 0) + c",
         "column[k] = c",
     ),
+    "strict-class-sign": (
+        "src/skychow/proximity.py",
+        "out[j] = -1",
+        "out[j] = 1",
+    ),
+    "support-range-check": (
+        "src/skychow/chowring.py",
+        "max(v) > config.s)",
+        "max(v) > config.s + 1)",
+    ),
 }
 
 IGNORED = shutil.ignore_patterns(
