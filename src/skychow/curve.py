@@ -42,9 +42,10 @@ class CurveRingParams:
     c1: int
 
     def __post_init__(self):
-        if not isinstance(self.gamma, int) or self.gamma < 1:
+        # type, not isinstance: True is an int too
+        if type(self.gamma) is not int or self.gamma < 1:
             raise ValueError("gamma must be a positive integer, got %r" % (self.gamma,))
-        if not isinstance(self.c1, int):
+        if type(self.c1) is not int:
             raise ValueError("c1 must be an integer, got %r" % (self.c1,))
         if self.gamma == 1:
             warnings.warn(

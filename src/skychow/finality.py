@@ -4,10 +4,12 @@ The combinatorial one reads the proximity relation: a divisor is final
 when no later point is proximate to it.  The ring-theoretic one never
 looks at proximity; it writes each strict class in total coordinates and
 evaluates intersection numbers in closed form on those vectors, finds the
-divisors meeting E_i, and then tests the two intersection-product
-conditions that characterize finality.  The two provably agree, and the
-test suite checks that exhaustively on small cases; a disagreement would
-mean an implementation bug, not a mathematical surprise.
+divisors meeting E_i, and then tests, pair by pair, the two
+intersection-product conditions that characterize finality: condition
+(11) first, and condition (10) only on a pair that passes it.  The two
+deciders provably agree, and the test suite checks that exhaustively on
+small cases; a disagreement would mean an implementation bug, not a
+mathematical surprise.
 """
 
 from __future__ import annotations
@@ -17,14 +19,52 @@ from dataclasses import dataclass
 from .proximity import ProximityConfig, strict_class_in_total
 
 
-def _pair_integral(n, shared, r):
-    """Integral of e_i^(n-r) * e_j^r, given shared = [(e_i[t], e_j[t]) for
-    each t in both supports].
+def _point_integral(n, shared):
+    """Integral of e_i * e_j^(n-1), condition (11)'s, given shared =
+    [(e_i[t], e_j[t]) for each t in both supports].
 
     Mixed products vanish and each E_t^n integrates to (-1)^(n+1), so only
     the support points the two classes share contribute.
     """
-    return (1 if n % 2 else -1) * sum(x ** (n - r) * y ** r for x, y in shared)
+    total = 0
+    for x, y in shared:
+        total += x * y ** (n - 1)
+    return total if n % 2 else -total
+
+
+def _pair_integrals(n, shared, point):
+    """Yield the integral of e_i^(n-r) * e_j^r for r = 1, ..., n-1, shared
+    as for _point_integral and point its value, the one for r = n-1.
+
+    r = 1 has a sum of its own, so a caller that stops at a failure there,
+    as on every non-final divisor of a chain, pays for nothing else.
+    r = 2..n-2 then come from one pass over shared, each x^(n-r) * y^r
+    following from the one before as term // x * y, exact because a strict
+    class has no zero coefficient.
+    """
+    if n > 2:
+        total = 0
+        for x, y in shared:
+            total += x ** (n - 1) * y
+        yield total if n % 2 else -total
+        if n > 3:
+            sums = [0] * (n - 3)
+            for x, y in shared:
+                term = x ** (n - 1) * y
+                for r in range(n - 3):
+                    term = term // x * y
+                    sums[r] += term
+            for v in sums:
+                yield v if n % 2 else -v
+    yield point
+
+
+def _self_integral(n, ei):
+    """Integral of e_i^n: e_i paired with itself over its whole support."""
+    own = 0
+    for x in ei.values():
+        own += x ** n
+    return own if n % 2 else -own
 
 
 def _meeting(config, i, ei):
@@ -32,10 +72,10 @@ def _meeting(config, i, ei):
 
     ei is e_i as strict_class_in_total gives it.  The classes holding a
     support point t are e_t, with coefficient 1, and the e_k of the points
-    t is proximate to, with coefficient -1; so shared, the list
-    _pair_integral reads, comes from one pass over e_i's support.  Below
-    degree n the product is coordinate-wise: nonzero iff the supports
-    overlap.  For n = 2 the product is an integral, which can still be zero.
+    t is proximate to, with coefficient -1; so shared, the list the pair
+    integrals read, comes from one pass over e_i's support.  Below degree n
+    the product is coordinate-wise: nonzero iff the supports overlap.  For
+    n = 2 the product is the point integral, which can still be zero.
     """
     targets = config._adjacency[0]
     shared = {}
@@ -47,7 +87,7 @@ def _meeting(config, i, ei):
                 shared.setdefault(k, []).append((x, -1))
     pairs = sorted(shared.items())
     if config.n == 2:
-        return [(j, sh) for j, sh in pairs if _pair_integral(2, sh, 1)]
+        return [(j, sh) for j, sh in pairs if _point_integral(2, sh)]
     return pairs
 
 
@@ -73,21 +113,28 @@ def intersecting_indices(config: ProximityConfig, i: int) -> set:
 
 
 def _chow_conditions(config, i):
-    """(final?, witness) from the intersection-product characterization."""
+    """(final?, witness) from the intersection-product characterization.
+
+    Each meeting pair's condition (11) integral is read first.  Only a pair
+    that passes it has condition (10)'s integrals computed, as far as the
+    first that fails, and e_i^n is computed once, when the first pair gets
+    that far.
+    """
     n, ei = config.n, strict_class_in_total(config, i)
-    # e_i^n pairs e_i with itself over its whole support
-    ein = _pair_integral(n, [(x, x) for x in ei.values()], 0)
+    ein = None
     for j, shared in _meeting(config, i, ei):
         # condition (11): e_j^(n-1) * e_i must be the point class
-        lhs = _pair_integral(n, shared, n - 1)
-        if lhs != 1:
+        point = _point_integral(n, shared)
+        if point != 1:
             return (
                 False,
-                "condition (11) fails for j=%d: integral %d, expected 1" % (j, lhs),
+                "condition (11) fails for j=%d: integral %d, expected 1" % (j, point),
             )
+        if ein is None:
+            ein = _self_integral(n, ei)
         # condition (10): e_i^n == (-1)^r e_i^(n-r) e_j^r for every r
-        for r in range(1, n):
-            rhs = _pair_integral(n, shared, r) * (-1) ** r
+        for r, value in enumerate(_pair_integrals(n, shared, point), start=1):
+            rhs = -value if r % 2 else value
             if ein != rhs:
                 return (
                     False,

@@ -42,9 +42,7 @@ class ProximityConfig:
     strict_snc_check: bool = True
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "prox", frozenset((int(j), int(i)) for j, i in self.prox)
-        )
+        object.__setattr__(self, "prox", frozenset([(j, i) for j, i in self.prox]))
         validate_config(self)
 
     def __repr__(self):
@@ -101,6 +99,12 @@ def validate_config(config: ProximityConfig) -> ProximityConfig:
     ProximityConfig construction calls this, so an invalid config never exists.
     """
     _check_sizes(config.n, config.s)
+    # type, not isinstance: True is an int, and int() would read 2.7 or "3"
+    bad = [(j, i) for j, i in config.prox if type(j) is not int or type(i) is not int]
+    if bad:
+        raise InvalidConfigError(
+            "proximity pair (%r, %r) must be two integers" % min(bad, key=repr)
+        )
     bad = [(j, i) for j, i in config.prox if not 1 <= i < j <= config.s]
     if bad:
         raise InvalidConfigError(
@@ -116,9 +120,9 @@ def validate_config(config: ProximityConfig) -> ProximityConfig:
 
 
 def _check_sizes(n, s) -> None:
-    if not isinstance(n, int) or n < 2:
+    if type(n) is not int or n < 2:
         raise InvalidConfigError("ambient dimension must be an integer >= 2, got %r" % (n,))
-    if not isinstance(s, int) or s < 1:
+    if type(s) is not int or s < 1:
         raise InvalidConfigError("number of points must be an integer >= 1, got %r" % (s,))
 
 

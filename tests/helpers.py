@@ -18,6 +18,7 @@ from skychow.proximity import (
     DivisorVector,
     InvalidConfigError,
     ProximityConfig,
+    strict_class_in_total,
     strict_to_total,
     validate_config,
 )
@@ -179,6 +180,60 @@ def assert_well_stored(p: Polynomial) -> None:
         assert type(exps) is tuple and len(exps) == p.nvars, exps
         assert all(type(e) is int and e >= 0 for e in exps), exps
         assert type(coef) is int and coef != 0, (exps, coef)
+
+
+def reference_pair_integral(n, shared, r):
+    """Integral of e_i^(n-r) * e_j^r, given shared = [(e_i[t], e_j[t]) for
+    each t in both supports].
+
+    Mixed products vanish and each E_t^n integrates to (-1)^(n+1), so only
+    the support points the two classes share contribute.
+    """
+    return (1 if n % 2 else -1) * sum(x ** (n - r) * y ** r for x, y in shared)
+
+
+def reference_meeting(config, i, ei):
+    """Reference for finality._meeting: (j, shared) for each j != i,
+    ascending, with e_i * e_j nonzero; the n = 2 test by reference_pair_integral."""
+    targets = config._adjacency[0]
+    shared = {}
+    for t, x in ei.items():
+        if t != i:
+            shared.setdefault(t, []).append((x, 1))
+        for k in targets.get(t, ()):
+            if k != i:
+                shared.setdefault(k, []).append((x, -1))
+    pairs = sorted(shared.items())
+    if config.n == 2:
+        return [(j, sh) for j, sh in pairs if reference_pair_integral(2, sh, 1)]
+    return pairs
+
+
+def reference_chow_conditions(config, i):
+    """Reference for finality._chow_conditions: every integral its own sum
+    of powers over the shared support, e_i^n up front, (11)'s integral
+    computed again as (10)'s r = n-1."""
+    n, ei = config.n, strict_class_in_total(config, i)
+    # e_i^n pairs e_i with itself over its whole support
+    ein = reference_pair_integral(n, [(x, x) for x in ei.values()], 0)
+    for j, shared in reference_meeting(config, i, ei):
+        # condition (11): e_j^(n-1) * e_i must be the point class
+        lhs = reference_pair_integral(n, shared, n - 1)
+        if lhs != 1:
+            return (
+                False,
+                "condition (11) fails for j=%d: integral %d, expected 1" % (j, lhs),
+            )
+        # condition (10): e_i^n == (-1)^r e_i^(n-r) e_j^r for every r
+        for r in range(1, n):
+            rhs = reference_pair_integral(n, shared, r) * (-1) ** r
+            if ein != rhs:
+                return (
+                    False,
+                    "condition (10) fails for j=%d at r=%d: integral %d, expected %d"
+                    % (j, r, rhs, ein),
+                )
+    return True, None
 
 
 def dag_path_counts(config: ProximityConfig, j: int, i: int) -> int:

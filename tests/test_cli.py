@@ -153,6 +153,12 @@ class TestLoadConfig:
         with pytest.raises(InvalidConfigError, match="must be an integer >= 2"):
             cli.load_config(path)
 
+    def test_true_dimension_message_is_unchanged(self, tmp_path):
+        path = write_config(tmp_path, chain_doc(True, 3))
+        with pytest.raises(InvalidConfigError) as exc:
+            cli.load_config(path)
+        assert str(exc.value) == "ambient dimension must be an integer >= 2, got True"
+
     def test_deep_nesting_is_a_user_error(self, tmp_path, capsys):
         path = tmp_path / "deep.json"
         depth = 200_000
@@ -370,6 +376,18 @@ class TestIntersect:
     def test_garbage_expression(self, surface_path, capsys):
         assert cli.main(["intersect", surface_path, "z1*e2"]) == 2
         assert "bad factor" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "expr",
+        ["e١^２", "e١", "h^２", "E1^٢", "e1*e\U0001d7d0"],
+        ids=["arabic-index-fullwidth-exponent", "arabic-index", "fullwidth-exponent",
+             "arabic-exponent", "math-bold-index"],
+    )
+    def test_digits_outside_ascii_are_bad_factors(self, surface_path, capsys, expr):
+        assert cli.main(["intersect", surface_path, expr]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bad factor" in captured.err
 
     @pytest.mark.parametrize(
         "expr",

@@ -69,6 +69,20 @@ class TestParams:
         with pytest.raises(ValueError):
             CurveRingParams(gamma=-2, c1=3)
 
+    @pytest.mark.parametrize(
+        "gamma,c1,message",
+        [
+            (2, True, "c1 must be an integer, got True"),
+            (True, 3, "gamma must be a positive integer, got True"),
+            (2, 3.0, "c1 must be an integer, got 3.0"),
+        ],
+        ids=["c1-true", "gamma-true", "c1-float"],
+    )
+    def test_rejects_bools_and_non_integers(self, gamma, c1, message):
+        with pytest.raises(ValueError) as exc:
+            CurveRingParams(gamma=gamma, c1=c1)
+        assert str(exc.value) == message
+
     def test_line_warns_but_works(self):
         with pytest.warns(UserWarning, match="gamma=1"):
             params = CurveRingParams(gamma=1, c1=0)

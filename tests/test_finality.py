@@ -10,13 +10,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import cached_total_ideal, dense_class, random_config, support
+from helpers import (
+    cached_total_ideal,
+    dense_class,
+    random_config,
+    reference_chow_conditions,
+    reference_meeting,
+    support,
+)
 from skychow import oracle
 from skychow.chowring import degree_integral, from_divisor
 from skychow.poly import Polynomial
 from skychow.finality import (
+    _chow_conditions,
     _meeting,
-    _pair_integral,
+    _pair_integrals,
+    _point_integral,
+    _self_integral,
     DivisorFinality,
     FinalityReport,
     final_by_chow,
@@ -193,14 +203,17 @@ class TestClosedFormMatchesRing:
             ei = strict_class_in_total(cfg, i)
             pairs = _meeting(cfg, i, ei)
             assert [j for j, _ in pairs] == sorted(meets)
-            # e_i^n pairs e_i with itself over its whole support
-            own = [(x, x) for x in ei.values()]
-            assert _pair_integral(n, own, 0) == degree_integral(powers[i][n])
-            # conditions (10) and (11) integrate e_i^a e_j^(n-a) for a in 1..n-1
+            assert _self_integral(n, ei) == degree_integral(powers[i][n])
+            # conditions (10) and (11) integrate e_i^a e_j^(n-a) for a in 1..n-1;
+            # _pair_integrals yields them by r = n - a, (11)'s (a = 1) last
             for j, shared in pairs:
+                point = _point_integral(n, shared)
+                assert point == degree_integral(powers[i][1] * powers[j][n - 1])
+                integrals = list(_pair_integrals(n, shared, point))
+                assert len(integrals) == n - 1
                 for a in range(1, n):
                     ring = degree_integral(powers[i][a] * powers[j][n - a])
-                    assert _pair_integral(n, shared, n - a) == ring
+                    assert integrals[n - a - 1] == ring
 
 
 class TestOracleCertifiesIntegrals:
@@ -236,10 +249,41 @@ class TestOracleCertifiesIntegrals:
 
             for i in range(1, s + 1):
                 ei = strict_class_in_total(cfg, i)
-                own = [(x, x) for x in ei.values()]
-                certify(strict[i] ** n, _pair_integral(n, own, 0))
+                certify(strict[i] ** n, _self_integral(n, ei))
                 for j, shared in _meeting(cfg, i, ei):
+                    integrals = list(_pair_integrals(n, shared, _point_integral(n, shared)))
                     for a in range(1, n):
-                        c = _pair_integral(n, shared, n - a)
+                        c = integrals[n - a - 1]
                         certify(strict[i] ** a * strict[j] ** (n - a), c)
         assert checked > 1100 and nonzero > 1000
+
+
+class TestOnePassMatchesReference:
+    """The decider against reference_chow_conditions (tests/helpers.py),
+    which sums each integral on its own, on verdict and witness of every
+    divisor, for n up to the CLI's limit of 64."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(2, 64),
+        st.integers(1, 40),
+        st.booleans(),
+        st.integers(0, 2**30),
+    )
+    def test_verdicts_and_witnesses(self, n, s, snc, seed):
+        rng = Random(seed)
+        prox = set()
+        for j in range(2, s + 1):
+            # without the check a point may be proximate to more than n others
+            cap = min(n, j - 1) if snc else j - 1
+            for i in rng.sample(range(1, j), rng.randint(0, cap)):
+                prox.add((j, i))
+        cfg = ProximityConfig(n=n, s=s, prox=frozenset(prox), strict_snc_check=snc)
+        report = finality_report(cfg)
+        for i in range(1, s + 1):
+            want = reference_chow_conditions(cfg, i)
+            assert _chow_conditions(cfg, i) == want
+            d = report.divisors[i - 1]
+            assert (d.final_chow, d.witness) == want
+            ei = strict_class_in_total(cfg, i)
+            assert _meeting(cfg, i, ei) == reference_meeting(cfg, i, ei)

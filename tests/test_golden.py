@@ -79,6 +79,13 @@ def _cases():
         ]
     for k, expr in enumerate(MIXED_PRODUCTS):
         cases["intersect-threefold_mixed-%d" % k] = ["intersect", cfg, expr]
+    # an n=8, s=21 config (seeded, 0-3 proximities a point) with witnesses
+    # for both conditions, so finality integrals above degree 3 are pinned
+    cfg = "tests/configs/eightfold_mixed.json"
+    for fmt in ("table", "json"):
+        cases["final-eightfold_mixed-both-%s" % fmt] = [
+            "final", cfg, "--method", "both", "--format", fmt,
+        ]
     for gamma, c1 in ((1, 0), (2, 6), (3, -4)):
         cases["curve-g%d-c%d" % (gamma, c1)] = [
             "curve-example", "--gamma", str(gamma), "--c1", str(c1), "--check",

@@ -66,6 +66,31 @@ class TestValidation:
         with pytest.raises(InvalidConfigError, match=r"pair \(2, 3\) must satisfy"):
             ProximityConfig(n=2, s=5, prox=prox)
 
+    @pytest.mark.parametrize(
+        "pair,shown",
+        [((2.7, 1), "(2.7, 1)"), (("3", True), "('3', True)"), ((2, True), "(2, True)"),
+         ((3, 1.0), "(3, 1.0)")],
+        ids=["float", "str-and-bool", "bool", "integral-float"],
+    )
+    def test_rejects_pairs_that_are_not_two_integers(self, pair, shown):
+        with pytest.raises(InvalidConfigError) as exc:
+            ProximityConfig(n=3, s=3, prox={pair})
+        assert str(exc.value) == "proximity pair %s must be two integers" % shown
+
+    @pytest.mark.parametrize(
+        "n,s,message",
+        [
+            (3, True, "number of points must be an integer >= 1, got True"),
+            (True, 3, "ambient dimension must be an integer >= 2, got True"),
+            (3, 2.0, "number of points must be an integer >= 1, got 2.0"),
+        ],
+        ids=["s-true", "n-true", "s-float"],
+    )
+    def test_rejects_sizes_that_are_not_integers(self, n, s, message):
+        with pytest.raises(InvalidConfigError) as exc:
+            ProximityConfig(n=n, s=s)
+        assert str(exc.value) == message
+
     def test_rejects_too_many_proximities(self):
         # the earliest offending point is the one named
         prox = frozenset({(4, 1), (4, 2), (4, 3), (5, 1), (5, 2), (5, 3), (5, 4)})

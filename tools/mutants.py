@@ -22,15 +22,45 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # name -> (file, text, mutated text); the text must occur exactly once
 MUTANTS = {
-    "pair-integral-sign": (
+    "point-integral-sign": (
         "src/skychow/finality.py",
-        "return (1 if n % 2 else -1) * sum(",
-        "return (1 if n % 2 else 1) * sum(",
+        "return total if n % 2 else -total",
+        "return total if n % 2 else total",
     ),
     "meeting-test": (
         "src/skychow/finality.py",
-        "if _pair_integral(2, sh, 1)]",
-        "if _pair_integral(2, sh, 0)]",
+        "if _point_integral(2, sh)]",
+        "if _point_integral(3, sh)]",
+    ),
+    "condition-ten-parity": (
+        "src/skychow/finality.py",
+        "rhs = -value if r % 2 else value",
+        "rhs = value if r % 2 else -value",
+    ),
+    "running-product-bound": (
+        "src/skychow/finality.py",
+        "for r in range(n - 3):",
+        "for r in range(n - 4):",
+    ),
+    "running-product-step": (
+        "src/skychow/finality.py",
+        "term = term // x * y",
+        "term = term // x",
+    ),
+    "first-integral-sign": (
+        "src/skychow/finality.py",
+        "yield total if n % 2 else -total",
+        "yield total if n % 2 else total",
+    ),
+    "lower-integral-sign": (
+        "src/skychow/finality.py",
+        "yield v if n % 2 else -v",
+        "yield v if n % 2 else v",
+    ),
+    "self-integral-sign": (
+        "src/skychow/finality.py",
+        "return own if n % 2 else -own",
+        "return own if n % 2 else own",
     ),
     "substitution-order": (
         "src/skychow/poly.py",
