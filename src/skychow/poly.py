@@ -284,7 +284,8 @@ class Polynomial:
             if img.nvars != tgt:
                 raise ValueError("images live in different rings")
         one = {(0,) * tgt: 1}
-        powers: list[list[dict]] = [[one] for _ in images]  # powers[i][e] = images[i]**e
+        # powers[i][e] = images[i]**e; e = 1 is the image's own dict, only read
+        powers: list[list[dict]] = [[one, img.terms] for img in images]
 
         def power(i: int, e: int) -> dict:
             known = powers[i]

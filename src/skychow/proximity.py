@@ -111,6 +111,8 @@ def validate_config(config: ProximityConfig) -> ProximityConfig:
             "proximity pair (%r, %r) must satisfy 1 <= i < j <= s = %d"
             % (*min(bad), config.s)
         )
+    if not isinstance(config.strict_snc_check, bool):
+        raise InvalidConfigError("strict_snc_check must be a boolean")
     if config.strict_snc_check:
         counts = Counter(j for j, _ in config.prox)
         j = min((j for j, c in counts.items() if c > config.n), default=0)

@@ -685,6 +685,36 @@ class TestVerify:
         )
         assert all(l.startswith("PASS") for l in lines[:1] + lines[2:])
 
+    def test_one_oracle_reduction_a_sample(self, capsys, monkeypatch):
+        # check 2 reads membership off the representative; membership is
+        # queried only by check 1, once per strict relation
+        calls = {"reduce": 0, "membership": 0}
+
+        def counted(name):
+            real = getattr(cli.oracle, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(cli.oracle, name, counted(name))
+        assert cli.main(["verify", SURFACE_PATH, "--samples", "20"]) == 0
+        relations = len(strict_presentation(cli.load_config(SURFACE_PATH)).factored)
+        assert relations == 5
+        assert calls == {"reduce": 20, "membership": relations}
+
+    def test_zero_oracle_representatives_fail_the_second_check(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.oracle, "reduce", lambda ideal, p: Polynomial.zero(ideal.nvars))
+        assert cli.main(["verify", SURFACE_PATH, "--samples", "20"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == (
+            "FAIL normal forms match the lattice oracle (20 sampled polynomials (seed 0))"
+        )
+        assert all(l.startswith("PASS") for l in lines[:1] + lines[2:])
+
     def test_off_graded_rank_fails_the_third_check(self, surface_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "graded_rank", lambda config, d: graded_rank(config, d) + (d == 1))
         assert cli.main(["verify", surface_path, "--samples", "20"]) == 1

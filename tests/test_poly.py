@@ -144,6 +144,28 @@ def test_substitute():
     assert image == x1 * x1 - 2 * x1 * x2 + x2 * x2
 
 
+@pytest.mark.parametrize(
+    "p",
+    [
+        Polynomial.variable(3, 1),  # the image itself, by the first power
+        Polynomial(3, {(0, 1, 0): -2}),
+        Polynomial(3, {(0, 1, 0): 1, (2, 0, 0): 1, (1, 2, 1): 3}),
+    ],
+    ids=["variable", "scaled-variable", "mixed"],
+)
+def test_substitute_leaves_the_images_alone(p):
+    x = [Polynomial.variable(2, i) for i in range(2)]
+    images = [x[0] + x[1], x[0] - 2 * x[1], x[1]]
+    before = [dict(img.terms) for img in images]
+    got = p.substitute(images)
+    assert got == expand_substitute(p, images)
+    assert [img.terms for img in images] == before
+    assert all(got.terms is not img.terms for img in images)
+    # the result is free to change without reaching an image
+    got.terms.clear()
+    assert [img.terms for img in images] == before
+
+
 def test_formatting():
     names = ("x0", "x1", "x2")
     assert format_polynomial(Polynomial.zero(3), names) == "0"

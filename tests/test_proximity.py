@@ -91,6 +91,12 @@ class TestValidation:
             ProximityConfig(n=n, s=s)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("flag", ["no", 0, 1, None], ids=["str", "zero", "one", "none"])
+    def test_rejects_a_flag_that_is_not_a_bool(self, flag):
+        with pytest.raises(InvalidConfigError) as exc:
+            ProximityConfig(n=2, s=3, prox={(3, 1), (3, 2)}, strict_snc_check=flag)
+        assert str(exc.value) == "strict_snc_check must be a boolean"
+
     def test_rejects_too_many_proximities(self):
         # the earliest offending point is the one named
         prox = frozenset({(4, 1), (4, 2), (4, 3), (5, 1), (5, 2), (5, 3), (5, 4)})

@@ -97,6 +97,11 @@ MUTANTS = {
         "tuple([(u, -c) for u, c in row.items() if u != p])",
         "tuple([(u, c) for u, c in row.items() if u != p])",
     ),
+    "membership-zero-test": (
+        "src/skychow/oracle.py",
+        "return not any(_slice_vector(ideal, p, True)[1].values())",
+        "return any(_slice_vector(ideal, p, True)[1].values())",
+    ),
     "strict-column-sum": (
         "src/skychow/chowring.py",
         "column[k] = column.get(k, 0) + c",
