@@ -65,10 +65,10 @@ MAX_PRESENT_ENTRIES = 25_000_000
 # evaluate degree-1 products in closed form, so their cost is linear in s (a
 # chain with n=64, s=2000: intersect "e1^64" about 0.007 s, final about 0.03 s
 # in either format; a seeded random n=64, s=2000 config with 0-3 proximities
-# a point: final about 0.06 s; 2-vCPU host).  final lists the shared
+# a point: final about 0.02 s; 2-vCPU host).  final lists the shared
 # coefficients of each meeting pair once and reads condition (11)'s integral
-# off that list first; only a pair that passes it has condition (10)'s
-# integrals read, r = 1 by one more sum and the rest in one pass.
+# off that list first; only a pair that passes it has condition (10)
+# compared, at r = 1 and r = 2, as its integral depends on r's parity only.
 MAX_AMBIENT_DIMENSION = 64
 
 

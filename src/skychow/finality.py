@@ -6,7 +6,10 @@ looks at proximity; it writes each strict class in total coordinates and
 evaluates intersection numbers in closed form on those vectors, finds the
 divisors meeting E_i, and then tests, pair by pair, the two
 intersection-product conditions that characterize finality: condition
-(11) first, and condition (10) only on a pair that passes it.  The two
+(11) first, and condition (10) only on a pair that passes it.  Every
+coefficient of a strict class is +-1, so condition (10)'s integral takes
+one value at odd r and one at even r, and comparing r = 1 and r = 2
+covers every r.  The two
 deciders provably agree, and the test suite checks that exhaustively on
 small cases; a disagreement would mean an implementation bug, not a
 mathematical surprise.
@@ -24,47 +27,32 @@ def _point_integral(n, shared):
     [(e_i[t], e_j[t]) for each t in both supports].
 
     Mixed products vanish and each E_t^n integrates to (-1)^(n+1), so only
-    the support points the two classes share contribute.
+    the shared points contribute.  Every coefficient of a strict class is
+    +-1, so x^(n-r) * y^r depends only on the parities of n and r; here,
+    at r = n-1, it is x for odd n and x * y for even n.
     """
     total = 0
     for x, y in shared:
-        total += x * y ** (n - 1)
-    return total if n % 2 else -total
+        total += x if n % 2 else -x * y
+    return total
 
 
-def _pair_integrals(n, shared, point):
-    """Yield the integral of e_i^(n-r) * e_j^r for r = 1, ..., n-1, shared
-    as for _point_integral and point its value, the one for r = n-1.
+def _parity_integrals(n, shared, point):
+    """(odd, even): the integral of e_i^(n-r) * e_j^r at odd r and at even
+    r, point being _point_integral's value, the one at r = n-1.
 
-    r = 1 has a sum of its own, so a caller that stops at a failure there,
-    as on every non-final divisor of a chain, pays for nothing else.
-    r = 2..n-2 then come from one pass over shared, each x^(n-r) * y^r
-    following from the one before as term // x * y, exact because a strict
-    class has no zero coefficient.
+    x^(n-r) * y^r is y at odd r and x at even r for odd n, x * y and 1 for
+    even n.
     """
-    if n > 2:
-        total = 0
-        for x, y in shared:
-            total += x ** (n - 1) * y
-        yield total if n % 2 else -total
-        if n > 3:
-            sums = [0] * (n - 3)
-            for x, y in shared:
-                term = x ** (n - 1) * y
-                for r in range(n - 3):
-                    term = term // x * y
-                    sums[r] += term
-            for v in sums:
-                yield v if n % 2 else -v
-    yield point
+    if n % 2:
+        return sum(y for _, y in shared), point
+    return point, -len(shared)
 
 
 def _self_integral(n, ei):
-    """Integral of e_i^n: e_i paired with itself over its whole support."""
-    own = 0
-    for x in ei.values():
-        own += x ** n
-    return own if n % 2 else -own
+    """Integral of e_i^n, e_i being E_i minus the E_t of the points
+    proximate to i."""
+    return 2 - len(ei) if n % 2 else -len(ei)
 
 
 def _meeting(config, i, ei):
@@ -73,9 +61,10 @@ def _meeting(config, i, ei):
     ei is e_i as strict_class_in_total gives it.  The classes holding a
     support point t are e_t, with coefficient 1, and the e_k of the points
     t is proximate to, with coefficient -1; so shared, the list the pair
-    integrals read, comes from one pass over e_i's support.  Below degree n
-    the product is coordinate-wise: nonzero iff the supports overlap.  For
-    n = 2 the product is the point integral, which can still be zero.
+    integrals read, comes from one pass over e_i's support, and every
+    coefficient in it is +-1.  Below degree n the product is
+    coordinate-wise: nonzero iff the supports overlap.  For n = 2 the
+    product is the point integral, which can still be zero.
     """
     targets = config._adjacency[0]
     shared = {}
@@ -112,12 +101,15 @@ def intersecting_indices(config: ProximityConfig, i: int) -> set:
     return {j for j, _ in _meeting(config, i, strict_class_in_total(config, i))}
 
 
+_CONDITION_TEN = "condition (10) fails for j=%d at r=%d: integral %d, expected %d"
+
+
 def _chow_conditions(config, i):
     """(final?, witness) from the intersection-product characterization.
 
     Each meeting pair's condition (11) integral is read first.  Only a pair
-    that passes it has condition (10)'s integrals computed, as far as the
-    first that fails, and e_i^n is computed once, when the first pair gets
+    that passes it has condition (10) compared, at r = 1 and then, for
+    n >= 3, at r = 2, and e_i^n is computed once, when the first pair gets
     that far.
     """
     n, ei = config.n, strict_class_in_total(config, i)
@@ -132,15 +124,14 @@ def _chow_conditions(config, i):
             )
         if ein is None:
             ein = _self_integral(n, ei)
-        # condition (10): e_i^n == (-1)^r e_i^(n-r) e_j^r for every r
-        for r, value in enumerate(_pair_integrals(n, shared, point), start=1):
-            rhs = -value if r % 2 else value
-            if ein != rhs:
-                return (
-                    False,
-                    "condition (10) fails for j=%d at r=%d: integral %d, expected %d"
-                    % (j, r, rhs, ein),
-                )
+        # condition (10): e_i^n == (-1)^r e_i^(n-r) e_j^r for every r; the
+        # integral takes one value at odd r and one at even r, so r = 1 and,
+        # for n >= 3, r = 2 stand for all of them
+        odd, even = _parity_integrals(n, shared, point)
+        if ein != -odd:
+            return False, _CONDITION_TEN % (j, 1, -odd, ein)
+        if n > 2 and ein != even:
+            return False, _CONDITION_TEN % (j, 2, even, ein)
     return True, None
 
 

@@ -18,13 +18,13 @@ from helpers import (
     reference_meeting,
     support,
 )
-from skychow import oracle
+from skychow import finality, oracle
 from skychow.chowring import degree_integral, from_divisor
 from skychow.poly import Polynomial
 from skychow.finality import (
     _chow_conditions,
     _meeting,
-    _pair_integrals,
+    _parity_integrals,
     _point_integral,
     _self_integral,
     DivisorFinality,
@@ -128,6 +128,32 @@ class TestReport:
         }
 
 
+class TestConditionTenAtEvenR:
+    """Condition (10)'s r = 2 comparison, on pairs put in by hand.
+
+    On strict classes a pair that passes (11) and (10) at r = 1 passes
+    (10) at r = 2 too, so no config reaches a failure there; these feed the
+    decider e_i and the shared coefficients (+-1, as on strict classes)
+    directly, to pin the comparison and its witness.
+    """
+
+    @pytest.mark.parametrize(
+        "n, ei, shared, rhs",
+        [
+            # (11): sum x = 1; r = 1: -sum y = -1 = e_i^3 = 2 - 3; r = 2: sum x
+            (3, {1: 1, 2: -1, 3: -1}, [(1, 1)], 1),
+            # (11): -sum x * y = 1; r = 1: -1 = e_i^4 = -1; r = 2: -|shared|
+            (4, {1: 1}, [(1, -1), (1, -1), (1, 1)], -3),
+        ],
+    )
+    def test_witness_names_r_2(self, monkeypatch, n, ei, shared, rhs):
+        monkeypatch.setattr(finality, "strict_class_in_total", lambda config, i: ei)
+        monkeypatch.setattr(finality, "_meeting", lambda config, i, ei: [(2, shared)])
+        cfg = ProximityConfig(n=n, s=2, prox=frozenset({(2, 1)}))
+        witness = "condition (10) fails for j=2 at r=2: integral %d, expected -1" % rhs
+        assert _chow_conditions(cfg, 1) == (False, witness)
+
+
 class TestJsonText:
     """FinalityReport.to_json_text against the stdlib's indent=2 encoder."""
 
@@ -204,16 +230,15 @@ class TestClosedFormMatchesRing:
             pairs = _meeting(cfg, i, ei)
             assert [j for j, _ in pairs] == sorted(meets)
             assert _self_integral(n, ei) == degree_integral(powers[i][n])
-            # conditions (10) and (11) integrate e_i^a e_j^(n-a) for a in 1..n-1;
-            # _pair_integrals yields them by r = n - a, (11)'s (a = 1) last
+            # conditions (10) and (11) integrate e_i^(n-r) e_j^r for r in 1..n-1;
+            # _parity_integrals gives one value for odd r and one for even r
             for j, shared in pairs:
                 point = _point_integral(n, shared)
                 assert point == degree_integral(powers[i][1] * powers[j][n - 1])
-                integrals = list(_pair_integrals(n, shared, point))
-                assert len(integrals) == n - 1
-                for a in range(1, n):
-                    ring = degree_integral(powers[i][a] * powers[j][n - a])
-                    assert integrals[n - a - 1] == ring
+                odd, even = _parity_integrals(n, shared, point)
+                for r in range(1, n):
+                    ring = degree_integral(powers[i][n - r] * powers[j][r])
+                    assert (odd if r % 2 else even) == ring
 
 
 class TestOracleCertifiesIntegrals:
@@ -223,12 +248,16 @@ class TestOracleCertifiesIntegrals:
     e_i = x_i - sum of x_j over the points j proximate to i, straight from
     the proximity relation.  An integral c of a degree-n product p holds
     exactly when p - c * x0^n lies in the total ideal, since x0^n does not.
+    The n = 4 configs certify the -|shared| value at even r of an even n.
     """
 
     def test_meeting_pair_integrals(self):
         rng = Random(13)
-        checked = nonzero = 0
-        for n, s in ((2, 10), (2, 20), (2, 30), (2, 40), (3, 10), (3, 20), (3, 30), (3, 40)):
+        checked = nonzero = even_n_even_r = 0
+        for n, s in (
+            (2, 10), (2, 20), (2, 30), (2, 40), (3, 10), (3, 20), (3, 30), (3, 40),
+            (4, 8), (4, 12), (5, 8), (5, 10),
+        ):
             cfg = random_config(rng, n, s)
             ideal = cached_total_ideal(n, s)
             point = Polynomial.variable(s + 1, 0) ** n
@@ -251,11 +280,12 @@ class TestOracleCertifiesIntegrals:
                 ei = strict_class_in_total(cfg, i)
                 certify(strict[i] ** n, _self_integral(n, ei))
                 for j, shared in _meeting(cfg, i, ei):
-                    integrals = list(_pair_integrals(n, shared, _point_integral(n, shared)))
-                    for a in range(1, n):
-                        c = integrals[n - a - 1]
-                        certify(strict[i] ** a * strict[j] ** (n - a), c)
-        assert checked > 1100 and nonzero > 1000
+                    odd, even = _parity_integrals(n, shared, _point_integral(n, shared))
+                    for r in range(1, n):
+                        c = odd if r % 2 else even
+                        certify(strict[i] ** (n - r) * strict[j] ** r, c)
+                        even_n_even_r += not (n % 2 or r % 2)
+        assert checked > 1800 and nonzero > 1700 and even_n_even_r > 70
 
 
 class TestOnePassMatchesReference:

@@ -79,6 +79,14 @@ def _cases():
         ]
     for k, expr in enumerate(MIXED_PRODUCTS):
         cases["intersect-threefold_mixed-%d" % k] = ["intersect", cfg, expr]
+    # seeded n=4, s=6 and n=5, s=5 examples, each with a final divisor that
+    # meets another, so condition (10)'s even-r comparison runs at n >= 4
+    for name in ("fourfold", "fivefold"):
+        cfg = "configs/%s.json" % name
+        cases["final-%s-both-table" % name] = [
+            "final", cfg, "--method", "both", "--format", "table",
+        ]
+        cases["verify-%s-seed0" % name] = ["verify", cfg, "--seed", "0"]
     # an n=8, s=21 config (seeded, 0-3 proximities a point) with witnesses
     # for both conditions, so finality integrals above degree 3 are pinned
     cfg = "tests/configs/eightfold_mixed.json"

@@ -24,8 +24,8 @@ ROOT = Path(__file__).resolve().parents[1]
 MUTANTS = {
     "point-integral-sign": (
         "src/skychow/finality.py",
-        "return total if n % 2 else -total",
-        "return total if n % 2 else total",
+        "total += x if n % 2 else -x * y",
+        "total += x if n % 2 else x * y",
     ),
     "meeting-test": (
         "src/skychow/finality.py",
@@ -34,33 +34,36 @@ MUTANTS = {
     ),
     "condition-ten-parity": (
         "src/skychow/finality.py",
-        "rhs = -value if r % 2 else value",
-        "rhs = value if r % 2 else -value",
+        "if ein != -odd:",
+        "if ein != odd:",
     ),
+    # the next four keep the names of the running-product pass they once
+    # targeted: condition (10)'s r = 2 bound, the parity selection of
+    # _parity_integrals, and the signs of its odd-r and even-r values
     "running-product-bound": (
         "src/skychow/finality.py",
-        "for r in range(n - 3):",
-        "for r in range(n - 4):",
+        "if n > 2 and ein != even:",
+        "if n > 3 and ein != even:",
     ),
     "running-product-step": (
         "src/skychow/finality.py",
-        "term = term // x * y",
-        "term = term // x",
+        "if n % 2:\n        return sum(",
+        "if not n % 2:\n        return sum(",
     ),
     "first-integral-sign": (
         "src/skychow/finality.py",
-        "yield total if n % 2 else -total",
-        "yield total if n % 2 else total",
+        "return sum(y for _, y in shared), point",
+        "return -sum(y for _, y in shared), point",
     ),
     "lower-integral-sign": (
         "src/skychow/finality.py",
-        "yield v if n % 2 else -v",
-        "yield v if n % 2 else v",
+        "return point, -len(shared)",
+        "return point, len(shared)",
     ),
     "self-integral-sign": (
         "src/skychow/finality.py",
-        "return own if n % 2 else -own",
-        "return own if n % 2 else own",
+        "return 2 - len(ei) if n % 2 else -len(ei)",
+        "return 2 - len(ei) if n % 2 else len(ei)",
     ),
     "substitution-order": (
         "src/skychow/poly.py",
