@@ -63,9 +63,10 @@ MAX_PRESENT_ENTRIES = 25_000_000
 
 # Largest ambient dimension a config file may ask for.  final and intersect
 # evaluate degree-1 products in closed form, so their cost is linear in s (a
-# chain with n=64, s=2000: intersect "e1^64" about 0.007 s, final about 0.03 s
-# in either format; a seeded random n=64, s=2000 config with 0-3 proximities
-# a point: final about 0.02 s; 2-vCPU host).  final lists the shared
+# chain with n=64, s=2000: intersect "e1^64" about 0.003 s, final about
+# 0.013 s in either format; a seeded random n=64, s=2000 config with 0-3
+# proximities a point: final about 0.02 s; in-process, best of 40 runs,
+# 2-vCPU host).  final lists the shared
 # coefficients of each meeting pair once and reads condition (11)'s integral
 # off that list first; only a pair that passes it has condition (10)
 # compared, at r = 1 and r = 2, as its integral depends on r's parity only.
@@ -76,12 +77,17 @@ class ExpressionError(ValueError):
     pass
 
 
+_NO_TARGETS = []  # a missing proximate_to; shared, so never stored or changed
+
+
 def load_config(path: str) -> ProximityConfig:
     """Read a sequence configuration file; the returned config is valid.
 
     One pass over the points checks each entry and builds the adjacency
-    lists the config keeps.  A strictly ascending proximate_to list is kept
-    as it is; any other is checked, then sorted with its repeats dropped.
+    lists the config keeps as its data; its pair set prox is built from
+    them only when something reads it.  A strictly ascending proximate_to
+    list is kept as it is; any other is checked, then sorted with its
+    repeats dropped.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -121,10 +127,12 @@ def load_config(path: str) -> ProximityConfig:
             raise InvalidConfigError(
                 "point ids must be 1..s in order: entry %d has id %r" % (pos, pid)
             )
-        listed = entry.get("proximate_to", [])
-        if not isinstance(listed, list):
-            raise InvalidConfigError("proximate_to of point %d must be a list" % pos)
-        if not listed:
+        listed = entry.get("proximate_to", _NO_TARGETS)
+        # falsy first: a missing or empty list skips on, and {}, 0, false,
+        # "" and null fail the type test like any other non-list
+        if not listed or type(listed) is not list:
+            if type(listed) is not list:
+                raise InvalidConfigError("proximate_to of point %d must be a list" % pos)
             continue
         prev = 0
         for t in listed:
@@ -135,7 +143,11 @@ def load_config(path: str) -> ProximityConfig:
             prev = t
         targets[pos] = listed
         for t in listed:
-            proximate.setdefault(t, []).append(pos)
+            row = proximate.get(t)
+            if row is None:
+                proximate[t] = [pos]
+            else:
+                row.append(pos)
         if len(listed) > limit and not crowded:
             crowded = pos
     snc = doc.get("strict_snc_check", True)

@@ -55,16 +55,14 @@ def _self_integral(n, ei):
     return 2 - len(ei) if n % 2 else -len(ei)
 
 
-def _meeting(config, i, ei):
-    """(j, shared) for each j != i, ascending, with e_i * e_j nonzero.
+def _candidates(config, i, ei):
+    """(j, shared) for each j != i, ascending, whose support overlaps e_i's.
 
     ei is e_i as strict_class_in_total gives it.  The classes holding a
     support point t are e_t, with coefficient 1, and the e_k of the points
     t is proximate to, with coefficient -1; so shared, the list the pair
     integrals read, comes from one pass over e_i's support, and every
-    coefficient in it is +-1.  Below degree n the product is
-    coordinate-wise: nonzero iff the supports overlap.  For n = 2 the
-    product is the point integral, which can still be zero.
+    coefficient in it is +-1.
     """
     targets = config._adjacency[0]
     shared = {}
@@ -74,7 +72,17 @@ def _meeting(config, i, ei):
         for k in targets.get(t, ()):
             if k != i:
                 shared.setdefault(k, []).append((x, -1))
-    pairs = sorted(shared.items())
+    return sorted(shared.items())
+
+
+def _meeting(config, i, ei):
+    """(j, shared) for each j != i, ascending, with e_i * e_j nonzero.
+
+    Below degree n the product is coordinate-wise: nonzero iff the supports
+    overlap.  For n = 2 the product is the point integral, which can still
+    be zero.
+    """
+    pairs = _candidates(config, i, ei)
     if config.n == 2:
         return [(j, sh) for j, sh in pairs if _point_integral(2, sh)]
     return pairs
@@ -107,17 +115,20 @@ _CONDITION_TEN = "condition (10) fails for j=%d at r=%d: integral %d, expected %
 def _chow_conditions(config, i):
     """(final?, witness) from the intersection-product characterization.
 
-    Each meeting pair's condition (11) integral is read first.  Only a pair
-    that passes it has condition (10) compared, at r = 1 and then, for
-    n >= 3, at r = 2, and e_i^n is computed once, when the first pair gets
-    that far.
+    Each meeting pair's condition (11) integral is read first, once: at
+    n = 2 it is the product e_i * e_j itself, and a candidate whose value
+    is 0 does not meet e_i.  Only a pair that passes it has condition (10)
+    compared, at r = 1 and then, for n >= 3, at r = 2, and e_i^n is
+    computed once, when the first pair gets that far.
     """
     n, ei = config.n, strict_class_in_total(config, i)
     ein = None
-    for j, shared in _meeting(config, i, ei):
+    for j, shared in _candidates(config, i, ei):
         # condition (11): e_j^(n-1) * e_i must be the point class
         point = _point_integral(n, shared)
         if point != 1:
+            if not point and n == 2:
+                continue  # e_i * e_j = 0: j does not meet i (see _meeting)
             return (
                 False,
                 "condition (11) fails for j=%d: integral %d, expected 1" % (j, point),

@@ -25,6 +25,25 @@ class InvalidConfigError(ValueError):
     """A proximity configuration violates a structural invariant."""
 
 
+class _LazyPairs:
+    """The prox field of ProximityConfig: frozenset() as the default, and on
+    a loaded config (see ProximityConfig._of), which holds only adjacency
+    lists, the pairs built from them on first read and then kept.
+
+    It defines no __set__, so a prox in the instance's __dict__ is read
+    without calling it.
+    """
+
+    def __get__(self, config, owner=None):
+        if config is None:
+            return frozenset()
+        targets = config.__dict__["_adjacency"][0]
+        prox = config.__dict__["prox"] = frozenset(
+            [(j, i) for j, row in targets.items() for i in row]
+        )
+        return prox
+
+
 @dataclass(frozen=True, repr=False)
 class ProximityConfig:
     """Blow-up sequence data: s points in P^n plus the proximity relation.
@@ -33,12 +52,14 @@ class ProximityConfig:
     proximate to the i-th.  ``strict_snc_check`` keeps the validation rule
     that no point is proximate to more than n earlier ones; turn it off to
     experiment with degenerate configurations.  Construction validates.
-    The repr lists the pairs sorted, so equal configs print alike.
+    The repr lists the pairs sorted, so equal configs print alike.  A
+    config a loader built (see _of) holds only its adjacency lists and
+    builds ``prox`` from them when it is first read, then keeps it.
     """
 
     n: int
     s: int
-    prox: frozenset = frozenset()
+    prox: frozenset = _LazyPairs()
     strict_snc_check: bool = True
 
     def __post_init__(self):
@@ -61,6 +82,8 @@ class ProximityConfig:
         targets ascending, every pair with 1 <= i < j <= s.  crowded is the
         first point proximate to more than n others, or 0.  n and s are
         checked here, then crowded, in validate_config's order and words.
+        The lists are the config's data: prox is built from them only when
+        something reads it.
         """
         _check_sizes(n, s)
         if strict_snc_check and crowded:
@@ -69,7 +92,6 @@ class ProximityConfig:
         config.__dict__.update(
             n=n,
             s=s,
-            prox=frozenset([(j, i) for j, row in targets.items() for i in row]),
             strict_snc_check=strict_snc_check,
             _adjacency=(targets, proximate),
         )

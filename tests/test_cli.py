@@ -263,6 +263,58 @@ class TestLoadConfig:
         assert cfg.proximate_points(4) == [5]
 
 
+LEAN_PATHS = (
+    SATELLITE_PATH,
+    THREEFOLD_PATH,
+    str(CONFIG_DIR / "fourfold.json"),
+    str(Path(__file__).resolve().parent / "configs" / "eightfold_mixed.json"),
+)
+
+
+class TestLeanLoader:
+    """A loaded config keeps its adjacency lists as its data and builds the
+    pair set prox only when something reads it."""
+
+    @pytest.mark.parametrize("path", LEAN_PATHS, ids=lambda p: Path(p).stem)
+    def test_intersect_and_final_never_build_prox(self, path):
+        cfg = cli.load_config(path)
+        assert "prox" not in vars(cfg)
+        factors, _ = cli.parse_expression("h*e1*E%d*e%d" % (cfg.s, cfg.s), cfg)
+        sparse_product(cfg, factors)
+        assert "prox" not in vars(cfg)
+        finality.finality_report(cfg)
+        assert "prox" not in vars(cfg)
+
+    @pytest.mark.parametrize("path", LEAN_PATHS, ids=lambda p: Path(p).stem)
+    def test_value_matches_a_constructed_config(self, path, monkeypatch):
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        pairs = frozenset(
+            (p["id"], t) for p in doc["points"] for t in p.get("proximate_to", [])
+        )
+        built = ProximityConfig(doc["ambient_dimension"], len(doc["points"]), pairs)
+        for read in (
+            lambda c: c.prox,
+            hash,
+            repr,
+            lambda c: replace(c, s=c.s),
+            proximity.validate_config,
+        ):
+            cfg = cli.load_config(path)
+            assert read(cfg) == read(built)
+            assert cfg == built and vars(cfg)["prox"] == pairs
+        assert cli.load_config(path) == built  # == alone builds it too
+        dots = [run_quiet(["dot", path])]
+        monkeypatch.setattr(cli, "load_config", lambda _: built)
+        dots.append(run_quiet(["dot", path]))
+        assert dots[0] == dots[1] and dots[0][0] == cli.EXIT_OK
+
+    def test_strict_to_total_reads_the_pairs(self):
+        cfg = cli.load_config(SATELLITE_PATH)
+        v = proximity.DivisorVector.strict((0, 1, 0, 0))
+        assert proximity.strict_to_total(cfg, v).coords == (0, 1, -1, -1)
+        assert vars(cfg)["prox"] == frozenset({(2, 1), (3, 1), (3, 2)})
+
+
 class TestPresent:
     def test_text_output(self, surface_path, capsys):
         assert cli.main(["present", surface_path]) == 0
@@ -970,6 +1022,29 @@ class TestLoaderMatchesReference:
     @example(text=json.dumps({"ambient_dimension": 2, "points": [
         {"id": 1}, {"id": 2}, {"id": 3}, {"id": 4, "proximate_to": [1]},
         {"id": 5}, {"id": 6}, {"id": 7, "proximate_to": [2, 1]},
+    ]}))
+    # the loader tests a falsy proximate_to first: a missing list and [] are
+    # skipped, every other falsy value is refused as a non-list
+    @example(text=json.dumps({"ambient_dimension": 2, "points": [
+        {"id": 1}, {"id": 2, "proximate_to": [1]}, {"id": 3},
+    ]}))
+    @example(text=json.dumps({"ambient_dimension": 2, "points": [
+        {"id": 1, "proximate_to": []}, {"id": 2, "proximate_to": []},
+    ]}))
+    @example(text=json.dumps({"ambient_dimension": 2, "points": [
+        {"id": 1}, {"id": 2, "proximate_to": {}},
+    ]}))
+    @example(text=json.dumps({"ambient_dimension": 2, "points": [
+        {"id": 1}, {"id": 2, "proximate_to": 0},
+    ]}))
+    @example(text=json.dumps({"ambient_dimension": 2, "points": [
+        {"id": 1}, {"id": 2, "proximate_to": False},
+    ]}))
+    @example(text=json.dumps({"ambient_dimension": 2, "points": [
+        {"id": 1}, {"id": 2, "proximate_to": ""},
+    ]}))
+    @example(text=json.dumps({"ambient_dimension": 2, "points": [
+        {"id": 1, "proximate_to": None}, {"id": 2},
     ]}))
     def test_matches_the_reference_loader(self, tmp_path_factory, text):
         path = tmp_path_factory.getbasetemp() / "loaded.json"

@@ -116,6 +116,22 @@ class TestReport:
         assert "condition (11)" in one.witness
         assert "integral -1" in one.witness
 
+    def test_point_integral_once_per_candidate_pair(self, monkeypatch):
+        # the satellite's six candidate pairs (supports overlap) include 1-2
+        # and 2-1, whose product is 0 at n = 2; the decider reads each
+        # candidate's condition (11) integral once and skips those two
+        calls = []
+        point_integral = finality._point_integral
+
+        def counted(n, shared):
+            calls.append(n)
+            return point_integral(n, shared)
+
+        monkeypatch.setattr(finality, "_point_integral", counted)
+        report = finality_report(SATELLITE)
+        assert calls == [2] * 6
+        assert [d.final_chow for d in report.divisors] == [False, False, True]
+
     def test_json_shape(self):
         doc = finality_report(SURFACE).to_json_dict()
         assert set(doc) == {"divisors"}
@@ -148,7 +164,9 @@ class TestConditionTenAtEvenR:
     )
     def test_witness_names_r_2(self, monkeypatch, n, ei, shared, rhs):
         monkeypatch.setattr(finality, "strict_class_in_total", lambda config, i: ei)
-        monkeypatch.setattr(finality, "_meeting", lambda config, i, ei: [(2, shared)])
+        monkeypatch.setattr(
+            finality, "_candidates", lambda config, i, ei: [(2, shared)]
+        )
         cfg = ProximityConfig(n=n, s=2, prox=frozenset({(2, 1)}))
         witness = "condition (10) fails for j=2 at r=2: integral %d, expected -1" % rhs
         assert _chow_conditions(cfg, 1) == (False, witness)

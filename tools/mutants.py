@@ -5,8 +5,15 @@ change there, and runs the suite with -x.  A mutant the suite passes
 survives; the script prints the survivors and exits 1 if there are any
 (2 if a mutation no longer matches its source).  Standard library only.
 
+With --verify the mutated copy runs `skychow verify` instead of the suite,
+on every file in configs/ plus tests/configs/threefold_mixed.json, with
+seeds 0-2.  A mutant is detected when any run's stdout or exit code
+differs from the unmutated tree's; the script prints the mutants verify
+misses and the kill rate, and exits 0 (2 if a mutation is stale).
+
     python tools/mutants.py               # every mutant, about 10 s each
     python tools/mutants.py meeting-test  # only the named ones
+    python tools/mutants.py --verify      # verify as the detector, about 4 s each
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -31,6 +39,11 @@ MUTANTS = {
         "src/skychow/finality.py",
         "if _point_integral(2, sh)]",
         "if _point_integral(3, sh)]",
+    ),
+    "meeting-skip": (
+        "src/skychow/finality.py",
+        "if not point and n == 2:",
+        "if not point and n != 2:",
     ),
     "condition-ten-parity": (
         "src/skychow/finality.py",
@@ -74,6 +87,16 @@ MUTANTS = {
         "src/skychow/cli.py",
         "not prev < t < pos",
         "not prev <= t < pos",
+    ),
+    "falsy-targets-test": (
+        "src/skychow/cli.py",
+        "if not listed or type(listed)",
+        "if listed or type(listed)",
+    ),
+    "lazy-pair-orientation": (
+        "src/skychow/proximity.py",
+        "[(j, i) for j, row in",
+        "[(i, j) for j, row in",
     ),
     "curve-x1w1-sign": (
         "src/skychow/curve.py",
@@ -128,41 +151,100 @@ IGNORED = shutil.ignore_patterns(
 
 TIMEOUT_S = 600
 
+# verify's fixed inputs, relative to the root of a tree
+VERIFY_CONFIGS = sorted(
+    str(p.relative_to(ROOT)) for p in (ROOT / "configs").glob("*.json")
+) + ["tests/configs/threefold_mixed.json"]
+VERIFY_SEEDS = (0, 1, 2)
+VERIFY_TIMEOUT_S = 120
+MAIN = "import sys; from skychow.cli import main; sys.exit(main(sys.argv[1:]))"
+ENV = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
 
-def run_mutant(name: str) -> str:
-    """'killed', 'survived' or 'stale' (the text to mutate is not there once)."""
-    rel, text, mutated = MUTANTS[name]
+
+@contextmanager
+def tree_copy(name=None):
+    """A temporary copy of the tree with the named mutant applied (none if
+    name is None), or None when the text to mutate is not there once."""
     with tempfile.TemporaryDirectory(prefix="skychow-mutant-") as tmp:
         tree = Path(tmp) / "tree"
         shutil.copytree(ROOT, tree, ignore=IGNORED)
-        path = tree / rel
-        source = path.read_text(encoding="utf-8")
-        if source.count(text) != 1:
+        if name is not None:
+            rel, text, mutated = MUTANTS[name]
+            path = tree / rel
+            source = path.read_text(encoding="utf-8")
+            if source.count(text) != 1:
+                yield None
+                return
+            path.write_text(source.replace(text, mutated), encoding="utf-8")
+        yield tree
+
+
+def run_mutant(name: str) -> str:
+    """'killed', 'survived' or 'stale' (the text to mutate is not there once)."""
+    with tree_copy(name) as tree:
+        if tree is None:
             return "stale"
-        path.write_text(source.replace(text, mutated), encoding="utf-8")
-        env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
         argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
                 "--continue-on-collection-errors"]
         try:
-            done = subprocess.run(argv, cwd=tree, env=env, capture_output=True,
+            done = subprocess.run(argv, cwd=tree, env=ENV, capture_output=True,
                                   timeout=TIMEOUT_S)
         except subprocess.TimeoutExpired:
             return "killed"  # a hang is noticed too
         return "survived" if done.returncode == 0 else "killed"
 
 
-def main(names) -> int:
+def verify_outputs(tree: Path) -> list:
+    """(exit code, stdout) of skychow verify on each fixed config and seed."""
+    outputs = []
+    for config in VERIFY_CONFIGS:
+        for seed in VERIFY_SEEDS:
+            argv = [sys.executable, "-c", MAIN, "verify", config, "--seed", str(seed)]
+            try:
+                done = subprocess.run(argv, cwd=tree, env=ENV, capture_output=True,
+                                      timeout=VERIFY_TIMEOUT_S)
+            except subprocess.TimeoutExpired:
+                outputs.append(("timeout", b""))
+                continue
+            outputs.append((done.returncode, done.stdout))
+    return outputs
+
+
+def verify_mutant(name: str, reference: list) -> str:
+    """'detected', 'missed' or 'stale': does verify's output change?"""
+    with tree_copy(name) as tree:
+        if tree is None:
+            return "stale"
+        return "missed" if verify_outputs(tree) == reference else "detected"
+
+
+def main(argv) -> int:
+    verify = "--verify" in argv
+    names = [a for a in argv if a != "--verify"]
     unknown = [n for n in names if n not in MUTANTS]
     if unknown:
         print("unknown mutant(s): %s; known: %s" % (", ".join(unknown), ", ".join(MUTANTS)))
         return 2
+    if verify:
+        with tree_copy() as tree:
+            reference = verify_outputs(tree)
     verdicts = {}
     for name in names or MUTANTS:
-        verdicts[name] = run_mutant(name)
+        verdicts[name] = verify_mutant(name, reference) if verify else run_mutant(name)
         print("%-22s %s" % (name, verdicts[name]), flush=True)
+    stale = "stale" in verdicts.values()
+    if verify:
+        missed = [n for n, v in verdicts.items() if v == "missed"]
+        detected = sum(v == "detected" for v in verdicts.values())
+        tried = detected + len(missed)
+        print("verify misses: %s" % (", ".join(missed) or "none"))
+        print("verify kill rate: %d of %d (%.0f%%) over %d configs x %d seeds"
+              % (detected, tried, 100 * detected / max(tried, 1),
+                 len(VERIFY_CONFIGS), len(VERIFY_SEEDS)))
+        return 2 if stale else 0
     survivors = [n for n, v in verdicts.items() if v == "survived"]
     print("surviving mutants: %s" % (", ".join(survivors) or "none"))
-    if "stale" in verdicts.values():
+    if stale:
         return 2
     return 1 if survivors else 0
 
