@@ -209,7 +209,10 @@ def normal_form(config: ProximityConfig, p: Polynomial) -> ChowElement:
 
 
 def _check_support(config: ProximityConfig, v: dict[int, int]) -> None:
-    """Raise ValueError unless every key of the {t: c} class v is in 0..s."""
+    """Raise ValueError unless every key of the {t: c} class v is an int in 0..s."""
+    for t in v:
+        if type(t) is not int:  # not isinstance: True is an int
+            raise ValueError("coordinate %r must be an integer" % (t,))
     if v and (min(v) < 0 or max(v) > config.s):
         bad = min(v) if min(v) < 0 else max(v)
         raise ValueError("coordinate %d out of range 0..%d" % (bad, config.s))

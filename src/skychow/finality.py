@@ -1,25 +1,26 @@
 """Two independent deciders for finality of an exceptional divisor.
 
 The combinatorial one reads the proximity relation: a divisor is final
-when no later point is proximate to it.  The ring-theoretic one never
-looks at proximity; it writes each strict class in total coordinates and
-evaluates intersection numbers in closed form on those vectors, finds the
-divisors meeting E_i, and then tests, pair by pair, the two
-intersection-product conditions that characterize finality: condition
-(11) first, and condition (10) only on a pair that passes it.  Every
-coefficient of a strict class is +-1, so condition (10)'s integral takes
-one value at odd r and one at even r, and comparing r = 1 and r = 2
-covers every r.  The two
-deciders provably agree, and the test suite checks that exhaustively on
-small cases; a disagreement would mean an implementation bug, not a
-mathematical surprise.
+when no later point is proximate to it.  The ring-theoretic one decides
+from intersection numbers alone.  It reads the coefficients each strict
+class shares with e_i straight off the adjacency lists (e_i is E_i minus
+the E_t of the points proximate to i), evaluates the integrals in closed
+form on those coefficients, finds the divisors meeting E_i, and then
+tests, pair by pair, the two intersection-product conditions that
+characterize finality: condition (11) first, and condition (10) only on
+a pair that passes it.  Every coefficient of a strict class is +-1, so
+condition (10)'s integral takes one value at odd r and one at even r,
+and comparing r = 1 and r = 2 covers every r.  The two deciders provably
+agree, and the test suite checks that exhaustively on small cases; a
+disagreement would mean an implementation bug, not a mathematical
+surprise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .proximity import ProximityConfig, strict_class_in_total
+from .proximity import ProximityConfig
 
 
 def _point_integral(n, shared):
@@ -49,46 +50,63 @@ def _parity_integrals(n, shared, point):
     return point, -len(shared)
 
 
-def _self_integral(n, ei):
-    """Integral of e_i^n, e_i being E_i minus the E_t of the points
-    proximate to i."""
-    return 2 - len(ei) if n % 2 else -len(ei)
+def _self_integral(n, proximate):
+    """Integral of e_i^n, given the points proximate to i.
 
-
-def _candidates(config, i, ei):
-    """(j, shared) for each j != i, ascending, whose support overlaps e_i's.
-
-    ei is e_i as strict_class_in_total gives it.  The classes holding a
-    support point t are e_t, with coefficient 1, and the e_k of the points
-    t is proximate to, with coefficient -1; so shared, the list the pair
-    integrals read, comes from one pass over e_i's support, and every
-    coefficient in it is +-1.
+    e_i is E_i minus the E_t of those points, so its n-th power integrates
+    to (-1)^(n+1) * (1 + (-1)^n * len(proximate)).
     """
-    targets = config._adjacency[0]
-    shared = {}
-    for t, x in ei.items():
-        if t != i:
-            shared.setdefault(t, []).append((x, 1))
-        for k in targets.get(t, ()):
+    return 1 - len(proximate) if n % 2 else -1 - len(proximate)
+
+
+def _pairs(config, i):
+    """{j: shared} for each j != i whose strict class shares a support
+    point with e_i, shared = [(e_i[t], e_j[t]) for each such t], t
+    ascending, read off the adjacency lists in one pass.
+
+    e_i is +1 at i and -1 on P(i), the points proximate to i.  The classes
+    holding a point t are e_t, with coefficient +1, and the e_k of the
+    points t is proximate to, with coefficient -1.  So t = i gives (1, -1)
+    to each e_k with i proximate to k, and t in P(i) gives (-1, 1) to e_t
+    and (-1, -1) to each other e_k with t proximate to k.  Every
+    coefficient is +-1.
+    """
+    targets, proximate = config._adjacency
+    pairs = {}
+    for k in targets.get(i, ()):
+        pairs[k] = [(1, -1)]
+    for t in proximate.get(i, ()):
+        # e_t's first pair: the points that give it (-1, -1) come after t
+        pairs[t] = [(-1, 1)]
+        for k in targets[t]:
             if k != i:
-                shared.setdefault(k, []).append((x, -1))
-    return sorted(shared.items())
+                shared = pairs.get(k)
+                if shared is None:
+                    pairs[k] = [(-1, -1)]
+                else:
+                    shared.append((-1, -1))
+    return pairs
 
 
-def _meeting(config, i, ei):
+def _meeting(config, i, ei=None):
     """(j, shared) for each j != i, ascending, with e_i * e_j nonzero.
 
     Below degree n the product is coordinate-wise: nonzero iff the supports
     overlap.  For n = 2 the product is the point integral, which can still
-    be zero.
+    be zero.  The pairs come from _pairs; ei, e_i as strict_class_in_total
+    gives it, is accepted for callers that hold it and is not read.
     """
-    pairs = _candidates(config, i, ei)
+    pairs = _pairs(config, i)
+    meeting = [(j, pairs[j]) for j in sorted(pairs)]
     if config.n == 2:
-        return [(j, sh) for j, sh in pairs if _point_integral(2, sh)]
-    return pairs
+        return [(j, sh) for j, sh in meeting if _point_integral(2, sh)]
+    return meeting
 
 
 def _check_index(config, i):
+    # type, not isinstance: True is an int, and 2.5 passes the range test
+    if type(i) is not int:
+        raise ValueError("divisor index %r must be an integer" % (i,))
     if not 1 <= i <= config.s:
         raise ValueError("divisor index %d out of range 1..%d" % (i, config.s))
 
@@ -96,7 +114,7 @@ def _check_index(config, i):
 def final_by_proximity(config: ProximityConfig, i: int) -> bool:
     """No later point proximate to the i-th: the divisor survives unchanged."""
     _check_index(config, i)
-    return not config.proximate_points(i)
+    return i not in config._adjacency[1]
 
 
 def intersecting_indices(config: ProximityConfig, i: int) -> set:
@@ -106,7 +124,7 @@ def intersecting_indices(config: ProximityConfig, i: int) -> set:
     can differ (a satellite point can separate two earlier divisors).
     """
     _check_index(config, i)
-    return {j for j, _ in _meeting(config, i, strict_class_in_total(config, i))}
+    return {j for j, _ in _meeting(config, i)}
 
 
 _CONDITION_TEN = "condition (10) fails for j=%d at r=%d: integral %d, expected %d"
@@ -121,9 +139,10 @@ def _chow_conditions(config, i):
     compared, at r = 1 and then, for n >= 3, at r = 2, and e_i^n is
     computed once, when the first pair gets that far.
     """
-    n, ei = config.n, strict_class_in_total(config, i)
+    n, pairs = config.n, _pairs(config, i)
     ein = None
-    for j, shared in _candidates(config, i, ei):
+    for j in sorted(pairs):
+        shared = pairs[j]
         # condition (11): e_j^(n-1) * e_i must be the point class
         point = _point_integral(n, shared)
         if point != 1:
@@ -134,7 +153,7 @@ def _chow_conditions(config, i):
                 "condition (11) fails for j=%d: integral %d, expected 1" % (j, point),
             )
         if ein is None:
-            ein = _self_integral(n, ei)
+            ein = _self_integral(n, config._adjacency[1].get(i, ()))
         # condition (10): e_i^n == (-1)^r e_i^(n-r) e_j^r for every r; the
         # integral takes one value at odd r and one at even r, so r = 1 and,
         # for n >= 3, r = 2 stand for all of them
@@ -216,9 +235,9 @@ class FinalityReport:
 
 def finality_report(config: ProximityConfig) -> FinalityReport:
     """Both deciders on every divisor, with a witness for each chow failure."""
+    proximate = config._adjacency[1]
     entries = []
     for i in range(1, config.s + 1):
-        by_prox = final_by_proximity(config, i)
         by_chow, witness = _chow_conditions(config, i)
-        entries.append(DivisorFinality(i, by_prox, by_chow, witness))
+        entries.append(DivisorFinality(i, i not in proximate, by_chow, witness))
     return FinalityReport(config, tuple(entries))

@@ -252,13 +252,6 @@ class Polynomial:
             raise ValueError("polynomial is not homogeneous: degrees %s" % sorted(degs))
         return degs.pop()
 
-    def is_homogeneous(self, weights: Sequence[int] | None = None) -> bool:
-        try:
-            self.homogeneous_degree(weights)
-        except ValueError:
-            return False
-        return True
-
     def sorted_terms(self, weights: Sequence[int] | None = None) -> list[tuple[Exps, int]]:
         """Terms largest-monomial first under the global order."""
         return sorted(

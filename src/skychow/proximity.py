@@ -277,6 +277,8 @@ def strict_class_in_total(config: ProximityConfig, i: int) -> dict[int, int]:
     the i-th strict unit vector, read from the adjacency lists without a
     length-(s+1) vector.
     """
+    if type(i) is not int:
+        raise ValueError("exceptional index %r must be an integer" % (i,))
     if not 1 <= i <= config.s:
         raise ValueError("exceptional index %d out of range 1..%d" % (i, config.s))
     out = {i: 1}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from math import comb
 from random import Random
 
@@ -276,6 +277,19 @@ class TestClosedFormProducts:
                 from_divisor(cfg, v)
         assert degree_integral(sparse_product(cfg, [({0: 1, 5: 2}, 3)])) == 9
         assert from_divisor(cfg, {0: 1, 5: 2}).component(1) == (1, 0, 0, 0, 0, 2)
+
+    @pytest.mark.parametrize("key", [1.5, 1.0, True, "1"])
+    def test_rejects_keys_that_are_not_ints(self, key):
+        # type, not isinstance or value: True == 1 and 1.0 == 1 would pass
+        cfg = ProximityConfig(n=2, s=3, prox=frozenset({(2, 1), (3, 1)}))
+        message = "coordinate %r must be an integer" % (key,)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sparse_product(cfg, [({key: 1}, 2)])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            from_divisor(cfg, {0: 1, key: 1})
+        message = "exceptional index %r must be an integer" % (key,)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            strict_class_in_total(cfg, key)
 
 
 class TestPresentations:

@@ -589,14 +589,16 @@ class TestFinal:
 
     @pytest.mark.parametrize("method", ["proximity", "chow", "both"])
     def test_strict_classes_are_built_once(self, tmp_path, capsys, monkeypatch, method):
+        # finality reads each divisor's pairs off the adjacency lists once
         calls = []
-        original = finality.strict_class_in_total
+        original = finality._pairs
 
         def counting(config, i):
             calls.append(i)
             return original(config, i)
 
-        monkeypatch.setattr(finality, "strict_class_in_total", counting)
+        monkeypatch.setattr(finality, "_pairs", counting)
+        assert not hasattr(finality, "strict_class_in_total")
         path = write_config(tmp_path, chain_doc(3, 6))
         assert cli.main(["final", path, "--method", method]) == 0
         assert calls == [1, 2, 3, 4, 5, 6]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import replace
 from random import Random
 
@@ -56,6 +57,17 @@ class TestProximityDecider:
             final_by_proximity(SURFACE, 0)
         with pytest.raises(ValueError):
             final_by_proximity(SURFACE, 3)
+
+    @pytest.mark.parametrize("i", [2.5, 1.0, True, "1"])
+    @pytest.mark.parametrize(
+        "decider", [final_by_proximity, final_by_chow, intersecting_indices]
+    )
+    def test_index_must_be_an_int(self, decider, i):
+        # type, not isinstance or value: True == 1 and 1.0 == 1 would pass
+        cfg = ProximityConfig(n=2, s=3, prox=frozenset({(2, 1), (3, 1)}))
+        message = "divisor index %r must be an integer" % (i,)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            decider(cfg, i)
 
     def test_invalid_config_is_rejected(self):
         with pytest.raises(InvalidConfigError):
@@ -150,7 +162,8 @@ class TestConditionTenAtEvenR:
     On strict classes a pair that passes (11) and (10) at r = 1 passes
     (10) at r = 2 too, so no config reaches a failure there; these feed the
     decider e_i and the shared coefficients (+-1, as on strict classes)
-    directly, to pin the comparison and its witness.
+    directly (e_i through the config's proximity pairs, the shared lists
+    in place of _pairs), to pin the comparison and its witness.
     """
 
     @pytest.mark.parametrize(
@@ -163,11 +176,11 @@ class TestConditionTenAtEvenR:
         ],
     )
     def test_witness_names_r_2(self, monkeypatch, n, ei, shared, rhs):
-        monkeypatch.setattr(finality, "strict_class_in_total", lambda config, i: ei)
-        monkeypatch.setattr(
-            finality, "_candidates", lambda config, i, ei: [(2, shared)]
-        )
-        cfg = ProximityConfig(n=n, s=2, prox=frozenset({(2, 1)}))
+        # e_1 is ei: the points it puts -1 on are proximate to 1
+        prox = frozenset((t, 1) for t in ei if t != 1)
+        cfg = ProximityConfig(n=n, s=max(2, *ei), prox=prox)
+        assert strict_class_in_total(cfg, 1) == ei
+        monkeypatch.setattr(finality, "_pairs", lambda config, i: {2: shared})
         witness = "condition (10) fails for j=2 at r=2: integral %d, expected -1" % rhs
         assert _chow_conditions(cfg, 1) == (False, witness)
 
@@ -247,7 +260,7 @@ class TestClosedFormMatchesRing:
             ei = strict_class_in_total(cfg, i)
             pairs = _meeting(cfg, i, ei)
             assert [j for j, _ in pairs] == sorted(meets)
-            assert _self_integral(n, ei) == degree_integral(powers[i][n])
+            assert _self_integral(n, cfg.proximate_points(i)) == degree_integral(powers[i][n])
             # conditions (10) and (11) integrate e_i^(n-r) e_j^r for r in 1..n-1;
             # _parity_integrals gives one value for odd r and one for even r
             for j, shared in pairs:
@@ -296,7 +309,7 @@ class TestOracleCertifiesIntegrals:
 
             for i in range(1, s + 1):
                 ei = strict_class_in_total(cfg, i)
-                certify(strict[i] ** n, _self_integral(n, ei))
+                certify(strict[i] ** n, _self_integral(n, cfg.proximate_points(i)))
                 for j, shared in _meeting(cfg, i, ei):
                     odd, even = _parity_integrals(n, shared, _point_integral(n, shared))
                     for r in range(1, n):

@@ -75,8 +75,23 @@ MUTANTS = {
     ),
     "self-integral-sign": (
         "src/skychow/finality.py",
-        "return 2 - len(ei) if n % 2 else -len(ei)",
-        "return 2 - len(ei) if n % 2 else len(ei)",
+        "else -1 - len(proximate)",
+        "else 1 - len(proximate)",
+    ),
+    "pair-target-sign": (
+        "src/skychow/finality.py",
+        "pairs[k] = [(1, -1)]",
+        "pairs[k] = [(1, 1)]",
+    ),
+    "pair-proximate-sign": (
+        "src/skychow/finality.py",
+        "pairs[t] = [(-1, 1)]",
+        "pairs[t] = [(1, 1)]",
+    ),
+    "pair-self-exclusion": (
+        "src/skychow/finality.py",
+        "if k != i:",
+        "if k != t:",
     ),
     "substitution-order": (
         "src/skychow/poly.py",
