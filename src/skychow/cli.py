@@ -296,7 +296,7 @@ def cmd_final(args) -> int:
     if args.method != "both":
         # blank the column that was not asked for, and the witness
         blank = "final_chow" if args.method == "proximity" else "final_proximity"
-        divisors = tuple(replace(d, **{blank: None, "witness": None}) for d in report.divisors)
+        divisors = tuple(d._replace(**{blank: None, "witness": None}) for d in report.divisors)
         report = replace(report, divisors=divisors)
     if args.format == "json":
         print(report.to_json_text())

@@ -7,9 +7,10 @@ Chern class).  The grading is weighted: deg x0 = deg x1 = 1, deg w1 = 2.
 Additively the ring is spanned by {1; x0, x1; x0^2, w1; x0^3} and degree
 4 vanishes up to possible finite torsion, which the checks report.
 
-Ring elements are kept on their six basis coordinates, and products come
-straight from the structure constants of that basis, the products the
-rewrite rules give for pairs of basis monomials.  Two reduction routes
+A ring element is an immutable named tuple: its parameters, then its six
+coordinates over the basis.  Products come straight from the structure
+constants of that basis, the products the rewrite rules give for pairs of
+basis monomials, and build their result as one tuple.  Two reduction routes
 are implemented: a rewrite system driving every monomial to the
 canonical basis, and the generic graded-lattice oracle on the defining
 ideal.  curve_ring_checks compares them on all 22 monomials of weighted
@@ -20,7 +21,9 @@ killed by an integer multiple) or a genuine failure.
 from __future__ import annotations
 
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
+from operator import add, itemgetter
 
 from . import oracle
 from .poly import Polynomial, format_polynomial, format_terms, monomials_of_degree
@@ -31,7 +34,17 @@ CURVE_WEIGHTS = (1, 1, 2)
 TOP_DEGREE = 3
 
 _BASIS_LABELS = ("1", "x0", "x1", "x0^2", "w1", "x0^3")
+# the basis monomials' public exponents, in coordinate order
+_BASIS_EXPONENTS = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (2, 0, 0), (0, 0, 1), (3, 0, 0))
+# format_polynomial's term order on the basis: x0^3, x0^2, w1, x1, x0, 1,
+# and the element fields that hold those coordinates
 _PRINT_ORDER = ("x0^3", "x0^2", "w1", "x1", "x0", "")
+_print_coords = itemgetter(6, 4, 5, 3, 2, 1)
+
+
+def _basis_terms(coords) -> dict:
+    """The public-order term dict of six basis coordinates."""
+    return {e: c for e, c in zip(_BASIS_EXPONENTS, coords) if c}
 
 
 @dataclass(frozen=True)
@@ -56,72 +69,62 @@ class CurveRingParams:
             )
 
 
-@dataclass(frozen=True)
-class CurveRingElement:
+class CurveRingElement(
+    namedtuple(
+        "CurveRingElement",
+        ("params", "unit", "x0", "x1", "x0_sq", "w1", "x0_cu"),
+        defaults=(0, 0, 0, 0, 0, 0),
+    )
+):
     """Coordinates over the canonical basis {1; x0, x1; x0^2, w1; x0^3}."""
 
-    params: CurveRingParams
-    unit: int = 0
-    x0: int = 0
-    x1: int = 0
-    x0_sq: int = 0
-    w1: int = 0
-    x0_cu: int = 0
+    __slots__ = ()
 
     def coords(self):
-        return (self.unit, self.x0, self.x1, self.x0_sq, self.w1, self.x0_cu)
+        return self[1:]
 
     def is_zero(self):
         return not any(self.coords())
 
     def to_polynomial(self) -> Polynomial:
-        terms = {
-            (0, 0, 0): self.unit,
-            (1, 0, 0): self.x0,
-            (0, 1, 0): self.x1,
-            (2, 0, 0): self.x0_sq,
-            (0, 0, 1): self.w1,
-            (3, 0, 0): self.x0_cu,
-        }
-        return Polynomial._of(3, {e: c for e, c in terms.items() if c})
+        return Polynomial._of(3, _basis_terms(self.coords()))
 
     def __add__(self, other):
         if not isinstance(other, CurveRingElement):
             return NotImplemented
         if self.params != other.params:
             raise ValueError("elements belong to different parameter values")
-        a, b = self.coords(), other.coords()
-        return CurveRingElement(self.params, *(x + y for x, y in zip(a, b)))
+        return CurveRingElement(self.params, *map(add, self.coords(), other.coords()))
 
     def __mul__(self, other):
         if isinstance(other, int):
             return CurveRingElement(self.params, *(c * other for c in self.coords()))
         if not isinstance(other, CurveRingElement):
             return NotImplemented
-        if self.params != other.params:
+        params, a0, a1, a2, a3, a4, a5 = self
+        other_params, b0, b1, b2, b3, b4, b5 = other
+        if params != other_params:
             raise ValueError("elements belong to different parameter values")
-        g, c1 = self.params.gamma, self.params.c1
-        a0, a1, a2, a3, a4, a5 = self.coords()
-        b0, b1, b2, b3, b4, b5 = other.coords()
+        g, c1 = params.gamma, params.c1
         # the basis products: x0*x0 = x0^2, x0*x1 = gamma*w1,
         # x1*x1 = c1*w1 - gamma*x0^2, x0*x0^2 = x0^3, x1*w1 = -x0^3, and
         # x0*w1 = x1*x0^2 = 0; every product above degree 3 dies
-        return CurveRingElement(
-            self.params,
+        return tuple.__new__(CurveRingElement, (
+            params,
             a0 * b0,
             a0 * b1 + a1 * b0,
             a0 * b2 + a2 * b0,
             a0 * b3 + a3 * b0 + a1 * b1 - g * a2 * b2,
             a0 * b4 + a4 * b0 + g * (a1 * b2 + a2 * b1) + c1 * a2 * b2,
             a0 * b5 + a5 * b0 + a1 * b3 + a3 * b1 - a2 * b4 - a4 * b2,
-        )
+        ))
 
     __rmul__ = __mul__
 
     def __str__(self):
-        # format_polynomial's term order on the basis: x0^3, x0^2, w1, x1, x0, 1
-        coords = (self.x0_cu, self.x0_sq, self.w1, self.x1, self.x0, self.unit)
-        return format_terms((mono, c) for mono, c in zip(_PRINT_ORDER, coords) if c)
+        return format_terms(
+            (mono, c) for mono, c in zip(_PRINT_ORDER, _print_coords(self)) if c
+        )
 
 
 def curve_ideal_generators(params: CurveRingParams) -> tuple:
@@ -140,9 +143,13 @@ def curve_ideal_generators(params: CurveRingParams) -> tuple:
 # the canonical basis to be exactly the non-pivot monomials we need x1 to
 # outrank w1, so oracle-side exponent vectors use the order (x0, w1, x1).
 
-def _to_oracle(p: Polynomial) -> Polynomial:
+def _swapped(terms: dict) -> dict:
     # swapping the last two exponents is an involution: this also maps back
-    return Polynomial._of(3, {(a, c, b): k for (a, b, c), k in p.terms.items()})
+    return {(a, c, b): k for (a, b, c), k in terms.items()}
+
+
+def _to_oracle(p: Polynomial) -> Polynomial:
+    return Polynomial._of(3, _swapped(p.terms))
 
 
 def curve_ideal(params: CurveRingParams) -> oracle.GradedIdeal:
@@ -150,6 +157,33 @@ def curve_ideal(params: CurveRingParams) -> oracle.GradedIdeal:
     with slices up to one degree past the top, where everything dies."""
     gens = [_to_oracle(g) for g in curve_ideal_generators(params)]
     return oracle.GradedIdeal(3, gens, TOP_DEGREE + 1, weights=(1, 2, 1))
+
+
+def _put(acc, a, b, c, coef):
+    """Add coef * x0^a x1^b w1^c, rewritten, to acc = [params, six coordinates]."""
+    if a + b + 2 * c > TOP_DEGREE:
+        return
+    if b >= 2:
+        _put(acc, a, b - 2, c + 1, coef * acc[0].c1)
+        _put(acc, a + 2, b - 2, c, -coef * acc[0].gamma)
+    elif a >= 1 and b >= 1:
+        _put(acc, a - 1, b - 1, c + 1, coef * acc[0].gamma)
+    elif b >= 1 and c >= 1:
+        _put(acc, a + 3, b - 1, c - 1, -coef)
+    elif a >= 1 and c >= 1:
+        return
+    elif c >= 1:
+        acc[5] += coef  # bare w1 (c == 1; larger c is over the degree cap)
+    elif b == 1:
+        acc[3] += coef
+    elif a == 0:
+        acc[1] += coef
+    elif a == 1:
+        acc[2] += coef
+    elif a == 2:
+        acc[4] += coef
+    else:  # a == 3; higher pure powers are over the degree cap
+        acc[6] += coef
 
 
 def curve_normal_form(params: CurveRingParams, p: Polynomial) -> CurveRingElement:
@@ -162,37 +196,10 @@ def curve_normal_form(params: CurveRingParams, p: Polynomial) -> CurveRingElemen
     """
     if p.nvars != 3:
         raise ValueError("polynomial has %d variables, expected 3" % p.nvars)
-    g, c1 = params.gamma, params.c1
-    acc = [0, 0, 0, 0, 0, 0]  # unit, x0, x1, x0^2, w1, x0^3
-
-    def put(a, b, c, coef):
-        if a + b + 2 * c > TOP_DEGREE:
-            return
-        if b >= 2:
-            put(a, b - 2, c + 1, coef * c1)
-            put(a + 2, b - 2, c, -coef * g)
-        elif a >= 1 and b >= 1:
-            put(a - 1, b - 1, c + 1, coef * g)
-        elif b >= 1 and c >= 1:
-            put(a + 3, b - 1, c - 1, -coef)
-        elif a >= 1 and c >= 1:
-            return
-        elif c >= 1:
-            acc[4] += coef  # bare w1 (c == 1; larger c is over the degree cap)
-        elif b == 1:
-            acc[2] += coef
-        elif a == 0:
-            acc[0] += coef
-        elif a == 1:
-            acc[1] += coef
-        elif a == 2:
-            acc[3] += coef
-        else:  # a == 3; higher pure powers are over the degree cap
-            acc[5] += coef
-
+    acc = [params, 0, 0, 0, 0, 0, 0]
     for (a, b, c), coef in p.terms.items():
-        put(a, b, c, coef)
-    return CurveRingElement(params, *acc)
+        _put(acc, a, b, c, coef)
+    return tuple.__new__(CurveRingElement, acc)
 
 
 def curve_degree_integral(element: CurveRingElement) -> int:
@@ -277,10 +284,13 @@ def curve_ring_checks(params: CurveRingParams) -> CurveCheckReport:
     for d in range(0, 5):
         for a, b, c in monomials_of_degree(3, d, CURVE_WEIGHTS):
             mono = Polynomial._of(3, {(a, b, c): 1})
-            rewrite = curve_normal_form(params, mono).to_polynomial()
-            residue = _to_oracle(oracle.reduce(ideal, Polynomial._of(3, {(a, c, b): 1})))
+            # both routes as term dicts in public order; the polynomials a
+            # report line prints are built only when the routes differ
+            rewrite = _basis_terms(curve_normal_form(params, mono).coords())
+            residue = _swapped(oracle.reduce(ideal, Polynomial._of(3, {(a, c, b): 1})).terms)
             if rewrite == residue:
                 continue
+            rewrite, residue = Polynomial._of(3, rewrite), Polynomial._of(3, residue)
             diff = _to_oracle(rewrite - residue)
             if oracle.rational_membership(ideal, diff) and not oracle.membership(
                 ideal, diff

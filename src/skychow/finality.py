@@ -18,6 +18,7 @@ surprise.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .proximity import ProximityConfig
@@ -172,14 +173,12 @@ def final_by_chow(config: ProximityConfig, i: int) -> bool:
     return ok
 
 
-@dataclass(frozen=True)
-class DivisorFinality:
+class DivisorFinality(
+    namedtuple("DivisorFinality", ("index", "final_proximity", "final_chow", "witness"))
+):
     """One divisor's verdicts; a decider that was not run leaves None."""
 
-    index: int
-    final_proximity: bool | None
-    final_chow: bool | None
-    witness: str | None
+    __slots__ = ()
 
     @property
     def agree(self):

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left
+from collections import namedtuple
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import gcd
@@ -312,13 +313,10 @@ class GradedPiece:
         return Polynomial._of(nvars, {monos[pos]: coef for pos, coef in vec.items() if coef})
 
 
-@dataclass(frozen=True)
-class QuotientSlice:
+class QuotientSlice(namedtuple("QuotientSlice", ("degree", "rank", "torsion"))):
     """Free rank and torsion divisors (each > 1) of one graded quotient slice."""
 
-    degree: int
-    rank: int
-    torsion: tuple
+    __slots__ = ()
 
     @property
     def torsion_free(self):

@@ -11,7 +11,13 @@ from random import Random
 
 from skychow.chowring import total_presentation
 from skychow.cli import MAX_AMBIENT_DIMENSION
-from skychow.curve import CURVE_VARIABLES, CurveRingElement, curve_normal_form
+from skychow.curve import (
+    CURVE_VARIABLES,
+    TOP_DEGREE,
+    CurveRingElement,
+    CurveRingParams,
+    curve_normal_form,
+)
 from skychow.oracle import GradedIdeal, GradedPiece, HermiteLattice, _xgcd
 from skychow.poly import Polynomial, _slice, format_polynomial, monomials_of_degree
 from skychow.proximity import (
@@ -125,6 +131,44 @@ def reference_curve_product(a: CurveRingElement, b: CurveRingElement) -> CurveRi
 def reference_curve_str(a: CurveRingElement) -> str:
     """Reference for CurveRingElement.__str__: the representative, printed."""
     return format_polynomial(a.to_polynomial(), CURVE_VARIABLES)
+
+
+def reference_curve_normal_form(params: CurveRingParams, p: Polynomial) -> CurveRingElement:
+    """Reference for curve_normal_form: the same rules, applied by a closure
+    that fills a list of the six coordinates."""
+    if p.nvars != 3:
+        raise ValueError("polynomial has %d variables, expected 3" % p.nvars)
+    g, c1 = params.gamma, params.c1
+    acc = [0, 0, 0, 0, 0, 0]  # unit, x0, x1, x0^2, w1, x0^3
+
+    def put(a, b, c, coef):
+        if a + b + 2 * c > TOP_DEGREE:
+            return
+        if b >= 2:
+            put(a, b - 2, c + 1, coef * c1)
+            put(a + 2, b - 2, c, -coef * g)
+        elif a >= 1 and b >= 1:
+            put(a - 1, b - 1, c + 1, coef * g)
+        elif b >= 1 and c >= 1:
+            put(a + 3, b - 1, c - 1, -coef)
+        elif a >= 1 and c >= 1:
+            return
+        elif c >= 1:
+            acc[4] += coef  # bare w1 (c == 1; larger c is over the degree cap)
+        elif b == 1:
+            acc[2] += coef
+        elif a == 0:
+            acc[0] += coef
+        elif a == 1:
+            acc[1] += coef
+        elif a == 2:
+            acc[3] += coef
+        else:  # a == 3; higher pure powers are over the degree cap
+            acc[5] += coef
+
+    for (a, b, c), coef in p.terms.items():
+        put(a, b, c, coef)
+    return CurveRingElement(params, *acc)
 
 
 def expand_substitute(p: Polynomial, images) -> Polynomial:

@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import skychow.cli as cli
-from helpers import reference_curve_product, reference_curve_str
+from helpers import reference_curve_normal_form, reference_curve_product, reference_curve_str
 from skychow import oracle
 from skychow.curve import (
     CurveRingElement,
@@ -27,6 +27,8 @@ from skychow.curve import (
     curve_ring_checks,
     _to_oracle,
 )
+from skychow.finality import DivisorFinality
+from skychow.oracle import QuotientSlice
 from skychow.poly import Polynomial, monomials_of_degree, random_homogeneous
 
 GAMMAS = (1, 2, 3)
@@ -141,6 +143,35 @@ class TestRewrite:
         other = CurveRingParams(gamma=3, c1=6)
         with pytest.raises(ValueError, match="different parameter"):
             CurveRingElement(self.P, x0=1) * CurveRingElement(other, x1=1)
+
+
+class TestRewriteMatchesReference:
+    """curve_normal_form against the closure-based rewrite it replaced, kept
+    in tests/helpers.py, up to weighted degree 6 (past the cap of 3)."""
+
+    @staticmethod
+    def polynomials(rng):
+        """Zero, every monomial of weighted degree 0..6, and seeded sums of
+        random forms of mixed degrees with small and large coefficients."""
+        out = [Polynomial.zero(3)]
+        out.extend(mono(*e) for d in range(7) for e in monomials_of_degree(3, d, (1, 1, 2)))
+        for _ in range(25):
+            p = Polynomial.zero(3)
+            for d in rng.sample(range(7), rng.randint(1, 7)):
+                form = random_homogeneous(rng, 3, d, weights=(1, 1, 2))
+                p = p + form * rng.choice((1, -1, 10**12 + 7))
+            out.append(p)
+        return out
+
+    def test_every_grid_point(self):
+        rng = Random(25)
+        for params in full_grid():
+            for p in self.polynomials(rng):
+                got = curve_normal_form(params, p)
+                want = reference_curve_normal_form(params, p)
+                assert type(got) is CurveRingElement
+                assert got.params == params
+                assert got.coords() == want.coords(), (params, p)
 
 
 class TestClosedFormProduct:
@@ -278,3 +309,79 @@ class TestChecks:
         assert report.torsion == {}
         assert report.torsion_resolved == ()
         assert report.passed
+
+
+class TestRecordValues:
+    """The tuple-backed records keep the value semantics of frozen
+    dataclasses: read-only fields, equality and hash by value, defaults and
+    keyword construction, the same repr."""
+
+    P = CurveRingParams(gamma=2, c1=6)
+
+    def records(self):
+        """(record, an equal record built another way, a different record)"""
+        return [
+            (
+                CurveRingElement(self.P, x0=1, w1=-3),
+                CurveRingElement(self.P, 0, 1, 0, 0, -3),
+                CurveRingElement(self.P, x0=1, w1=3),
+            ),
+            (
+                QuotientSlice(4, 0, (2,)),
+                QuotientSlice(degree=4, rank=0, torsion=(2,)),
+                QuotientSlice(4, 0, ()),
+            ),
+            (
+                DivisorFinality(1, True, True, None),
+                DivisorFinality(index=1, final_proximity=True, final_chow=True, witness=None),
+                DivisorFinality(1, True, False, None),
+            ),
+        ]
+
+    FIELDS = {
+        CurveRingElement: ("params", "unit", "x0", "x1", "x0_sq", "w1", "x0_cu"),
+        QuotientSlice: ("degree", "rank", "torsion"),
+        DivisorFinality: ("index", "final_proximity", "final_chow", "witness"),
+    }
+
+    def test_fields_are_read_only(self):
+        for record, _, _ in self.records():
+            for name in self.FIELDS[type(record)]:
+                with pytest.raises(AttributeError):
+                    setattr(record, name, 0)
+                with pytest.raises(AttributeError):
+                    delattr(record, name)
+            with pytest.raises(AttributeError):
+                record.extra = 0
+
+    def test_equality_and_hash_by_value(self):
+        for record, same, other in self.records():
+            assert record == same and not record != same
+            assert hash(record) == hash(same)
+            assert record != other
+            assert len({record, same, other}) == 2
+
+    def test_defaults_and_keywords(self):
+        zero = CurveRingElement(self.P)
+        assert zero.coords() == (0, 0, 0, 0, 0, 0) and zero.is_zero()
+        el = CurveRingElement(self.P, x0_cu=5, unit=2)
+        assert (el.params, el.unit, el.x0_cu) == (self.P, 2, 5)
+        assert el.coords() == (2, 0, 0, 0, 0, 5)
+        assert QuotientSlice(3, 1, ()).torsion_free
+        assert not QuotientSlice(4, 0, (2,)).torsion_free
+        assert DivisorFinality(2, True, None, "w").agree is False
+
+    def test_repr(self):
+        assert repr(CurveRingElement(self.P, x0=1)) == (
+            "CurveRingElement(params=CurveRingParams(gamma=2, c1=6), "
+            "unit=0, x0=1, x1=0, x0_sq=0, w1=0, x0_cu=0)"
+        )
+        assert repr(QuotientSlice(4, 0, (2,))) == "QuotientSlice(degree=4, rank=0, torsion=(2,))"
+        assert repr(DivisorFinality(1, True, False, "w")) == (
+            "DivisorFinality(index=1, final_proximity=True, final_chow=False, witness='w')"
+        )
+
+    def test_mixed_params_are_rejected_by_add(self):
+        other = CurveRingParams(gamma=3, c1=6)
+        with pytest.raises(ValueError, match="different parameter"):
+            CurveRingElement(self.P, x0=1) + CurveRingElement(other, x1=1)

@@ -195,7 +195,7 @@ class TestJsonText:
         if method == "both":
             return report
         blank = "final_chow" if method == "proximity" else "final_proximity"
-        divisors = tuple(replace(d, **{blank: None, "witness": None}) for d in report.divisors)
+        divisors = tuple(d._replace(**{blank: None, "witness": None}) for d in report.divisors)
         return replace(report, divisors=divisors)
 
     def test_every_small_config_and_method(self):

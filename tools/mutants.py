@@ -5,15 +5,17 @@ change there, and runs the suite with -x.  A mutant the suite passes
 survives; the script prints the survivors and exits 1 if there are any
 (2 if a mutation no longer matches its source).  Standard library only.
 
-With --verify the mutated copy runs `skychow verify` instead of the suite,
-on every file in configs/ plus tests/configs/threefold_mixed.json, with
-seeds 0-2.  A mutant is detected when any run's stdout or exit code
-differs from the unmutated tree's; the script prints the mutants verify
-misses and the kill rate, and exits 0 (2 if a mutation is stale).
+With --verify the mutated copy runs the user-facing checks instead of the
+suite: `skychow verify` on every file in configs/ plus
+tests/configs/threefold_mixed.json, with seeds 0-2, and `skychow
+curve-example --check` on a few fixed (gamma, c1).  A mutant is detected
+when any run's stdout or exit code differs from the unmutated tree's; the
+script prints the mutants these checks miss and the kill rate, and exits 0
+(2 if a mutation is stale).
 
     python tools/mutants.py               # every mutant, about 10 s each
     python tools/mutants.py meeting-test  # only the named ones
-    python tools/mutants.py --verify      # verify as the detector, about 4 s each
+    python tools/mutants.py --verify      # the user checks as the detector, about 4 s each
 """
 
 from __future__ import annotations
@@ -118,6 +120,11 @@ MUTANTS = {
         "- a2 * b4 - a4 * b2",
         "+ a2 * b4 - a4 * b2",
     ),
+    "curve-rewrite-x1w1-sign": (
+        "src/skychow/curve.py",
+        "_put(acc, a + 3, b - 1, c - 1, -coef)",
+        "_put(acc, a + 3, b - 1, c - 1, coef)",
+    ),
     "power-rule-parity": (
         "src/skychow/chowring.py",
         "if not n % 2:",
@@ -171,6 +178,8 @@ VERIFY_CONFIGS = sorted(
     str(p.relative_to(ROOT)) for p in (ROOT / "configs").glob("*.json")
 ) + ["tests/configs/threefold_mixed.json"]
 VERIFY_SEEDS = (0, 1, 2)
+# curve-example --check's fixed (gamma, c1): two with degree-4 torsion Z/2, one without
+CURVE_PARAMS = ((2, 6), (3, -4), (4, 6))
 VERIFY_TIMEOUT_S = 120
 MAIN = "import sys; from skychow.cli import main; sys.exit(main(sys.argv[1:]))"
 ENV = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
@@ -210,23 +219,27 @@ def run_mutant(name: str) -> str:
 
 
 def verify_outputs(tree: Path) -> list:
-    """(exit code, stdout) of skychow verify on each fixed config and seed."""
+    """(exit code, stdout) of skychow verify on each fixed config and seed,
+    then of curve-example --check on each fixed (gamma, c1)."""
+    runs = [["verify", config, "--seed", str(seed)]
+            for config in VERIFY_CONFIGS for seed in VERIFY_SEEDS]
+    runs += [["curve-example", "--gamma", str(g), "--c1", str(c1), "--check"]
+             for g, c1 in CURVE_PARAMS]
     outputs = []
-    for config in VERIFY_CONFIGS:
-        for seed in VERIFY_SEEDS:
-            argv = [sys.executable, "-c", MAIN, "verify", config, "--seed", str(seed)]
-            try:
-                done = subprocess.run(argv, cwd=tree, env=ENV, capture_output=True,
-                                      timeout=VERIFY_TIMEOUT_S)
-            except subprocess.TimeoutExpired:
-                outputs.append(("timeout", b""))
-                continue
-            outputs.append((done.returncode, done.stdout))
+    for args in runs:
+        argv = [sys.executable, "-c", MAIN, *args]
+        try:
+            done = subprocess.run(argv, cwd=tree, env=ENV, capture_output=True,
+                                  timeout=VERIFY_TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            outputs.append(("timeout", b""))
+            continue
+        outputs.append((done.returncode, done.stdout))
     return outputs
 
 
 def verify_mutant(name: str, reference: list) -> str:
-    """'detected', 'missed' or 'stale': does verify's output change?"""
+    """'detected', 'missed' or 'stale': does any fixed run's output change?"""
     with tree_copy(name) as tree:
         if tree is None:
             return "stale"
@@ -246,16 +259,17 @@ def main(argv) -> int:
     verdicts = {}
     for name in names or MUTANTS:
         verdicts[name] = verify_mutant(name, reference) if verify else run_mutant(name)
-        print("%-22s %s" % (name, verdicts[name]), flush=True)
+        print("%-24s %s" % (name, verdicts[name]), flush=True)
     stale = "stale" in verdicts.values()
     if verify:
         missed = [n for n, v in verdicts.items() if v == "missed"]
         detected = sum(v == "detected" for v in verdicts.values())
         tried = detected + len(missed)
-        print("verify misses: %s" % (", ".join(missed) or "none"))
-        print("verify kill rate: %d of %d (%.0f%%) over %d configs x %d seeds"
+        print("user checks miss: %s" % (", ".join(missed) or "none"))
+        print("user checks kill rate: %d of %d (%.0f%%) over %d configs x %d seeds"
+              " and %d curve-example runs"
               % (detected, tried, 100 * detected / max(tried, 1),
-                 len(VERIFY_CONFIGS), len(VERIFY_SEEDS)))
+                 len(VERIFY_CONFIGS), len(VERIFY_SEEDS), len(CURVE_PARAMS)))
         return 2 if stale else 0
     survivors = [n for n, v in verdicts.items() if v == "survived"]
     print("surviving mutants: %s" % (", ".join(survivors) or "none"))
