@@ -31,7 +31,7 @@ from .chowring import (
     total_presentation,
 )
 from .finality import final_by_proximity, finality_report
-from .poly import Polynomial, format_polynomial, randbelow, random_homogeneous
+from .poly import Polynomial, _mul_terms, format_polynomial, random_homogeneous
 from .proximity import InvalidConfigError, ProximityConfig, strict_class_in_total
 
 EXIT_OK = 0
@@ -48,9 +48,10 @@ EXIT_INTERNAL_ERROR = 4
 MAX_ORACLE_WIDTH = 4096
 
 # Most polynomials verify samples.  Each sample costs one reduce on a cached
-# slice plus its draw and normal form, about 0.02-0.03 ms at n=3 with s=7 or
-# s=15 and at n=4 with s=10 on a shared 2-vCPU host, so the largest admitted
-# run takes seconds, not days.
+# slice plus its draw and normal form, about 0.012-0.016 ms at n=3 with s=7 or
+# s=15, at n=4 with s=10 and at n=2 with s=26 (in process on a shared 2-vCPU
+# host: 2250 samples less 250, best of several runs, median of 7 processes),
+# so the largest admitted run takes seconds, not days.
 MAX_VERIFY_SAMPLES = 100_000
 
 # Most exponent entries present may build.  Every term of a presentation
@@ -341,23 +342,35 @@ def _verify_checks(config, samples, seed):
         "%d relations checked" % len(strict.factored),
     )
 
-    # randint(1, n + 1) and randrange(len(relations)), drawn by Random's rule
+    # randint(1, n + 1) and randrange(len(relations)) by Random's rule, as
+    # random_homogeneous draws its picks: the bound's bit length in bits,
+    # drawn again while the value is the bound or more
     bits = rng.getrandbits
+    nv = s + 1
     relations = total.relations
     degrees = [g.homogeneous_degree() for g in relations]
+    top, top_len = n + 1, (n + 1).bit_length()
+    rels, rels_len = len(relations), len(relations).bit_length()
     mismatches = 0
     for _ in range(samples):
-        d = 1 + randbelow(bits, n + 1)
-        p = random_homogeneous(rng, s + 1, d)
+        d = bits(top_len)
+        while d >= top:
+            d = bits(top_len)
+        d += 1
+        p = random_homogeneous(rng, nv, d)
         if rng.random() < 0.5:
             # stir in an ideal element so both zero and nonzero representatives occur
-            r = randbelow(bits, len(relations))
+            r = bits(rels_len)
+            while r >= rels:
+                r = bits(rels_len)
             dg = degrees[r]
             if dg <= d:
-                p = p + relations[r] * random_homogeneous(rng, s + 1, d - dg)
+                # p + relation * q, with the product added into a copy of p
+                q = random_homogeneous(rng, nv, d - dg)
+                p = Polynomial._of(nv, _mul_terms(relations[r].terms, q.terms, dict(p.terms)))
         # one oracle query: equal polynomials are zero together, so this also
         # compares membership in the ideal with the normal form being zero
-        if oracle.reduce(ideal, p) != normal_form(config, p).to_polynomial():
+        if oracle.reduce(ideal, p).terms != normal_form(config, p).to_polynomial().terms:
             mismatches += 1
     yield (
         mismatches == 0,

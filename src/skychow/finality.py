@@ -89,13 +89,12 @@ def _pairs(config, i):
     return pairs
 
 
-def _meeting(config, i, ei=None):
+def _meeting(config, i):
     """(j, shared) for each j != i, ascending, with e_i * e_j nonzero.
 
     Below degree n the product is coordinate-wise: nonzero iff the supports
     overlap.  For n = 2 the product is the point integral, which can still
-    be zero.  The pairs come from _pairs; ei, e_i as strict_class_in_total
-    gives it, is accepted for callers that hold it and is not read.
+    be zero.  The pairs come from _pairs.
     """
     pairs = _pairs(config, i)
     meeting = [(j, pairs[j]) for j in sorted(pairs)]

@@ -362,6 +362,8 @@ class GradedIdeal:
         self._degrees = tuple(d for d, _ in kept)  # homogeneous degree of each generator
         self.max_degree = int(max_degree)
         self.weights = weights
+        # every weight 1: a term's degree is sum(exps), read without the weights
+        self._unit_weights = all(w == 1 for w in weights)
         # A monomial of degree at most max_degree has no exponent above it, so
         # with base max_degree + 1 the digits never carry: key(a*b) is
         # key(a) + key(b), and keys order like the global monomial order.
@@ -496,21 +498,27 @@ def _slice_vector(ideal: GradedIdeal, p: Polynomial, reduced: bool):
 
     The degree is read off the first term; every other term then has to be
     found in that slice's index or be one of its dead terms, which are
-    dropped.  On a slice with images the representative is summed from the
-    images of p's terms in that same scan.  On any other miss the checks
-    run in full, so a bad p raises what the term-by-term homogeneity scan
-    raises first.
+    dropped.  When every weight is 1 a term's degree is sum(exps), and a
+    term is dead when it has the ideal's length and the slice's degree;
+    other ideals ask the slice's _dead.  On a slice with images the
+    representative is summed from the images of p's terms in that same
+    scan.  On any other miss the checks run in full, so a bad p raises
+    what the term-by-term homogeneity scan raises first.
     """
-    d = monomial_degree(next(iter(p.terms)), ideal.weights)
+    terms = p.terms
+    unit = ideal._unit_weights
+    first = next(iter(terms))
+    d = sum(first) if unit else monomial_degree(first, ideal.weights)
     if 0 <= d <= ideal.max_degree:
         piece = ideal.piece(d)
         index = piece.index
         images = piece.images if reduced else None
+        nvars = ideal.nvars
         v = {}
-        for exps, coef in p.terms.items():
+        for exps, coef in terms.items():
             pos = index.get(exps)
             if pos is None:
-                if piece._dead(exps):
+                if (len(exps) == nvars and sum(exps) == d) if unit else piece._dead(exps):
                     continue
                 break
             if images is None:
@@ -529,7 +537,7 @@ def _slice_vector(ideal: GradedIdeal, p: Polynomial, reduced: bool):
 
 def membership(ideal: GradedIdeal, p: Polynomial) -> bool:
     """Exact test p in ideal, for homogeneous p of degree <= max_degree."""
-    if p.is_zero():
+    if not p.terms:
         return True
     return not any(_slice_vector(ideal, p, True)[1].values())
 
@@ -538,12 +546,14 @@ def reduce(ideal: GradedIdeal, p: Polynomial) -> Polynomial:
     """Canonical coset representative of p modulo the ideal's slice lattice.
 
     Representatives are unique per coset, so reduce(p) == reduce(q) exactly
-    when p - q lies in the ideal's degree slice.
+    when p - q lies in the ideal's degree slice.  The result is built here
+    from the representative's vector, as polynomial_of builds it.
     """
-    if p.is_zero():
+    if not p.terms:
         return Polynomial.zero(ideal.nvars)
     piece, v = _slice_vector(ideal, p, True)
-    return piece.polynomial_of(v, ideal.nvars)
+    monos = piece.monomials
+    return Polynomial._of(ideal.nvars, {monos[t]: c for t, c in v.items() if c})
 
 
 def quotient_structure(ideal: GradedIdeal, d: int) -> QuotientSlice:

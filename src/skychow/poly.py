@@ -93,9 +93,11 @@ def _slice_monomials(nvars: int, degree: int, weights: Exps) -> tuple[Exps, ...]
 _weighted_slice = lru_cache(maxsize=128)(_slice_monomials)
 
 
-def _mul_terms(a: dict, b: dict) -> dict[Exps, int]:
-    """The zero-free term dict of the product of two term dicts."""
-    out: dict[Exps, int] = {}
+def _mul_terms(a: dict, b: dict, out: dict | None = None) -> dict[Exps, int]:
+    """The zero-free term dict of the product of two term dicts, added into
+    the zero-free dict out in place when one is given."""
+    if out is None:
+        out = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
             e = tuple(map(add, e1, e2))
@@ -140,7 +142,7 @@ class Polynomial:
     @classmethod
     def _of(cls, nvars: int, terms: dict[Exps, int]) -> "Polynomial":
         """Wrap an already valid term dict, unchecked and uncopied."""
-        p = cls.__new__(cls)
+        p = object.__new__(cls)
         p.nvars = nvars
         p.terms = terms
         return p
@@ -360,21 +362,6 @@ def poly_from_term_list(nvars: int, data) -> Polynomial:
     return Polynomial(nvars, terms)
 
 
-def randbelow(getrandbits, n: int) -> int:
-    """An int in [0, n), for n >= 1, drawn as random.Random draws it.
-
-    Takes n.bit_length() bits from getrandbits and draws again while the
-    value is n or more, the rejection rule behind Random's randrange,
-    randint, choice and sample: the value rng.randrange(n) returns, with
-    the stream left at the same position.
-    """
-    k = n.bit_length()
-    r = getrandbits(k)
-    while r >= n:
-        r = getrandbits(k)
-    return r
-
-
 def random_homogeneous(
     rng: Random,
     nvars: int,
@@ -395,23 +382,33 @@ def random_homogeneous(
     n = len(monos)
     if not n:
         return Polynomial.zero(nvars)
+    # Random's rule for an int below a bound: draw the bound's bit length in
+    # bits, and draw again while the value is the bound or more.
     bits = rng.getrandbits
-    k = 1 + randbelow(bits, min(4, n))
+    m = min(4, n)
+    mlen = m.bit_length()
+    k = bits(mlen)  # k + 1 terms
+    while k >= m:
+        k = bits(mlen)
     chosen = []
     if n <= 21:
         # sample's shrinking pool: the last unpicked item fills each gap
         pool = list(monos)
-        for last in range(n - 1, n - 1 - k, -1):
-            j = randbelow(bits, last + 1)
+        for size in range(n, n - 1 - k, -1):
+            slen = size.bit_length()
+            j = bits(slen)
+            while j >= size:
+                j = bits(slen)
             chosen.append(pool[j])
-            pool[j] = pool[last]
+            pool[j] = pool[size - 1]
     else:
         # sample's set of picked positions: a repeat is drawn again
+        nlen = n.bit_length()
         picked = set()
-        for _ in range(k):
-            j = randbelow(bits, n)
-            while j in picked:
-                j = randbelow(bits, n)
+        for _ in range(k + 1):
+            j = bits(nlen)
+            while j >= n or j in picked:
+                j = bits(nlen)
             picked.add(j)
             chosen.append(monos[j])
     terms = {}

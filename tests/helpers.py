@@ -63,6 +63,26 @@ def reference_random_homogeneous(rng, nvars, degree, weights=None) -> Polynomial
     return Polynomial._of(nvars, terms)
 
 
+def reference_verify_samples(config: ProximityConfig, samples: int, seed: int) -> list:
+    """Reference for the draws of verify's check 2 (cli._verify_checks): the
+    polynomials it hands to oracle.reduce, in order, drawn through Random's
+    own randint, randrange and random and reference_random_homogeneous."""
+    n, s = config.n, config.s
+    rng = Random(seed)
+    relations = total_presentation(config).relations
+    drawn = []
+    for _ in range(samples):
+        d = rng.randint(1, n + 1)
+        p = reference_random_homogeneous(rng, s + 1, d)
+        if rng.random() < 0.5:
+            g = relations[rng.randrange(len(relations))]
+            dg = g.homogeneous_degree()
+            if dg <= d:
+                p = p + g * reference_random_homogeneous(rng, s + 1, d - dg)
+        drawn.append(p)
+    return drawn
+
+
 def reference_load_config(path: str) -> ProximityConfig:
     """Reference for cli.load_config: the per-point lists become a set of
     pairs, and ProximityConfig construction validates them."""

@@ -15,7 +15,13 @@ from hypothesis import strategies as st
 
 import skychow
 import skychow.cli as cli
-from helpers import dense_class, random_config, reference_load_config, support
+from helpers import (
+    dense_class,
+    random_config,
+    reference_load_config,
+    reference_verify_samples,
+    support,
+)
 from skychow import chowring, finality, proximity
 from skychow.chowring import (
     ChowElement,
@@ -759,6 +765,22 @@ class TestVerify:
         relations = len(strict_presentation(cli.load_config(SURFACE_PATH)).factored)
         assert relations == 5
         assert calls == {"reduce": 20, "membership": relations}
+
+    @pytest.mark.parametrize("which", ("threefold_chain", "random n=3 s=7"))
+    def test_sample_draws_are_pinned(self, monkeypatch, which):
+        # check 2 draws straight from getrandbits; the polynomials it hands to
+        # oracle.reduce are those of Random's own calls, in the same order
+        if which == "threefold_chain":
+            config = cli.load_config(THREEFOLD_PATH)
+        else:
+            config = random_config(Random(26), 3, 7)
+        handed = []
+        real = cli.oracle.reduce
+        monkeypatch.setattr(cli.oracle, "reduce", lambda ideal, p: handed.append(p) or real(ideal, p))
+        for seed in range(5):
+            handed.clear()
+            assert all(ok for ok, _, _ in cli._verify_checks(config, 250, seed))
+            assert handed == reference_verify_samples(config, 250, seed)
 
     def test_zero_oracle_representatives_fail_the_second_check(self, capsys, monkeypatch):
         monkeypatch.setattr(cli.oracle, "reduce", lambda ideal, p: Polynomial.zero(ideal.nvars))

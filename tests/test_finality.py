@@ -257,8 +257,7 @@ class TestClosedFormMatchesRing:
                 if j != i and not (powers[i][1] * powers[j][1]).is_zero()
             }
             assert intersecting_indices(cfg, i) == meets
-            ei = strict_class_in_total(cfg, i)
-            pairs = _meeting(cfg, i, ei)
+            pairs = _meeting(cfg, i)
             assert [j for j, _ in pairs] == sorted(meets)
             assert _self_integral(n, cfg.proximate_points(i)) == degree_integral(powers[i][n])
             # conditions (10) and (11) integrate e_i^(n-r) e_j^r for r in 1..n-1;
@@ -308,9 +307,8 @@ class TestOracleCertifiesIntegrals:
                 nonzero += c != 0
 
             for i in range(1, s + 1):
-                ei = strict_class_in_total(cfg, i)
                 certify(strict[i] ** n, _self_integral(n, cfg.proximate_points(i)))
-                for j, shared in _meeting(cfg, i, ei):
+                for j, shared in _meeting(cfg, i):
                     odd, even = _parity_integrals(n, shared, _point_integral(n, shared))
                     for r in range(1, n):
                         c = odd if r % 2 else even
@@ -347,4 +345,4 @@ class TestOnePassMatchesReference:
             d = report.divisors[i - 1]
             assert (d.final_chow, d.witness) == want
             ei = strict_class_in_total(cfg, i)
-            assert _meeting(cfg, i, ei) == reference_meeting(cfg, i, ei)
+            assert _meeting(cfg, i) == reference_meeting(cfg, i, ei)

@@ -416,6 +416,69 @@ class TestGradedIdeal:
         assert membership(ideal, x0sq - w)
 
 
+class TestUnitWeightScan:
+    """The degree and dead-term tests of a query read sum(exps) when every
+    weight is 1.  On the total ideals (n = 2, 3 with s = 3) a bad query
+    raises what the term-by-term checks raise, and dead terms of the
+    slice's degree are still dropped."""
+
+    S = 3
+
+    def _bad_queries(self, n):
+        nv = self.S + 1
+        x0sq, x1, x0x1 = (2, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)
+        x0x1x2, x2cube, above = (1, 1, 1, 0), (0, 0, 3, 0), (0, n + 2, 0, 0)
+        mixed = "polynomial is not homogeneous: degrees [%d, %d]"
+        return [
+            # the first term is a column; a later one of higher degree is a
+            # multiple of a unit monomial generator, of lower degree a variable
+            (Polynomial(nv, [(x0sq, 1), (x0x1x2, 2)]), mixed % (2, 3)),
+            (Polynomial(nv, [(x0sq, 1), (x1, -1)]), mixed % (1, 2)),
+            # the first term is dead in its degree
+            (Polynomial(nv, [(x0x1, 1), (x2cube, 1)]), mixed % (2, 3)),
+            (Polynomial(nv, [(x0x1, 1), (x1, 1)]), mixed % (1, 2)),
+            # above max_degree = n + 1, alone and before a term in range
+            (
+                Polynomial(nv, [(above, 1)]),
+                "degree %d outside the materialized range 0..%d" % (n + 2, n + 1),
+            ),
+            (Polynomial(nv, [(above, 1), (x1, 1)]), mixed % (1, n + 2)),
+            # a term of a ring with one more variable is never dead, even where
+            # its first exponents spell a dead monomial
+            (Polynomial(nv + 1, [((1, 1, 0, 0, 0), 1), ((0, 0, 0, 0, 2), 1)]), mixed % (0, 2)),
+        ]
+
+    @pytest.mark.parametrize("n", (2, 3))
+    @pytest.mark.parametrize("query", (membership, reduce, rational_membership))
+    def test_bad_queries_raise_what_the_full_checks_raise(self, n, query):
+        ideal = cached_total_ideal(n, self.S)
+        assert ideal._unit_weights
+        for p, message in self._bad_queries(n):
+            with pytest.raises(ValueError) as err:
+                query(ideal, p)
+            assert str(err.value) == message, p
+
+    @pytest.mark.parametrize("n", (2, 3))
+    def test_dead_terms_of_the_degree_are_dropped(self, n):
+        ideal = cached_total_ideal(n, self.S)
+        nv = self.S + 1
+        for d in range(2, n + 2):
+            live = Polynomial(nv, [((d, 0, 0, 0), 3), ((0, 0, d, 0), -2)])
+            dead = Polynomial(nv, [((d - 1, 1, 0, 0), 5), ((0, 0, 1, d - 1), -7)])
+            assert membership(ideal, dead)
+            assert rational_membership(ideal, dead)
+            assert reduce(ideal, dead).is_zero()
+            # dead terms first, last and in between
+            for p in (dead + live, live + dead):
+                assert reduce(ideal, p) == reduce(ideal, live)
+                assert membership(ideal, p) == membership(ideal, live)
+            assert membership(ideal, live) == (d == n + 1)
+
+    def test_weighted_ideals_keep_the_weighted_reading(self):
+        assert not curve_ideal(CurveRingParams(gamma=2, c1=6))._unit_weights
+        assert GradedIdeal(2, [], 3, weights=(1, 1))._unit_weights
+
+
 class TestAgainstRewriteEngine:
     @given(st.integers(0, 2**30))
     def test_reduce_matches_normal_form(self, seed):

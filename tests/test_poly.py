@@ -26,7 +26,6 @@ from skychow.poly import (
     monomials_of_degree,
     poly_from_term_list,
     poly_to_term_list,
-    randbelow,
     random_homogeneous,
 )
 from skychow.proximity import ProximityConfig
@@ -246,14 +245,6 @@ def test_random_homogeneous_draws_are_pinned(seed):
     weighted = random_homogeneous(rng, 3, 4, weights=(1, 2, 1))
     drawn.append(format_polynomial(weighted, names[:3]))
     assert drawn == PINNED_DRAWS[seed]
-
-
-def test_randbelow_draws_what_randrange_draws():
-    for seed in range(40):
-        ours, theirs = Random(seed), Random(seed)
-        for n in range(1, 70):
-            assert randbelow(ours.getrandbits, n) == theirs.randrange(n)
-        assert ours.random() == theirs.random()
 
 
 # (nvars, degree) slices of 21 and 22 monomials: sample keeps a shrinking

@@ -110,6 +110,16 @@ MUTANTS = {
         "if not listed or type(listed)",
         "if listed or type(listed)",
     ),
+    "verify-degree-bound": (
+        "src/skychow/cli.py",
+        "while d >= top:",
+        "while d > top:",
+    ),
+    "sample-position-bound": (
+        "src/skychow/poly.py",
+        "while j >= n or j in picked:",
+        "while j > n or j in picked:",
+    ),
     "lazy-pair-orientation": (
         "src/skychow/proximity.py",
         "[(j, i) for j, row in",
@@ -144,6 +154,11 @@ MUTANTS = {
         "src/skychow/oracle.py",
         "tuple([(u, -c) for u, c in row.items() if u != p])",
         "tuple([(u, c) for u, c in row.items() if u != p])",
+    ),
+    "unit-dead-term": (
+        "src/skychow/oracle.py",
+        "sum(exps) == d",
+        "sum(exps) >= d",
     ),
     "membership-zero-test": (
         "src/skychow/oracle.py",
