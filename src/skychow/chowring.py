@@ -28,7 +28,7 @@ from .poly import (
     poly_from_term_list,
     poly_to_term_list,
 )
-from .proximity import ProximityConfig, strict_class_in_total
+from .proximity import ProximityConfig
 
 
 def _add_power(terms, n, d, i, c):
@@ -402,10 +402,11 @@ def strict_presentation(config: ProximityConfig) -> Presentation:
     # Column i of the inverse proximity matrix (E_i in strict coordinates)
     # counts the proximity chains down to i, so it is the unit at i plus the
     # columns of the points proximate to i: one descending pass builds them.
+    proximate = config._proximate
     columns, combos = {}, {}
     for i in range(s, 0, -1):
         column = columns[i] = {i: 1}
-        for j in config.proximate_points(i):
+        for j in proximate.get(i, ()):
             for k, c in columns[j].items():
                 column[k] = column.get(k, 0) + c
         # a point nothing is proximate to keeps L_i = y_i, the same object
@@ -418,7 +419,7 @@ def strict_presentation(config: ProximityConfig) -> Presentation:
     sign = (-1) ** n
     y0n = Polynomial.monomial(nv, tuple(n if t == 0 else 0 for t in range(nv)))
     for i in range(1, nv):
-        m_i = len(config.proximate_points(i))
+        m_i = len(proximate.get(i, ()))
         rels.append((y[i] ** n + (sign + m_i) * y0n,))
     names = tuple("y%d" % i for i in range(nv))
     return Presentation(names, tuple(rels), "strict")
@@ -444,10 +445,16 @@ def _rho_images(config: ProximityConfig) -> tuple[Polynomial, ...]:
     """The images of y_0..y_s under rho, built once per config.
 
     Shared between calls: substitute only reads them and returns fresh terms.
+    Every strict class is needed, so they are read off the reverse map, not
+    built one strict_class_in_total scan at a time.
     """
     nv = config.s + 1
     units = [tuple(int(t == k) for t in range(nv)) for k in range(nv)]
-    classes = [{0: 1}] + [strict_class_in_total(config, i) for i in range(1, nv)]
-    return tuple(
-        Polynomial._of(nv, {units[t]: c for t, c in v.items()}) for v in classes
-    )
+    proximate = config._proximate
+    images = [Polynomial._of(nv, {units[0]: 1})]
+    for i in range(1, nv):
+        terms = {units[i]: 1}
+        for j in proximate.get(i, ()):
+            terms[units[j]] = -1
+        images.append(Polynomial._of(nv, terms))
+    return tuple(images)

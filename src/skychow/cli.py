@@ -85,9 +85,10 @@ _NO_TARGETS = []  # a missing proximate_to; shared, so never stored or changed
 def load_config(path: str) -> ProximityConfig:
     """Read a sequence configuration file; the returned config is valid.
 
-    One pass over the points checks each entry and builds the adjacency
-    lists the config keeps as its data; its pair set prox is built from
-    them only when something reads it.  A strictly ascending proximate_to
+    One pass over the points checks each entry and keeps its proximate_to
+    list as the config's data, the targets lists; the pair set prox and
+    the reverse map (point -> the points proximate to it) are built from
+    them only when something reads them.  A strictly ascending proximate_to
     list is kept as it is; any other is checked, then sorted with its
     repeats dropped.
     """
@@ -119,7 +120,7 @@ def load_config(path: str) -> ProximityConfig:
     # n is checked after the points, and a bad n is reported before any
     # crowded point, so until then a limit no list reaches stands in for it.
     limit = n if type(n) is int else len(points)
-    targets, proximate, crowded = {}, {}, 0
+    targets, crowded = {}, 0
     for pos, entry in enumerate(points, start=1):
         if not isinstance(entry, dict):
             raise InvalidConfigError("point entry %d must be an object" % pos)
@@ -144,18 +145,12 @@ def load_config(path: str) -> ProximityConfig:
                 break
             prev = t
         targets[pos] = listed
-        for t in listed:
-            row = proximate.get(t)
-            if row is None:
-                proximate[t] = [pos]
-            else:
-                row.append(pos)
         if len(listed) > limit and not crowded:
             crowded = pos
     snc = doc.get("strict_snc_check", True)
     if not isinstance(snc, bool):
         raise InvalidConfigError("strict_snc_check must be a boolean")
-    return ProximityConfig._of(n, len(points), targets, proximate, snc, crowded)
+    return ProximityConfig._of(n, len(points), targets, snc, crowded)
 
 
 def _checked_targets(pos: int, listed: list) -> list:
@@ -236,11 +231,12 @@ def _strict_term_bound(config: ProximityConfig) -> int:
     to i.  Bit k of below[i] marks such a point k; each point's chains go
     through the points it is proximate to, so one descending pass finds all.
     """
+    proximate = config._proximate
     below = [0] * (config.s + 1)
     sizes = []
     for i in range(config.s, 0, -1):
         bits = 0
-        for k in config.proximate_points(i):
+        for k in proximate.get(i, ()):
             bits |= below[k] | (1 << k)
         below[i] = bits
         sizes.append(1 + bits.bit_count())
@@ -497,6 +493,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact Chow ring arithmetic for point blow-up sequences",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # name -> subcommand parser: main hands a leading subcommand name's
+    # words straight to its parser
+    parser.subcommands = sub.choices
 
     p = sub.add_parser("present", help="print a ring presentation")
     p.add_argument("config")
@@ -536,12 +535,25 @@ _parser = None
 
 def main(argv=None) -> int:
     """Run one subcommand in-process and return its exit code; never raises
-    SystemExit."""
+    SystemExit.
+
+    When the first word names a subcommand, that subcommand's parser reads
+    the rest, as the top-level parser would hand it over, and any words it
+    leaves get the top-level parser's "unrecognized arguments" error.  Any
+    other argv goes through the top-level parser.
+    """
     global _parser
     if _parser is None:
         _parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parser.parse_args(argv)
+        sub = _parser.subcommands.get(argv[0]) if argv else None
+        if sub is None:
+            args = _parser.parse_args(argv)
+        else:
+            args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+            if extras:
+                _parser.error("unrecognized arguments: %s" % " ".join(extras))
     except SystemExit as exc:
         # argparse exits with 2 on bad usage, which matches our contract
         return int(exc.code) if exc.code else EXIT_OK

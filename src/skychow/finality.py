@@ -72,7 +72,7 @@ def _pairs(config, i):
     and (-1, -1) to each other e_k with t proximate to k.  Every
     coefficient is +-1.
     """
-    targets, proximate = config._adjacency
+    targets, proximate = config._targets, config._proximate
     pairs = {}
     for k in targets.get(i, ()):
         pairs[k] = [(1, -1)]
@@ -114,7 +114,7 @@ def _check_index(config, i):
 def final_by_proximity(config: ProximityConfig, i: int) -> bool:
     """No later point proximate to the i-th: the divisor survives unchanged."""
     _check_index(config, i)
-    return i not in config._adjacency[1]
+    return i not in config._proximate
 
 
 def intersecting_indices(config: ProximityConfig, i: int) -> set:
@@ -153,7 +153,7 @@ def _chow_conditions(config, i):
                 "condition (11) fails for j=%d: integral %d, expected 1" % (j, point),
             )
         if ein is None:
-            ein = _self_integral(n, config._adjacency[1].get(i, ()))
+            ein = _self_integral(n, config._proximate.get(i, ()))
         # condition (10): e_i^n == (-1)^r e_i^(n-r) e_j^r for every r; the
         # integral takes one value at odd r and one at even r, so r = 1 and,
         # for n >= 3, r = 2 stand for all of them
@@ -233,7 +233,7 @@ class FinalityReport:
 
 def finality_report(config: ProximityConfig) -> FinalityReport:
     """Both deciders on every divisor, with a witness for each chow failure."""
-    proximate = config._adjacency[1]
+    proximate = config._proximate
     entries = []
     for i in range(1, config.s + 1):
         by_chow, witness = _chow_conditions(config, i)

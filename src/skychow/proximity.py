@@ -5,7 +5,7 @@ points s, and which later centers are proximate to which earlier ones,
 i.e. lie on the strict transform of that earlier exceptional divisor.
 A degree-1 class is a sparse {t: c} dict in the total transform basis
 (t = 0 the hyperplane class); strict_class_in_total reads the strict
-class e_i that way straight from the adjacency lists.  The dense
+class e_i that way straight from the targets lists.  The dense
 change-of-basis matrices between the total and strict bases, and the
 DivisorVector conversions through them, are the reference it is checked
 against.
@@ -27,7 +27,7 @@ class InvalidConfigError(ValueError):
 
 class _LazyPairs:
     """The prox field of ProximityConfig: frozenset() as the default, and on
-    a loaded config (see ProximityConfig._of), which holds only adjacency
+    a loaded config (see ProximityConfig._of), which holds only its targets
     lists, the pairs built from them on first read and then kept.
 
     It defines no __set__, so a prox in the instance's __dict__ is read
@@ -37,7 +37,7 @@ class _LazyPairs:
     def __get__(self, config, owner=None):
         if config is None:
             return frozenset()
-        targets = config.__dict__["_adjacency"][0]
+        targets = config.__dict__["_targets"]
         prox = config.__dict__["prox"] = frozenset(
             [(j, i) for j, row in targets.items() for i in row]
         )
@@ -53,7 +53,7 @@ class ProximityConfig:
     that no point is proximate to more than n earlier ones; turn it off to
     experiment with degenerate configurations.  Construction validates.
     The repr lists the pairs sorted, so equal configs print alike.  A
-    config a loader built (see _of) holds only its adjacency lists and
+    config a loader built (see _of) holds only its targets lists and
     builds ``prox`` from them when it is first read, then keeps it.
     """
 
@@ -74,45 +74,51 @@ class ProximityConfig:
         )
 
     @classmethod
-    def _of(cls, n, s, targets, proximate, strict_snc_check, crowded):
-        """Wrap adjacency lists a loader has already checked, uncopied.
+    def _of(cls, n, s, targets, strict_snc_check, crowded):
+        """Wrap the targets lists a loader has already checked, uncopied.
 
-        targets and proximate map points to ascending lists of the points
-        they are proximate to and that are proximate to them, the keys of
-        targets ascending, every pair with 1 <= i < j <= s.  crowded is the
-        first point proximate to more than n others, or 0.  n and s are
-        checked here, then crowded, in validate_config's order and words.
-        The lists are the config's data: prox is built from them only when
-        something reads it.
+        targets maps each point that is proximate to others to the ascending
+        list of those points, its keys ascending, every pair with
+        1 <= i < j <= s.  crowded is the first point proximate to more than
+        n others, or 0.  n and s are checked here, then crowded, in
+        validate_config's order and words.  The lists are the config's
+        data: prox and the reverse map _proximate are built from them only
+        when something reads them.
         """
         _check_sizes(n, s)
         if strict_snc_check and crowded:
             raise _crowded_error(crowded, len(targets[crowded]), n)
         config = cls.__new__(cls)
         config.__dict__.update(
-            n=n,
-            s=s,
-            strict_snc_check=strict_snc_check,
-            _adjacency=(targets, proximate),
+            n=n, s=s, strict_snc_check=strict_snc_check, _targets=targets
         )
         return config
 
     @cached_property
-    def _adjacency(self):
-        # (targets, proximate): point -> ascending list; keys of targets ascend
-        targets, proximate = {}, {}
+    def _targets(self):
+        # point -> ascending list of the points it is proximate to; keys ascend
+        targets = {}
         for j, i in sorted(self.prox):
             targets.setdefault(j, []).append(i)
-            proximate.setdefault(i, []).append(j)
-        return targets, proximate
+        return targets
+
+    @cached_property
+    def _proximate(self):
+        # point -> ascending list of the points proximate to it: the keys of
+        # _targets ascend, so each row is appended to in ascending order
+        proximate = {}
+        for j, row in self._targets.items():
+            for i in row:
+                proximate.setdefault(i, []).append(j)
+        return proximate
 
     def proximate_points(self, i: int) -> list[int]:
         """Indices j with the j-th point proximate to the i-th (all j > i)."""
-        return list(self._adjacency[1].get(i, ()))
+        return list(self._proximate.get(i, ()))
 
     def proximity_targets(self, j: int) -> list[int]:
         """Indices i that the j-th point is proximate to (all i < j)."""
-        return list(self._adjacency[0].get(j, ()))
+        return list(self._targets.get(j, ()))
 
 
 def validate_config(config: ProximityConfig) -> ProximityConfig:
@@ -264,7 +270,7 @@ def total_to_strict(config: ProximityConfig, v: DivisorVector) -> DivisorVector:
         raise ValueError("expected a total-basis vector, got basis %r" % v.basis)
     _check_length(config, v)
     out = list(v.coords)
-    for j, targets in config._adjacency[0].items():
+    for j, targets in config._targets.items():
         out[j] += sum(out[i] for i in targets)
     return DivisorVector("strict", tuple(out))
 
@@ -274,16 +280,18 @@ def strict_class_in_total(config: ProximityConfig, i: int) -> dict[int, int]:
 
     e_i = E_i - sum of E_j over the points j proximate to i, as an ascending
     {t: coefficient of E_t} dict: the nonzero entries of strict_to_total of
-    the i-th strict unit vector, read from the adjacency lists without a
-    length-(s+1) vector.
+    the i-th strict unit vector, without a length-(s+1) vector.  The one row
+    costs a pass over the targets lists, whose keys ascend, so a config that
+    never builds its reverse map (a loaded one, say) does not build it here.
     """
     if type(i) is not int:
         raise ValueError("exceptional index %r must be an integer" % (i,))
     if not 1 <= i <= config.s:
         raise ValueError("exceptional index %d out of range 1..%d" % (i, config.s))
     out = {i: 1}
-    for j in config._adjacency[1].get(i, ()):
-        out[j] = -1
+    for j, row in config._targets.items():
+        if i in row:
+            out[j] = -1
     return out
 
 

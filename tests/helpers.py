@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+import sys
 from bisect import bisect_left
 from functools import lru_cache
 from math import gcd
 from operator import mul
 from random import Random
 
+from skychow import cli
 from skychow.chowring import total_presentation
 from skychow.cli import MAX_AMBIENT_DIMENSION
 from skychow.curve import (
@@ -140,6 +142,21 @@ def reference_load_config(path: str) -> ProximityConfig:
     )
 
 
+def reference_main(argv=None) -> int:
+    """Reference for cli.main's dispatch: every argv through the whole
+    top-level parser, a fresh one, then the handler named by args.command."""
+    try:
+        args = cli.build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code) if exc.code else cli.EXIT_OK
+    handler = getattr(cli, "cmd_" + args.command.replace("-", "_"))
+    try:
+        return handler(args)
+    except (InvalidConfigError, cli.ExpressionError, OSError) as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return cli.EXIT_USER_ERROR
+
+
 def reference_curve_product(a: CurveRingElement, b: CurveRingElement) -> CurveRingElement:
     """Reference for CurveRingElement.__mul__: the polynomial product of the
     two representatives, sent back through the rewrite system."""
@@ -259,7 +276,7 @@ def reference_pair_integral(n, shared, r):
 def reference_meeting(config, i, ei):
     """Reference for finality._meeting: (j, shared) for each j != i,
     ascending, with e_i * e_j nonzero; the n = 2 test by reference_pair_integral."""
-    targets = config._adjacency[0]
+    targets = config._targets
     shared = {}
     for t, x in ei.items():
         if t != i:

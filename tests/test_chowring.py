@@ -33,6 +33,7 @@ from skychow.chowring import (
     strict_presentation,
     total_presentation,
 )
+from skychow.cli import load_config
 from skychow.poly import Polynomial, format_polynomial, random_homogeneous
 from skychow.proximity import (
     ProximityConfig,
@@ -252,12 +253,25 @@ class TestClosedFormProducts:
             assert str(got) == str(expected)
 
     @given(st.integers(2, 8), st.integers(1, 50), st.integers(0, 2**30))
-    def test_sparse_strict_class_matches_the_dense_conversion(self, n, s, seed):
+    def test_sparse_strict_class_matches_the_dense_conversion(
+        self, tmp_path_factory, n, s, seed
+    ):
+        # a constructed config, and the same one written as JSON and loaded,
+        # which holds only its targets lists
         cfg = random_config(Random(seed), n, s)
+        doc = {
+            "ambient_dimension": n,
+            "points": [
+                {"id": j, "proximate_to": cfg.proximity_targets(j)} for j in range(1, s + 1)
+            ],
+        }
+        path = tmp_path_factory.getbasetemp() / "random.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        loaded = load_config(str(path))
         for i in range(1, s + 1):
-            dense = dense_class(cfg, "e", i).coords
-            sparse = strict_class_in_total(cfg, i)
-            assert list(sparse.items()) == [(t, c) for t, c in enumerate(dense) if c]
+            dense = [(t, c) for t, c in enumerate(dense_class(cfg, "e", i).coords) if c]
+            assert list(strict_class_in_total(cfg, i).items()) == dense
+            assert list(strict_class_in_total(loaded, i).items()) == dense
 
     def test_rejects_empty_products_and_zero_exponents(self):
         with pytest.raises(ValueError, match="at least one factor"):

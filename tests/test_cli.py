@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
@@ -19,6 +20,7 @@ from helpers import (
     dense_class,
     random_config,
     reference_load_config,
+    reference_main,
     reference_verify_samples,
     support,
 )
@@ -278,8 +280,18 @@ LEAN_PATHS = (
 
 
 class TestLeanLoader:
-    """A loaded config keeps its adjacency lists as its data and builds the
-    pair set prox only when something reads it."""
+    """A loaded config keeps its targets lists as its data and builds the
+    pair set prox and the reverse map only when something reads them."""
+
+    @pytest.mark.parametrize("path", LEAN_PATHS, ids=lambda p: Path(p).stem)
+    def test_intersect_never_builds_the_reverse_map(self, path, monkeypatch, capsys):
+        cfg = cli.load_config(path)
+        monkeypatch.setattr(cli, "load_config", lambda _: cfg)
+        expr = "h*e1*E%d*e%d" % (cfg.s, cfg.s)
+        assert cli.main(["intersect", path, expr]) == cli.EXIT_OK
+        assert "_proximate" not in vars(cfg)
+        assert cli.main(["final", path]) == cli.EXIT_OK
+        assert "_proximate" in vars(cfg) and "prox" not in vars(cfg)
 
     @pytest.mark.parametrize("path", LEAN_PATHS, ids=lambda p: Path(p).stem)
     def test_intersect_and_final_never_build_prox(self, path):
@@ -938,6 +950,59 @@ class TestReentrancy:
         assert passes[0] == passes[1] == fresh
 
 
+class TestDispatch:
+    """main hands a leading subcommand's words straight to its parser; every
+    exit code and byte of output matches the whole top-level parse."""
+
+    ARGVS = (
+        ["final", SURFACE_PATH, "extra"],
+        ["intersect", SURFACE_PATH, "e1", "e2"],
+        [],
+        ["-h", "final"],
+        ["final"],
+        ["verify", SURFACE_PATH, "--samples", "x"],
+        ["fin", SURFACE_PATH],
+        ["--", "final", SURFACE_PATH],
+        ["final", "--", SURFACE_PATH],
+        ["final", SURFACE_PATH, "--format", "json"],
+        ["intersect", SURFACE_PATH, "e1*e2"],
+    )
+
+    @staticmethod
+    def both(argv):
+        got = run_quiet(argv)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = reference_main(argv)
+        return got, (code, out.getvalue(), err.getvalue())
+
+    def test_matches_the_whole_parse(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        for argv in self.ARGVS:
+            got, want = self.both(argv)
+            assert got == want, argv
+
+    def test_leftover_words_get_the_top_level_usage(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        for argv, extras in (
+            (["final", SURFACE_PATH, "extra"], "extra"),
+            (["intersect", SURFACE_PATH, "e1", "e2"], "e2"),
+        ):
+            code, out, err = run_quiet(argv)
+            assert (code, out) == (cli.EXIT_USER_ERROR, "")
+            assert err.startswith("usage: skychow [-h] {present,")
+            assert err.endswith("skychow: error: unrecognized arguments: %s\n" % extras)
+
+    @pytest.mark.parametrize(
+        "words", [["final", SURFACE_PATH, "--format", "json"], ["dot", SURFACE_PATH, "x"]]
+    )
+    def test_none_reads_sys_argv(self, monkeypatch, words):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.setattr(sys, "argv", ["skychow"] + words)
+        got, want = self.both(None)
+        assert got == want == self.both(words)[1]
+
+
 JUNK = st.one_of(
     st.none(),
     st.booleans(),
@@ -1092,7 +1157,7 @@ class TestLoaderMatchesReference:
             want.proximate_points(i) for i in points
         ]
         # total_to_strict substitutes forward, so the targets map must ascend
-        assert list(got._adjacency[0]) == list(want._adjacency[0])
+        assert list(got._targets) == list(want._targets)
 
 
 class TestExitCodeFuzz:

@@ -180,6 +180,26 @@ MUTANTS = {
         "max(v) > config.s)",
         "max(v) > config.s + 1)",
     ),
+    "strict-scan-membership": (
+        "src/skychow/proximity.py",
+        "if i in row:",
+        "if i not in row:",
+    ),
+    "reverse-map-orientation": (
+        "src/skychow/proximity.py",
+        "proximate.setdefault(i, []).append(j)",
+        "proximate.setdefault(j, []).append(i)",
+    ),
+    "rho-image-sign": (
+        "src/skychow/chowring.py",
+        "terms[units[j]] = -1",
+        "terms[units[j]] = 1",
+    ),
+    "dispatch-leftover-test": (
+        "src/skychow/cli.py",
+        "if extras:",
+        "if not extras:",
+    ),
 }
 
 IGNORED = shutil.ignore_patterns(
