@@ -8,16 +8,18 @@ echelon form over Z, i.e. column-style Hermite normal form.  Membership,
 canonical coset representatives, quotient ranks, torsion and minimal
 generator counts all come out of that lattice by exact arithmetic.
 
-A generator with one term and coefficient +-1 is a unit monomial generator.
-Every multiple of one is a unit vector of the slice lattice, so the lattice
-splits off those columns and nothing is lost by dropping them (the row
-selection of F4's symbolic preprocessing, Faugere 1999, without any
-Groebner step).  A slice's columns are therefore the monomials of its
-degree that no unit monomial generator of lower degree divides, listed
-largest-first in the global graded lex order, so the pivots eat the large
-monomials and the surviving representatives are supported on the small
-ones.  The Hermite form on those columns is the full one restricted, and
-membership, representatives, ranks and torsion are those of the full slice.
+Slices are built in ascending degree.  A built slice whose Hermite form
+has a row that is the single entry 1 puts that row's monomial in the
+ideal; the monomial is then dead: every proper multiple of it is a unit
+vector of its own slice's lattice, so the lattice splits off those columns
+and nothing is lost by dropping them (the row selection of F4's symbolic
+preprocessing, Faugere 1999, without any Groebner step).  A slice's
+columns are therefore the monomials of its degree with no dead proper
+divisor, listed largest-first in the global graded lex order, so the
+pivots eat the large monomials and the surviving representatives are
+supported on the small ones.  The Hermite form on those columns is the
+full one restricted, and membership, representatives, ranks and torsion
+are those of the full slice.
 
 When every pivot of a slice is 1, its fully reduced rows are zero on every
 pivot column but their own, so reduction is a linear map read off the rows
@@ -265,9 +267,10 @@ def _axpy(v, q, row, heap, watch):
 class GradedPiece:
     """One degree slice: its columns (largest first) and the ideal lattice.
 
-    The columns are the slice's monomials that no unit monomial generator of
-    lower degree divides; every other monomial of the degree is a dead
-    column, whose unit vector the full lattice holds, so it is left out.
+    The columns are the slice's monomials with no dead proper divisor (one
+    whose row in its own slice is the single entry 1); every other monomial
+    of the degree is a dead column, whose unit vector the full lattice
+    holds, so it is left out.
     new_generators is rank(I_d) - rank((m*I)_d) with m the irrelevant ideal:
     how many of the degree-d generators a minimal generating set needs.
     images is set when every pivot of the lattice is 1: then reduction is
@@ -328,12 +331,12 @@ class GradedIdeal:
 
     Generators must be homogeneous under the (optionally weighted) grading
     and of degree at most max_degree; slices above max_degree are not
-    materialized and querying them raises.  A generator with one term and
-    coefficient +-1 is a unit monomial generator: its multiples are the dead
-    columns every slice above its degree leaves out.  Slice construction is
-    guarded by a lock so concurrent readers share one build; a slice is
-    published only once it is built and in Hermite form, so a lookup of a
-    published slice takes no lock.
+    materialized and querying them raises.  piece(d) builds every missing
+    slice up to d in ascending degree: each slice's columns grow from the
+    live columns of the slices below, those whose Hermite row is not the
+    single entry 1.  Slice construction is guarded by a lock so concurrent
+    readers share one build; a slice is published only once it is built and
+    in Hermite form, so a lookup of a published slice takes no lock.
     """
 
     def __init__(self, nvars, generators, max_degree, weights=None):
@@ -374,15 +377,7 @@ class GradedIdeal:
             tuple((sum(map(mul, exps, powers)), coef) for exps, coef in g.terms.items())
             for g in self.generators
         )
-        self._unit = tuple(
-            len(terms) == 1 and abs(terms[0][1]) == 1 for terms in self._terms
-        )
-        self._unit_keys = {}  # degree -> keys of its unit monomial generators
-        for d, terms, unit in zip(self._degrees, self._terms, self._unit):
-            if unit:
-                self._unit_keys.setdefault(d, set()).add(terms[0][0])
-        self._columns = {}  # degree -> its columns as (key, exps, support)
-        self._standard = {}  # degree -> {key: (exps, support)}, no unit divides
+        self._standard = {}  # degree -> its live columns {key: (exps, support)}
         self._pieces = {}
         self._lock = threading.Lock()
 
@@ -390,59 +385,48 @@ class GradedIdeal:
         """The degree-d columns, largest first, as (key, exps, support) with
         support the ascending indices of the nonzero exponents.
 
-        Monomials that no unit monomial generator divides form an order
-        ideal S, so every column but 1 is m*x_i with m in S of degree
-        d - w_i and i its largest variable; the candidate is kept when
-        dividing out each other variable of its support also lands in S.
-        The columns of degree d are S_d plus the degree-d unit monomial
-        generators that pass that test.  Columns are memoized per degree.
+        Every proper divisor of a column is live, so the live monomials form
+        an order ideal: every column but 1 is m*x_i with m live in degree
+        d - w_i and i its largest variable, and the candidate is kept when
+        dividing out each other variable of its support also lands on a live
+        monomial.  The slices below d must be built.
         """
-        cols = self._columns.get(d)
-        if cols is not None:
-            return cols
         if d == 0:
-            cols = [(0, (0,) * self.nvars, ())]
-        else:
-            powers, weights = self._powers, self.weights
-            lower = {w: self._standard_of(d - w) for w in set(weights) if w <= d}
-            cols = []
-            for i, w in enumerate(weights):
-                below = lower.get(w)
-                if not below:
+            return [(0, (0,) * self.nvars, ())]
+        powers, weights = self._powers, self.weights
+        lower = {w: self._standard[d - w] for w in set(weights) if w <= d}
+        cols = []
+        for i, w in enumerate(weights):
+            below = lower.get(w)
+            if not below:
+                continue
+            step = powers[i]
+            for key, (exps, support) in below.items():
+                top = support[-1] if support else -1
+                if top > i:
                     continue
-                step = powers[i]
-                for key, (exps, support) in below.items():
-                    top = support[-1] if support else -1
-                    if top > i:
-                        continue
-                    k = key + step
-                    if any(k - powers[j] not in lower[weights[j]] for j in support if j != i):
-                        continue
-                    e = list(exps)
-                    e[i] += 1
-                    cols.append((k, tuple(e), support if top == i else support + (i,)))
-            cols.sort(reverse=True)  # keys are distinct: the global order
-        units = self._unit_keys.get(d, ())
-        self._standard[d] = {key: (exps, sup) for key, exps, sup in cols if key not in units}
-        self._columns[d] = cols
+                k = key + step
+                if any(k - powers[j] not in lower[weights[j]] for j in support if j != i):
+                    continue
+                e = list(exps)
+                e[i] += 1
+                cols.append((k, tuple(e), support if top == i else support + (i,)))
+        cols.sort(reverse=True)  # keys are distinct: the global order
         return cols
-
-    def _standard_of(self, d):
-        """S_d: the degree-d monomials that no unit monomial generator divides."""
-        if d not in self._standard:
-            self._columns_of(d)
-        return self._standard[d]
 
     def _build_piece(self, d):
         cols = self._columns_of(d)
         column = {key: pos for pos, (key, _, _) in enumerate(cols)}
         monos = tuple(exps for _, exps, _ in cols)
         lat = HermiteLattice(len(cols))
+        standard = self._standard
         # The full lattice holds the unit vector of every dead column, so it
         # splits as Z^dead + (its projection onto the columns): a row is g*m
         # with its dead terms dropped, and a row with no column left is
-        # skipped.  A term of g*m is a column only if m is one in degree r,
-        # and every multiple of a unit monomial generator below d is dead.
+        # skipped.  A multiple of a dead monomial is dead, so a term of g*m
+        # is a column only if m is live in degree r and, for r > 0, the
+        # term of g is live in g's own degree; the other terms are never
+        # looked up, and a generator with no live term gives no rows.
         # A row equal to an earlier one already lies in the lattice, so each
         # distinct (column, coefficient) single is folded once.
         singles = set()
@@ -450,13 +434,16 @@ class GradedIdeal:
         # (r == 0) come after every proper multiple; the ones that raise the
         # rank are rank(I_d) - rank((m*I)_d).
         new = 0
-        for terms, dg, unit in zip(self._terms, self._degrees, self._unit):
+        for terms, dg in zip(self._terms, self._degrees):
             r = d - dg
             if r < 0:
                 break
-            if unit and r:
-                continue
-            for k, _, _ in self._columns_of(r):
+            if r:
+                live = standard[dg]
+                terms = [t for t in terms if t[0] in live]
+                if not terms:
+                    continue
+            for k in standard[r] if r < d else column:
                 row = {}
                 for key, coef in terms:
                     pos = column.get(key + k)
@@ -472,6 +459,9 @@ class GradedIdeal:
                 if lat.add_row(row) and not r:
                     new += 1
         lat._ensure_reduced()  # published in Hermite form: queries never mutate it
+        # a row that is the single entry 1 puts its monomial in the ideal
+        dead = {cols[p][0] for p, row in lat._pivots.items() if len(row) == 1 and row[p] == 1}
+        standard[d] = {key: (exps, sup) for key, exps, sup in cols if key not in dead}
         images = lat.unit_pivot_images()
         index = {m: i for i, m in enumerate(monos)}
         return GradedPiece(d, monos, index, lat, new, self.weights, images)
@@ -484,10 +474,11 @@ class GradedIdeal:
         piece = self._pieces.get(d)  # a published slice is complete and final
         if piece is None:
             with self._lock:
-                piece = self._pieces.get(d)
-                if piece is None:
-                    piece = self._build_piece(d)
-                    self._pieces[d] = piece
+                # slices are built in ascending degree, so 0..len-1 exist
+                pieces = self._pieces
+                for k in range(len(pieces), d + 1):
+                    pieces[k] = self._build_piece(k)
+                piece = pieces[d]
         return piece
 
 

@@ -8,7 +8,8 @@ import skychow.oracle
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
 
-# The most any test pops from the oracle's elimination heaps is about 1.2e5.
+# The most any test pops from the oracle's elimination heaps is about 4.9e5
+# (one n = 3 half of the strict completeness sweep).
 # A broken elimination step can cycle for ever; past this bound the test
 # fails within seconds instead of hanging the run.
 HEAP_STEP_LIMIT = 1_000_000

@@ -479,8 +479,12 @@ def full_piece(ideal: GradedIdeal, d: int) -> GradedPiece:
     """Reference for GradedIdeal.piece: the degree-d slice over every monomial
     of the degree, with every row g*m of every generator folded in.
 
-    It splits off no unit monomial generator, so the presolved slice must
-    equal it restricted to the presolved slice's columns.
+    It drops no dead column, so the oracle's slice must equal it restricted
+    to the oracle's columns, and each column left out must have the unit
+    vector as its row here.  The lattice is back-substituted after every
+    row: its Hermite form is unique, and a deferred back-substitution lets
+    the entries of an unshrunk strict slice grow to hundreds of thousands
+    of bits.
     """
     nvars, weights = ideal.nvars, ideal.weights
     monos = monomials_of_degree(nvars, d, weights)
@@ -507,7 +511,7 @@ def full_piece(ideal: GradedIdeal, d: int) -> GradedPiece:
                 singles.add(single)
             if lat.add_row(row) and not r:
                 new += 1
-    lat._ensure_reduced()
+            lat._ensure_reduced()
     return GradedPiece(d, tuple(monos), index, lat, new, weights)
 
 

@@ -839,32 +839,89 @@ def test_concurrent_queries_share_one_build_per_slice(monkeypatch):
     finally:
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
-    assert sorted(built) == sorted(set(built))
+    assert built == list(range(len(built)))  # each slice once, ascending
     for k in range(6):
         assert results[k] == expected[k:] + expected[:k]
 
 
-def test_strict_presentation_is_complete():
+@pytest.mark.parametrize("half", (0, 1))
+@pytest.mark.parametrize("n", (2, 3))
+def test_strict_presentation_is_complete(n, half):
     # rho(strict ideal) lies in the total ideal (verify checks that); a free
     # strict quotient with the total quotient's ranks makes the inclusion an
-    # equality, so no strict relation is missing
-    configs = 0
-    for n in (2, 3):
-        for s in range(1, 5):
-            for cfg in enumerate_proximity_configs(n, s):
-                configs += 1
-                ideal = GradedIdeal(s + 1, strict_presentation(cfg).relations, n + 1)
-                profile = [quotient_structure(ideal, d) for d in range(n + 2)]
-                assert [q.rank for q in profile] == [1] + [s + 1] * (n - 1) + [1, 0], cfg
-                assert all(q.torsion_free for q in profile), cfg
-    assert configs == 142
+    # equality, so no strict relation is missing.  Every config with s <= 5,
+    # alternate ones per half, so each test stays under the heap-step bound
+    configs = [cfg for s in range(1, 6) for cfg in enumerate_proximity_configs(n, s)]
+    assert len(configs) == {2: 683, 3: 1035}[n]  # 1718 in all
+    for cfg in configs[half::2]:
+        assert_strict_quotient_is_total(cfg)
+
+
+def assert_strict_quotient_is_total(cfg):
+    """The strict quotient is free with the ranks of the total quotient."""
+    n, s = cfg.n, cfg.s
+    ideal = GradedIdeal(s + 1, strict_presentation(cfg).relations, n + 1)
+    profile = [quotient_structure(ideal, d) for d in range(n + 2)]
+    assert [q.rank for q in profile] == [1] + [s + 1] * (n - 1) + [1, 0], cfg
+    assert all(q.torsion_free for q in profile), cfg
+
+
+def test_strict_presentation_of_the_mixed_threefold_is_complete():
+    # n=3, s=16: the derived dead columns keep every slice narrow
+    cfg = load_config(str(Path(__file__).resolve().parent / "configs" / "threefold_mixed.json"))
+    assert (cfg.n, cfg.s) == (3, 16)
+    assert_strict_quotient_is_total(cfg)
+
+
+def derived_dead_count(ideal, d):
+    """How many monomials of degree d the slice drops that no unit monomial
+    generator divides: the ones only a built slice's Hermite rows show dead."""
+    units = [
+        next(iter(g.terms)) for g in ideal.generators
+        if len(g.terms) == 1 and abs(next(iter(g.terms.values()))) == 1
+    ]
+    kept = ideal.piece(d).index
+    return sum(
+        m not in kept and not any(all(a >= b for a, b in zip(m, u)) for u in units)
+        for m in monomials_of_degree(ideal.nvars, d, ideal.weights)
+    )
+
+
+def small_ideal(rng, nvars=3, max_degree=4):
+    """A seeded ideal of one- and two-term generators of degree 1 or 2 with
+    coefficients up to 3, so single terms such as 2*v_i are common."""
+    gens = []
+    for _ in range(rng.randint(2, 5)):
+        monos = monomials_of_degree(nvars, rng.randint(1, 2))
+        chosen = rng.sample(monos, rng.randint(1, 2))
+        gens.append(Polynomial(nvars, {m: rng.choice((-3, -2, -1, 1, 2, 3)) for m in chosen}))
+    return GradedIdeal(nvars, gens, max_degree)
+
+
+def test_derived_dead_columns_match_the_full_reference():
+    # every slice of seeded n=3, s=5 strict ideals and of small ideals with
+    # non-unit single terms against the full slice, which drops nothing
+    rng = Random(28)
+    ideals = [
+        GradedIdeal(6, strict_presentation(random_config(rng, 3, 5)).relations, 4)
+        for _ in range(4)
+    ]
+    ideals += [small_ideal(rng) for _ in range(40)]
+    derived = 0
+    for ideal in ideals:
+        assert_oracle_matches_full(ideal, rng, queries=10)
+        derived += sum(derived_dead_count(ideal, d) for d in range(ideal.max_degree + 1))
+    assert derived  # some slice drops a monomial no unit generator divides
 
 
 def test_top_slice_folds_each_distinct_single_once(monkeypatch):
-    # n=3, s=7: the verify benchmark's top slice; no row of a unit monomial
-    # generator x_i*x_j is folded, and each distinct single once
+    # n=3, s=7: the verify benchmark's top slice; the x_i*x_j are dead from
+    # degree 2 on, so no multiple of one is folded, and each distinct single
+    # is folded once.  The lower slices are built first, so only the top
+    # slice's rows are counted
     n, s = 3, 7
     ideal = GradedIdeal(s + 1, total_presentation(ProximityConfig(n=n, s=s)).relations, n + 1)
+    ideal.piece(n)
     folded = []
     original = HermiteLattice.add_row
 
@@ -898,13 +955,17 @@ def test_total_slices_keep_the_pure_powers_above_degree_two():
 
 def test_singles_sharing_a_column_keep_their_coefficients():
     # 2*v0*v1 and 3*v1*v0 land in one column: folding only the first would
-    # leave the pivot 2 where the lattice has gcd(2, 3) = 1.  2*v0 and 3*v1
-    # are no unit monomial generators, so their multiples stay rows
+    # leave the pivot 2 where the lattice has gcd(2, 3) = 1.  That row is
+    # then the single 1, so v0*v1 is dead above degree 2; the single row
+    # 2*v0 of degree 2, with pivot 2, kills nothing
     v = [Polynomial.variable(3, i) for i in range(3)]
     ideal = GradedIdeal(3, [2 * v[0], 3 * v[1], 2 * v[0] * v[2], v[1] * v[2]], 3)
-    assert ideal._unit == (False, False, False, True)
     for d in range(ideal.max_degree + 1):
         assert_matches_full(ideal, d)  # torsion included
+    assert (1, 1, 0) in ideal.piece(2).index  # dead only above its own degree
+    assert (1, 1, 1) not in ideal.piece(3).index
+    assert (2, 0, 0) in ideal.piece(2).index
+    assert (3, 0, 0) in ideal.piece(3).index  # its multiples stay columns
     assert (0, 1, 1) in ideal.piece(2).index  # a unit generator of its own degree
     assert (0, 2, 1) not in ideal.piece(3).index  # a multiple of one
     assert quotient_structure(ideal, 1).torsion == (6,)  # Z/2 + Z/3

@@ -165,6 +165,11 @@ MUTANTS = {
         "return not any(_slice_vector(ideal, p, True)[1].values())",
         "return any(_slice_vector(ideal, p, True)[1].values())",
     ),
+    "derived-dead-pivot": (
+        "src/skychow/oracle.py",
+        "row[p] == 1",
+        "row[p] >= 1",
+    ),
     "strict-column-sum": (
         "src/skychow/chowring.py",
         "column[k] = column.get(k, 0) + c",
