@@ -72,6 +72,15 @@ class ChowElement:
         self.terms = {} if terms is None else terms
 
     @classmethod
+    def _of(cls, n, s, terms):
+        """Wrap a canonical term dict for a checked (n, s), unchecked and uncopied."""
+        a = object.__new__(cls)
+        a.n = n
+        a.s = s
+        a.terms = terms
+        return a
+
+    @classmethod
     def zero(cls, n, s):
         return cls(n, s)
 
@@ -205,7 +214,8 @@ def normal_form(config: ProximityConfig, p: Polynomial) -> ChowElement:
         # exponent carries the whole degree
         if d == sum(exps):
             _add_power(terms, n, d, exps.index(d), coef)
-    return ChowElement(n, s, terms)
+    # a config holds n >= 2 and s >= 1, so the constructor's check is skipped
+    return ChowElement._of(n, s, terms)
 
 
 def _check_support(config: ProximityConfig, v: dict[int, int]) -> None:
@@ -416,11 +426,16 @@ def strict_presentation(config: ProximityConfig) -> Presentation:
     for i in range(1, nv):
         for j in range(i + 1, nv):
             rels.append((combos[i], combos[j]))
+    # y_i^n + ((-1)^n + m_i) * y_0^n with m_i = #(points proximate to i),
+    # written as its term dict; the y_0^n term vanishes when m_i = -(-1)^n
     sign = (-1) ** n
-    y0n = Polynomial.monomial(nv, tuple(n if t == 0 else 0 for t in range(nv)))
+    y0n = (n,) + (0,) * s
+    row = [0] * nv
     for i in range(1, nv):
-        m_i = len(proximate.get(i, ()))
-        rels.append((y[i] ** n + (sign + m_i) * y0n,))
+        row[i] = n
+        c = sign + len(proximate.get(i, ()))
+        rels.append((Polynomial._of(nv, {tuple(row): 1, y0n: c} if c else {tuple(row): 1}),))
+        row[i] = 0
     names = tuple("y%d" % i for i in range(nv))
     return Presentation(names, tuple(rels), "strict")
 

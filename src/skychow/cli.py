@@ -31,7 +31,7 @@ from .chowring import (
     total_presentation,
 )
 from .finality import final_by_proximity, finality_report
-from .poly import Polynomial, _mul_terms, format_polynomial, random_homogeneous
+from .poly import Polynomial, _draw_terms, _mul_terms, _slice, format_polynomial
 from .proximity import InvalidConfigError, ProximityConfig, strict_class_in_total
 
 EXIT_OK = 0
@@ -48,7 +48,7 @@ EXIT_INTERNAL_ERROR = 4
 MAX_ORACLE_WIDTH = 4096
 
 # Most polynomials verify samples.  Each sample costs one reduce on a cached
-# slice plus its draw and normal form, about 0.012-0.016 ms at n=3 with s=7 or
+# slice plus its draw and normal form, about 0.009-0.012 ms at n=3 with s=7 or
 # s=15, at n=4 with s=10 and at n=2 with s=26 (in process on a shared 2-vCPU
 # host: 2250 samples less 250, best of several runs, median of 7 processes),
 # so the largest admitted run takes seconds, not days.
@@ -340,9 +340,13 @@ def _verify_checks(config, samples, seed):
 
     # randint(1, n + 1) and randrange(len(relations)) by Random's rule, as
     # random_homogeneous draws its picks: the bound's bit length in bits,
-    # drawn again while the value is the bound or more
+    # drawn again while the value is the bound or more.  Each sample and
+    # each stirred-in q is random_homogeneous(rng, s + 1, degree)'s term
+    # dict, drawn by its core from the slices of degrees 0..n+1, looked up
+    # once here.
     bits = rng.getrandbits
     nv = s + 1
+    slices = [_slice(nv, d, None) for d in range(n + 2)]
     relations = total.relations
     degrees = [g.homogeneous_degree() for g in relations]
     top, top_len = n + 1, (n + 1).bit_length()
@@ -353,7 +357,7 @@ def _verify_checks(config, samples, seed):
         while d >= top:
             d = bits(top_len)
         d += 1
-        p = random_homogeneous(rng, nv, d)
+        terms = _draw_terms(slices[d], bits)
         if rng.random() < 0.5:
             # stir in an ideal element so both zero and nonzero representatives occur
             r = bits(rels_len)
@@ -361,9 +365,9 @@ def _verify_checks(config, samples, seed):
                 r = bits(rels_len)
             dg = degrees[r]
             if dg <= d:
-                # p + relation * q, with the product added into a copy of p
-                q = random_homogeneous(rng, nv, d - dg)
-                p = Polynomial._of(nv, _mul_terms(relations[r].terms, q.terms, dict(p.terms)))
+                # relation * q, added into the sample's own fresh dict
+                _mul_terms(relations[r].terms, _draw_terms(slices[d - dg], bits), terms)
+        p = Polynomial._of(nv, terms)
         # one oracle query: equal polynomials are zero together, so this also
         # compares membership in the ideal with the normal form being zero
         if oracle.reduce(ideal, p).terms != normal_form(config, p).to_polynomial().terms:

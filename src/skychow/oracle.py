@@ -19,7 +19,10 @@ divisor, listed largest-first in the global graded lex order, so the
 pivots eat the large monomials and the surviving representatives are
 supported on the small ones.  The Hermite form on those columns is the
 full one restricted, and membership, representatives, ranks and torsion
-are those of the full slice.
+are those of the full slice.  A generator's terms that are dead in its
+own degree drop out of every multiple of it, so its live terms are
+recorded once, when that degree is published; the slices above fold its
+multiples from them, and a generator with no live term enters none.
 
 When every pivot of a slice is 1, its fully reduced rows are zero on every
 pivot column but their own, so reduction is a linear map read off the rows
@@ -172,8 +175,10 @@ class HermiteLattice:
             return
         rows, pcols = self._rows, self.pivot_cols
         for k in range(len(rows) - 2, -1, -1):
-            rk, own = rows[k], pcols[k]
-            self._reduce_in_place(rk, [t for t in rk if t != own])
+            rk = rows[k]
+            if len(rk) > 1:  # a single entry is its pivot: nothing to reduce
+                own = pcols[k]
+                self._reduce_in_place(rk, [t for t in rk if t != own])
         self._reduced = True
 
     def reduce_vector(self, vec):
@@ -378,6 +383,9 @@ class GradedIdeal:
             for g in self.generators
         )
         self._standard = {}  # degree -> its live columns {key: (exps, support)}
+        # (live terms, degree) of each generator with a live term in its own
+        # degree, in generator order, recorded as that degree is published
+        self._live = []
         self._pieces = {}
         self._lock = threading.Lock()
 
@@ -406,11 +414,13 @@ class GradedIdeal:
                 if top > i:
                     continue
                 k = key + step
-                if any(k - powers[j] not in lower[weights[j]] for j in support if j != i):
-                    continue
-                e = list(exps)
-                e[i] += 1
-                cols.append((k, tuple(e), support if top == i else support + (i,)))
+                for j in support:
+                    if j != i and k - powers[j] not in lower[weights[j]]:
+                        break
+                else:
+                    e = list(exps)
+                    e[i] += 1
+                    cols.append((k, tuple(e), support if top == i else support + (i,)))
         cols.sort(reverse=True)  # keys are distinct: the global order
         return cols
 
@@ -425,24 +435,19 @@ class GradedIdeal:
         # with its dead terms dropped, and a row with no column left is
         # skipped.  A multiple of a dead monomial is dead, so a term of g*m
         # is a column only if m is live in degree r and, for r > 0, the
-        # term of g is live in g's own degree; the other terms are never
-        # looked up, and a generator with no live term gives no rows.
+        # term of g is live in g's own degree: a generator enters the
+        # slices above its degree with the live terms recorded when its
+        # degree was published, and one with none enters none of them.
         # A row equal to an earlier one already lies in the lattice, so each
         # distinct (column, coefficient) single is folded once.
         singles = set()
         # Generators ascend in degree, so the rows of degree-d generators
         # (r == 0) come after every proper multiple; the ones that raise the
         # rank are rank(I_d) - rank((m*I)_d).
+        own = [terms for terms, dg in zip(self._terms, self._degrees) if dg == d]
         new = 0
-        for terms, dg in zip(self._terms, self._degrees):
+        for terms, dg in self._live + [(terms, d) for terms in own]:
             r = d - dg
-            if r < 0:
-                break
-            if r:
-                live = standard[dg]
-                terms = [t for t in terms if t[0] in live]
-                if not terms:
-                    continue
             for k in standard[r] if r < d else column:
                 row = {}
                 for key, coef in terms:
@@ -461,7 +466,11 @@ class GradedIdeal:
         lat._ensure_reduced()  # published in Hermite form: queries never mutate it
         # a row that is the single entry 1 puts its monomial in the ideal
         dead = {cols[p][0] for p, row in lat._pivots.items() if len(row) == 1 and row[p] == 1}
-        standard[d] = {key: (exps, sup) for key, exps, sup in cols if key not in dead}
+        live = standard[d] = {key: (exps, sup) for key, exps, sup in cols if key not in dead}
+        for terms in own:
+            terms = [t for t in terms if t[0] in live]
+            if terms:
+                self._live.append((terms, d))
         images = lat.unit_pivot_images()
         index = {m: i for i, m in enumerate(monos)}
         return GradedPiece(d, monos, index, lat, new, self.weights, images)

@@ -375,16 +375,24 @@ def random_homogeneous(
     terms k, then rng.sample(monos, k) over the N monomials of the slice,
     then rng.randint(1, 9) * rng.choice((1, -1)) per picked monomial, in
     that order.  They are drawn straight from rng.getrandbits by the same
-    rules, so a seed's picks, their term order and the stream position
-    after the call are unchanged from those calls.
+    rules (see _draw_terms), so a seed's picks, their term order and the
+    stream position after the call are unchanged from those calls.
     """
-    monos = _slice(nvars, degree, weights)
+    return Polynomial._of(nvars, _draw_terms(_slice(nvars, degree, weights), rng.getrandbits))
+
+
+def _draw_terms(monos: Sequence[Exps], bits) -> dict[Exps, int]:
+    """The fresh term dict random_homogeneous draws from the slice monos,
+    with bits a Random's getrandbits; empty when the slice is.
+
+    Callers that draw many polynomials from a few slices look each slice
+    up once and call this directly.
+    """
     n = len(monos)
     if not n:
-        return Polynomial.zero(nvars)
+        return {}
     # Random's rule for an int below a bound: draw the bound's bit length in
     # bits, and draw again while the value is the bound or more.
-    bits = rng.getrandbits
     m = min(4, n)
     mlen = m.bit_length()
     k = bits(mlen)  # k + 1 terms
@@ -420,4 +428,4 @@ def random_homogeneous(
         while sign >= 2:
             sign = bits(2)
         terms[exps] = -1 - c if sign else 1 + c
-    return Polynomial._of(nvars, terms)
+    return terms

@@ -341,6 +341,31 @@ class TestPresentations:
         for rel in strict_presentation(cfg).relations:
             assert rel.homogeneous_degree() in (2, 3)
 
+    def test_strict_power_relations_match_polynomial_arithmetic(self):
+        # each power relation is written as a term dict; the reference builds
+        # y_i^n + ((-1)^n + m_i) * y_0^n with Polynomial arithmetic
+        rng = Random(29)
+        configs = [random_config(rng, n, s) for n in range(2, 6) for s in range(1, 9)]
+        # odd n with exactly one point proximate to 1: the constant cancels
+        configs += [
+            ProximityConfig(n=3, s=2, prox=frozenset({(2, 1)})),
+            ProximityConfig(n=5, s=3, prox=frozenset({(3, 1), (3, 2)})),
+        ]
+        cancelled = 0
+        for cfg in configs:
+            n, nv = cfg.n, cfg.s + 1
+            y = [Polynomial.variable(nv, t) for t in range(nv)]
+            powers = strict_presentation(cfg).factored[-cfg.s :]
+            for i, factors in enumerate(powers, start=1):
+                m_i = len(cfg.proximate_points(i))
+                expected = y[i] ** n + ((-1) ** n + m_i) * y[0] ** n
+                assert factors == (expected,)
+                assert_well_stored(factors[0])
+                if (-1) ** n + m_i == 0:
+                    cancelled += 1
+                    assert factors[0].terms == {(0,) * i + (n,) + (0,) * (nv - 1 - i): 1}
+        assert cancelled >= 3
+
     @given(st.integers(0, 2**30))
     def test_strict_relations_match_the_dense_inverse(self, seed):
         # reference: the mixed relations built from the dense matrix B^-1

@@ -14,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import skychow.cli as cli
+import skychow.curve as curve_mod
 from helpers import reference_curve_normal_form, reference_curve_product, reference_curve_str
 from skychow import oracle
 from skychow.curve import (
@@ -302,6 +303,25 @@ class TestChecks:
         assert not residue.is_zero()
         lines = "\n".join(report.summary_lines())
         assert "torsion" in lines and "Z/2" in lines
+
+    def test_printed_count_is_the_number_compared(self, monkeypatch):
+        params = CurveRingParams(gamma=2, c1=6)
+        report = curve_ring_checks(params)
+        assert report.compared == 22
+        assert " on 22 monomials " in report.summary_lines()[1]
+        # a compared set without degree 4 prints the smaller count
+        real = curve_mod.monomials_of_degree
+        monkeypatch.setattr(
+            curve_mod, "monomials_of_degree", lambda nv, d, w=None: [] if d == 4 else real(nv, d, w)
+        )
+        short = curve_ring_checks(params)
+        assert short.compared == 22 - len(real(3, 4, curve_mod.CURVE_WEIGHTS)) == 13
+        assert short.summary_lines()[1].startswith("PASS rewrite vs oracle on 13 monomials ")
+        # comparing nothing is not a pass
+        monkeypatch.setattr(curve_mod, "monomials_of_degree", lambda nv, d, w=None: [])
+        empty = curve_ring_checks(params)
+        assert empty.compared == 0 and not empty.passed
+        assert empty.summary_lines()[1].startswith("FAIL rewrite vs oracle on 0 monomials ")
 
     def test_no_torsion_when_coprime(self):
         params = CurveRingParams(gamma=2, c1=-3)

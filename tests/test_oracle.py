@@ -941,6 +941,44 @@ def test_top_slice_folds_each_distinct_single_once(monkeypatch):
     assert len(full.monomials) == 330
 
 
+def test_add_row_counts_are_pinned(monkeypatch):
+    # the rows each build folds: slices 0..4 of the n=3, s=7 total ideal
+    # (verify's benchmark shape) and slices 0..4 of each curve ideal of the
+    # (gamma, c1) grid
+    calls = []
+    original = HermiteLattice.add_row
+
+    def counting(self, vec):
+        calls.append(len(vec))
+        return original(self, vec)
+
+    monkeypatch.setattr(HermiteLattice, "add_row", counting)
+    n, s = 3, 7
+    ideal = GradedIdeal(s + 1, total_presentation(ProximityConfig(n=n, s=s)).relations, n + 1)
+    per_degree = []
+    for d in range(n + 2):
+        before = len(calls)
+        ideal.piece(d)
+        per_degree.append(len(calls) - before)
+    # 28 singles x_i*x_j, 7 power relations, then their multiples by x_0
+    # (one distinct single x_0^4) and by x_i (the single x_i^4)
+    assert per_degree == [0, 0, 28, 7, 8]
+    # each x_i*x_j is dead in its own degree, so no slice above multiplies
+    # it out; each power relation enters those slices with both its terms
+    assert [(len(terms), dg) for terms, dg in ideal._live] == [(2, n)] * s
+    per_ideal = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # gamma = 1 warns
+        grid = [CurveRingParams(gamma=g, c1=c1) for g in range(1, 9) for c1 in range(-8, 9)]
+    for params in grid:
+        before = len(calls)
+        curve_ideal(params).piece(4)
+        per_ideal.append(len(calls) - before)
+    assert len(per_ideal) == 136
+    assert sum(per_ideal) == 2271
+    assert min(per_ideal) == 13 and max(per_ideal) == 17
+
+
 def test_total_slices_keep_the_pure_powers_above_degree_two():
     # the x_i*x_j are unit monomial generators: above degree 2 only the
     # s + 1 pure powers are columns, and in degree 2 they stay as columns

@@ -170,6 +170,21 @@ MUTANTS = {
         "row[p] == 1",
         "row[p] >= 1",
     ),
+    "live-term-filter": (
+        "src/skychow/oracle.py",
+        "terms = [t for t in terms if t[0] in live]",
+        "terms = [t for t in terms if t[0] not in live]",
+    ),
+    "strict-power-constant": (
+        "src/skychow/chowring.py",
+        "c = sign + len(proximate.get(i, ()))",
+        "c = sign - len(proximate.get(i, ()))",
+    ),
+    "stir-slice-index": (
+        "src/skychow/cli.py",
+        "_draw_terms(slices[d - dg], bits)",
+        "_draw_terms(slices[dg - d], bits)",
+    ),
     "strict-column-sum": (
         "src/skychow/chowring.py",
         "column[k] = column.get(k, 0) + c",
