@@ -13,12 +13,17 @@ class is 1.  ChowElement stores the nonzero coefficients of that form, and
 _add_power is the one place that applies the rewrite rule.  A degree-1
 class is a sparse {t: c} dict over x_0 = h and x_t = E_t in total
 coordinates; a strict class e_i enters as strict_class_in_total gives it.
+
+normal_form and ChowElement.to_polynomial wrap term-dict cores,
+_normal_terms ({exps: c} to {(d, i): c}) and _power_terms (back), so a
+caller comparing many term dicts with the oracle's builds no Polynomial or
+ChowElement per query.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 from operator import mul
 
 from .poly import (
@@ -174,12 +179,7 @@ class ChowElement:
     def to_polynomial(self):
         """The canonical representative as a polynomial in x_0..x_s."""
         nv = self.s + 1
-        terms = {}
-        for (d, i), c in self.terms.items():
-            exps = [0] * nv
-            exps[i] = d
-            terms[tuple(exps)] = c
-        return Polynomial._of(nv, terms)
+        return Polynomial._of(nv, _power_terms(nv, self.terms))
 
     def __str__(self):
         # descending (d, i) is the global monomial order restricted to pure powers
@@ -206,16 +206,33 @@ def normal_form(config: ProximityConfig, p: Polynomial) -> ChowElement:
         raise ValueError(
             "polynomial has %d variables, expected s + 1 = %d" % (p.nvars, s + 1)
         )
-    terms = {}
-    for exps, coef in p.terms.items():
+    # a config holds n >= 2 and s >= 1, so the constructor's check is skipped
+    return ChowElement._of(n, s, _normal_terms(n, p.terms))
+
+
+def _normal_terms(n, terms):
+    """normal_form's core: the canonical {(d, i): c} dict of a term dict
+    {exps: c} in the total variables, whose length it does not check."""
+    out = {}
+    for exps, coef in terms.items():
         d = max(exps)
         # exponents are nonnegative: the term is a pure power (or the
         # constant, whose top exponent 0 sits first) exactly when one
         # exponent carries the whole degree
         if d == sum(exps):
-            _add_power(terms, n, d, exps.index(d), coef)
-    # a config holds n >= 2 and s >= 1, so the constructor's check is skipped
-    return ChowElement._of(n, s, terms)
+            _add_power(out, n, d, exps.index(d), coef)
+    return out
+
+
+def _power_terms(nv, terms):
+    """to_polynomial's core: the term dict {exps: c} over nv variables of a
+    canonical {(d, i): c} dict, each x_i^d with a fresh exponent tuple."""
+    out = {}
+    for (d, i), c in terms.items():
+        exps = [0] * nv
+        exps[i] = d
+        out[tuple(exps)] = c
+    return out
 
 
 def _check_support(config: ProximityConfig, v: dict[int, int]) -> None:
@@ -455,11 +472,11 @@ def rho(config: ProximityConfig, p: Polynomial) -> Polynomial:
     return p.substitute(_rho_images(config))
 
 
-@lru_cache(maxsize=8)
 def _rho_images(config: ProximityConfig) -> tuple[Polynomial, ...]:
-    """The images of y_0..y_s under rho, built once per config.
+    """The images of y_0..y_s under rho.
 
-    Shared between calls: substitute only reads them and returns fresh terms.
+    substitute only reads them and returns fresh terms, so a caller mapping
+    many polynomials builds them once and hands them to each substitute.
     Every strict class is needed, so they are read off the reverse map, not
     built one strict_class_in_total scan at a time.
     """

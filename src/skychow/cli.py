@@ -22,16 +22,18 @@ from random import Random
 from . import curve as curve_mod
 from . import oracle
 from .chowring import (
+    _normal_terms,
+    _power_terms,
+    _rho_images,
     degree_integral,
     graded_rank,
     normal_form,
-    rho,
     sparse_product,
     strict_presentation,
     total_presentation,
 )
 from .finality import final_by_proximity, finality_report
-from .poly import Polynomial, _draw_terms, _mul_terms, _slice, format_polynomial
+from .poly import _draw_terms, _mul_terms, _slice, format_polynomial
 from .proximity import InvalidConfigError, ProximityConfig, strict_class_in_total
 
 EXIT_OK = 0
@@ -47,11 +49,12 @@ EXIT_INTERNAL_ERROR = 4
 # 4096 admits n=3 with s <= 15 and n=4 with s <= 10.
 MAX_ORACLE_WIDTH = 4096
 
-# Most polynomials verify samples.  Each sample costs one reduce on a cached
-# slice plus its draw and normal form, about 0.009-0.012 ms at n=3 with s=7 or
-# s=15, at n=4 with s=10 and at n=2 with s=26 (in process on a shared 2-vCPU
-# host: 2250 samples less 250, best of several runs, median of 7 processes),
-# so the largest admitted run takes seconds, not days.
+# Most polynomials verify samples.  Each sample costs its draw plus one oracle
+# reduction on a cached slice and one normal form, compared as term dicts,
+# about 0.008-0.012 ms at n=3 with s=7 or s=15, at n=4 with s=10 and at n=2
+# with s=26 (in process on a shared 2-vCPU host: 2250 samples less 250, best
+# of several runs, median of 7 processes), so the largest admitted run takes
+# seconds, not days.
 MAX_VERIFY_SAMPLES = 100_000
 
 # Most exponent entries present may build.  Every term of a presentation
@@ -318,7 +321,9 @@ def _verify_checks(config, samples, seed):
     ideal = oracle.GradedIdeal(s + 1, total.relations, n + 1)
 
     # rho is a ring map, so a relation's image is the product of its factors'
-    # images; each shared factor (y_i, L_i) is mapped once, keyed by identity
+    # images; the images of y_0..y_s are built once, and each shared factor
+    # (y_i, L_i) is mapped once, keyed by identity
+    rho_images = _rho_images(config)
     images = {}
     bad = 0
     for factors in strict.factored:
@@ -326,7 +331,7 @@ def _verify_checks(config, samples, seed):
         for f in factors:
             img = images.get(id(f))
             if img is None:
-                img = images[id(f)] = rho(config, f)
+                img = images[id(f)] = f.substitute(rho_images)
             image = img if image is None else image * img
         if not normal_form(config, image).is_zero() or not oracle.membership(
             ideal, image
@@ -367,10 +372,10 @@ def _verify_checks(config, samples, seed):
             if dg <= d:
                 # relation * q, added into the sample's own fresh dict
                 _mul_terms(relations[r].terms, _draw_terms(slices[d - dg], bits), terms)
-        p = Polynomial._of(nv, terms)
-        # one oracle query: equal polynomials are zero together, so this also
-        # compares membership in the ideal with the normal form being zero
-        if oracle.reduce(ideal, p).terms != normal_form(config, p).to_polynomial().terms:
+        # one oracle query, on the engines' term-dict cores: equal
+        # representatives are zero together, so this also compares
+        # membership in the ideal with the normal form being zero
+        if oracle._reduce_terms(ideal, terms) != _power_terms(nv, _normal_terms(n, terms)):
             mismatches += 1
     yield (
         mismatches == 0,

@@ -30,6 +30,11 @@ pivot column but their own, so reduction is a linear map read off the rows
 stores each column's image, and a query sums the images of its terms in
 the scan that finds their columns.  Other slices reduce a fresh vector
 against the rows.  Either way a published slice is never mutated.
+
+Queries take a term dict: _slice_vector finds a query's slice and vector,
+_reduce_terms returns its representative's term dict, and membership,
+reduce and rational_membership wrap them for a Polynomial, so a caller
+comparing many term dicts builds no Polynomial per query.
 """
 
 from __future__ import annotations
@@ -491,21 +496,21 @@ class GradedIdeal:
         return piece
 
 
-def _slice_vector(ideal: GradedIdeal, p: Polynomial, reduced: bool):
-    """The slice holding a nonzero p, and a fresh sparse vector in it: p's
-    own, or with reduced set, that of p's canonical representative, whose
-    entries may then be zero where images cancel.
+def _slice_vector(ideal: GradedIdeal, terms: dict, reduced: bool):
+    """The slice holding a nonzero term dict, and a fresh sparse vector in
+    it: the terms' own, or with reduced set, that of their canonical
+    representative, whose entries may then be zero where images cancel.
 
     The degree is read off the first term; every other term then has to be
     found in that slice's index or be one of its dead terms, which are
     dropped.  When every weight is 1 a term's degree is sum(exps), and a
     term is dead when it has the ideal's length and the slice's degree;
     other ideals ask the slice's _dead.  On a slice with images the
-    representative is summed from the images of p's terms in that same
-    scan.  On any other miss the checks run in full, so a bad p raises
-    what the term-by-term homogeneity scan raises first.
+    representative is summed from the images of the terms in that same
+    scan.  On any other miss the checks run in full on the terms wrapped as
+    a Polynomial, so a bad query raises what the term-by-term homogeneity
+    scan raises first.
     """
-    terms = p.terms
     unit = ideal._unit_weights
     first = next(iter(terms))
     d = sum(first) if unit else monomial_degree(first, ideal.weights)
@@ -530,30 +535,38 @@ def _slice_vector(ideal: GradedIdeal, p: Polynomial, reduced: bool):
             if reduced and images is None:
                 v = piece.lattice._reduce_owned(v)
             return piece, v
+    p = Polynomial._of(ideal.nvars, terms)
     piece = ideal.piece(p.homogeneous_degree(ideal.weights))
     v = piece.vector_of(p)
     return piece, piece.lattice._reduce_owned(v) if reduced else v
+
+
+def _reduce_terms(ideal: GradedIdeal, terms: dict) -> dict:
+    """reduce's core: the term dict of the canonical representative of a
+    term dict, {} for {}; the query's dict is only read."""
+    if not terms:
+        return {}
+    piece, v = _slice_vector(ideal, terms, True)
+    monos = piece.monomials
+    return {monos[t]: c for t, c in v.items() if c}
 
 
 def membership(ideal: GradedIdeal, p: Polynomial) -> bool:
     """Exact test p in ideal, for homogeneous p of degree <= max_degree."""
     if not p.terms:
         return True
-    return not any(_slice_vector(ideal, p, True)[1].values())
+    return not any(_slice_vector(ideal, p.terms, True)[1].values())
 
 
 def reduce(ideal: GradedIdeal, p: Polynomial) -> Polynomial:
     """Canonical coset representative of p modulo the ideal's slice lattice.
 
     Representatives are unique per coset, so reduce(p) == reduce(q) exactly
-    when p - q lies in the ideal's degree slice.  The result is built here
-    from the representative's vector, as polynomial_of builds it.
+    when p - q lies in the ideal's degree slice.  The result wraps
+    _reduce_terms, which builds it from the representative's vector as
+    polynomial_of builds it.
     """
-    if not p.terms:
-        return Polynomial.zero(ideal.nvars)
-    piece, v = _slice_vector(ideal, p, True)
-    monos = piece.monomials
-    return Polynomial._of(ideal.nvars, {monos[t]: c for t, c in v.items() if c})
+    return Polynomial._of(ideal.nvars, _reduce_terms(ideal, p.terms))
 
 
 def quotient_structure(ideal: GradedIdeal, d: int) -> QuotientSlice:
@@ -574,7 +587,7 @@ def rational_membership(ideal: GradedIdeal, p: Polynomial) -> bool:
     """True when some nonzero integer multiple of p lies in the ideal slice."""
     if p.is_zero():
         return True
-    piece, v = _slice_vector(ideal, p, False)
+    piece, v = _slice_vector(ideal, p.terms, False)
     return not piece.lattice.copy().add_row(v)
 
 

@@ -17,12 +17,15 @@ from helpers import (
     dense_class,
     random_config,
     reference_rho,
+    reference_verify_samples,
     support,
 )
 from skychow import oracle
 from skychow.chowring import (
     ChowElement,
     _add_power,
+    _normal_terms,
+    _power_terms,
     Presentation,
     degree_integral,
     from_divisor,
@@ -137,6 +140,29 @@ class TestNormalForm:
         assert normal_form(SURFACE, p * q) == normal_form(SURFACE, p) * normal_form(
             SURFACE, q
         )
+
+    @pytest.mark.parametrize("n", (2, 3, 4))
+    def test_term_dict_cores_match_the_wrappers(self, n):
+        # verify's check 2 calls _power_terms(nv, _normal_terms(n, t)) on the
+        # term dicts it draws; on such draws the cores give what normal_form
+        # and to_polynomial give, and only read their input
+        rng = Random(30 + n)
+        seen = {True: 0, False: 0}  # zero and nonzero normal forms
+        for s in range(1, 8):
+            nv = s + 1
+            chain = ProximityConfig(n=n, s=s, prox=frozenset((j, j - 1) for j in range(2, nv)))
+            for config in (random_config(rng, n, s), chain):
+                samples = reference_verify_samples(config, 30, rng.randrange(1000))
+                for p in samples + [Polynomial.zero(nv)]:
+                    terms = dict(p.terms)
+                    canonical = _normal_terms(n, terms)
+                    nf = normal_form(config, p)
+                    assert canonical == nf.terms
+                    assert _power_terms(nv, canonical) == nf.to_polynomial().terms
+                    assert terms == p.terms
+                    seen[not canonical] += 1
+        assert _normal_terms(n, {}) == {} and _power_terms(3, {}) == {}
+        assert min(seen.values()) > 20
 
 
 class TestStorage:

@@ -30,7 +30,6 @@ from skychow.chowring import (
     Presentation,
     from_divisor,
     graded_rank,
-    normal_form,
     sparse_product,
     strict_presentation,
     total_presentation,
@@ -742,14 +741,36 @@ class TestVerify:
     def test_flipped_point_class_sign_fails_the_second_check(
         self, surface_path, capsys, monkeypatch
     ):
-        def flipped(config, p):
-            nf = normal_form(config, p)
-            terms = dict(nf.terms)
-            if (config.n, 0) in terms:
-                terms[config.n, 0] = -terms[config.n, 0]
-            return ChowElement(nf.n, nf.s, terms)
+        # check 2 reads the rewrite engine through its term-dict core; check 1
+        # goes through normal_form, which this leaves alone
+        def flipped(n, terms):
+            out = chowring._normal_terms(n, terms)
+            if (n, 0) in out:
+                out[n, 0] = -out[n, 0]
+            return out
 
-        monkeypatch.setattr(cli, "normal_form", flipped)
+        monkeypatch.setattr(cli, "_normal_terms", flipped)
+        assert cli.main(["verify", surface_path, "--samples", "20"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == (
+            "FAIL normal forms match the lattice oracle (20 sampled polynomials (seed 0))"
+        )
+        assert all(l.startswith("PASS") for l in lines[:1] + lines[2:])
+
+    def test_flipped_oracle_point_class_sign_fails_the_second_check(
+        self, surface_path, capsys, monkeypatch
+    ):
+        # the symmetric fault on the oracle's side of check 2: its core's
+        # representative with the point class x_0^2 of the surface negated
+        real = cli.oracle._reduce_terms
+
+        def flipped(ideal, terms):
+            out = real(ideal, terms)
+            if (2, 0, 0) in out:
+                out[2, 0, 0] = -out[2, 0, 0]
+            return out
+
+        monkeypatch.setattr(cli.oracle, "_reduce_terms", flipped)
         assert cli.main(["verify", surface_path, "--samples", "20"]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert lines[1] == (
@@ -758,9 +779,10 @@ class TestVerify:
         assert all(l.startswith("PASS") for l in lines[:1] + lines[2:])
 
     def test_one_oracle_reduction_a_sample(self, capsys, monkeypatch):
-        # check 2 reads membership off the representative; membership is
-        # queried only by check 1, once per strict relation
-        calls = {"reduce": 0, "membership": 0}
+        # check 2 reads membership off the representative of the oracle's
+        # term-dict core and never builds a Polynomial for reduce; membership
+        # is queried only by check 1, once per strict relation
+        calls = {"_reduce_terms": 0, "reduce": 0, "membership": 0}
 
         def counted(name):
             real = getattr(cli.oracle, name)
@@ -776,26 +798,38 @@ class TestVerify:
         assert cli.main(["verify", SURFACE_PATH, "--samples", "20"]) == 0
         relations = len(strict_presentation(cli.load_config(SURFACE_PATH)).factored)
         assert relations == 5
-        assert calls == {"reduce": 20, "membership": relations}
+        assert calls == {"_reduce_terms": 20, "reduce": 0, "membership": relations}
 
     @pytest.mark.parametrize("which", ("threefold_chain", "random n=3 s=7"))
     def test_sample_draws_are_pinned(self, monkeypatch, which):
-        # check 2 draws straight from getrandbits; the polynomials it hands to
-        # oracle.reduce are those of Random's own calls, in the same order
+        # check 2 draws straight from getrandbits; the term dicts it hands to
+        # both engines' cores are those of Random's own calls, in the same order
         if which == "threefold_chain":
             config = cli.load_config(THREEFOLD_PATH)
         else:
             config = random_config(Random(26), 3, 7)
-        handed = []
-        real = cli.oracle.reduce
-        monkeypatch.setattr(cli.oracle, "reduce", lambda ideal, p: handed.append(p) or real(ideal, p))
+        to_oracle, to_rewrite = [], []
+        real_reduce, real_normal = cli.oracle._reduce_terms, cli._normal_terms
+        monkeypatch.setattr(
+            cli.oracle,
+            "_reduce_terms",
+            lambda ideal, terms: to_oracle.append(dict(terms)) or real_reduce(ideal, terms),
+        )
+        monkeypatch.setattr(
+            cli,
+            "_normal_terms",
+            lambda n, terms: to_rewrite.append(dict(terms)) or real_normal(n, terms),
+        )
         for seed in range(5):
-            handed.clear()
+            to_oracle.clear()
+            to_rewrite.clear()
             assert all(ok for ok, _, _ in cli._verify_checks(config, 250, seed))
-            assert handed == reference_verify_samples(config, 250, seed)
+            expected = [p.terms for p in reference_verify_samples(config, 250, seed)]
+            assert to_oracle == expected
+            assert to_rewrite == expected
 
     def test_zero_oracle_representatives_fail_the_second_check(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli.oracle, "reduce", lambda ideal, p: Polynomial.zero(ideal.nvars))
+        monkeypatch.setattr(cli.oracle, "_reduce_terms", lambda ideal, terms: {})
         assert cli.main(["verify", SURFACE_PATH, "--samples", "20"]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert lines[1] == (

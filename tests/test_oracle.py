@@ -23,13 +23,21 @@ from sympy.matrices.normalforms import smith_normal_form
 
 import skychow.oracle
 import skychow.cli
-from helpers import DenseHermiteLattice, cached_total_ideal, full_piece, full_reduce, random_config
-from skychow.chowring import _rho_images, rho, strict_presentation, total_presentation
+from helpers import (
+    DenseHermiteLattice,
+    cached_total_ideal,
+    full_piece,
+    full_reduce,
+    random_config,
+    reference_verify_samples,
+)
+from skychow.chowring import _rho_images, strict_presentation, total_presentation
 from skychow.cli import load_config, main
 from skychow.curve import CurveRingParams, curve_ideal
 from skychow.oracle import (
     GradedIdeal,
     HermiteLattice,
+    _reduce_terms,
     membership,
     minimal_generator_count,
     quotient_rank,
@@ -747,11 +755,85 @@ def test_image_route_matches_the_heap_route_on_the_curve_grid():
     assert routes == [5 * 136 - with_gcd, with_gcd]
 
 
+def assert_core_matches_reduce(ideal, p):
+    """_reduce_terms gives reduce's terms on p's term dict and only reads it."""
+    terms = dict(p.terms)
+    assert _reduce_terms(ideal, terms) == reduce(ideal, p).terms
+    assert terms == p.terms
+
+
+def bad_query_message(ideal, terms):
+    """The one message a bad term dict raises through _reduce_terms and
+    through each query that wraps the terms, unchecked, as a Polynomial."""
+    p = Polynomial._of(ideal.nvars, terms)
+    messages = set()
+    for query in (_reduce_terms, reduce, membership, rational_membership):
+        with pytest.raises(ValueError) as err:
+            query(ideal, terms if query is _reduce_terms else p)
+        messages.add(str(err.value))
+    (message,) = messages
+    return message
+
+
+def assert_bad_queries_agree(ideal):
+    """Queries of a wrong degree raise what the full checks raise, through
+    the core and the wrappers alike; one with a term of the wrong length
+    raises the index miss of the degree its first term reads."""
+    nvars = ideal.nvars
+    x0 = (1,) + (0,) * (nvars - 1)
+    past = (ideal.max_degree + 1,) + (0,) * (nvars - 1)
+    for terms in ({x0: 1, (2,) + x0[1:]: 2}, {(2,) + x0[1:]: 2, x0: 1}, {past: 3}):
+        p = Polynomial._of(nvars, terms)
+        assert bad_query_message(ideal, terms) == full_check_error(ideal, p)
+    for wrong in (x0 + (0,), x0[:-1]):
+        for terms in ({wrong: 2}, {x0: 1, wrong: 2}):
+            assert bad_query_message(ideal, terms) == (
+                "monomial %r does not have degree 1" % (wrong,)
+            )
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_reduce_core_matches_reduce_on_verify_draws(n):
+    # the term dicts verify's check 2 hands to _reduce_terms, drawn as it
+    # draws them, on random configs and chains with s <= 7
+    rng = Random(60 + n)
+    for s in range(1, 8):
+        nv = s + 1
+        ideal = cached_total_ideal(n, s)
+        chain = ProximityConfig(n=n, s=s, prox=frozenset((j, j - 1) for j in range(2, nv)))
+        for config in (random_config(rng, n, s), chain):
+            for p in reference_verify_samples(config, 30, rng.randrange(1000)):
+                assert_core_matches_reduce(ideal, p)
+        assert _reduce_terms(ideal, {}) == {} == reduce(ideal, Polynomial.zero(nv)).terms
+        assert_bad_queries_agree(ideal)
+
+
+def test_reduce_core_matches_reduce_on_the_curve_grid():
+    # weighted slices, with and without unit-pivot images; each query beside
+    # an ideal element of its degree, p minus its representative
+    rng = Random(11)
+    routes = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # gamma=1
+        for gamma in range(1, 9):
+            for c1 in range(-8, 9):
+                ideal = curve_ideal(CurveRingParams(gamma=gamma, c1=c1))
+                for d in range(ideal.max_degree + 1):
+                    routes.add(ideal.piece(d).images is None)
+                    p = random_homogeneous(rng, ideal.nvars, d, ideal.weights)
+                    for q in (p, p - reduce(ideal, p)):
+                        assert_core_matches_reduce(ideal, q)
+                assert _reduce_terms(ideal, {}) == {}
+                assert_bad_queries_agree(ideal)
+    assert routes == {True, False}
+
+
 def test_verify_builds_each_slice_once(monkeypatch, capsys):
-    # each slice and the rho images once per run, and rho once per distinct
-    # factor of the strict relations, whose expansion verify never needs;
-    # every _sparse call comes from add_row, since queries hand their fresh
-    # vectors to the reduction and slices are published in Hermite form
+    # each slice and the rho images once per run, and one substitute per
+    # distinct factor of the strict relations, whose expansion verify never
+    # needs; every _sparse call comes from add_row, since queries hand their
+    # fresh vectors to the reduction and slices are published in Hermite
+    # form; and nothing in verify builds the config's pair set
     n = 3
     built = []
     original = GradedIdeal._build_piece
@@ -779,18 +861,33 @@ def test_verify_builds_each_slice_once(monkeypatch, capsys):
         return pres
 
     monkeypatch.setattr(skychow.cli, "strict_presentation", keep)
-    rho_calls = []
+    image_sets = []
 
-    def counting_rho(config, p):
-        rho_calls.append(p)
-        return rho(config, p)
+    def counting_images(config):
+        image_sets.append(_rho_images(config))
+        return image_sets[-1]
 
-    monkeypatch.setattr(skychow.cli, "rho", counting_rho)
-    _rho_images.cache_clear()
+    monkeypatch.setattr(skychow.cli, "_rho_images", counting_images)
+    mapped = []
+    substitute = Polynomial.substitute
+
+    def counting_substitute(self, images):
+        mapped.append((self, images))
+        return substitute(self, images)
+
+    monkeypatch.setattr(Polynomial, "substitute", counting_substitute)
+    configs = []
+
+    def loading(path):
+        configs.append(load_config(path))
+        return configs[-1]
+
+    monkeypatch.setattr(skychow.cli, "load_config", loading)
     path = str(CONFIG_DIR / "threefold_chain.json")
-    cfg = load_config(path)
-    assert cfg.n == n
     assert main(["verify", path, "--samples", "20"]) == 0
+    (cfg,) = configs
+    assert cfg.n == n
+    assert "prox" not in vars(cfg)
     assert capsys.readouterr().out.count("PASS") == 5
     assert sorted(piece.degree for piece in built) == list(range(n + 2))
     assert all(piece.lattice._reduced for piece in built)
@@ -798,9 +895,10 @@ def test_verify_builds_each_slice_once(monkeypatch, capsys):
     (pres,) = presentations
     assert "relations" not in pres.__dict__  # never expanded
     distinct = {id(f): f for factors in pres.factored for f in factors}
-    assert len(rho_calls) == len(distinct) < sum(map(len, pres.factored))
-    info = _rho_images.cache_info()
-    assert (info.misses, info.hits) == (1, len(rho_calls) - 1)
+    assert len(mapped) == len(distinct) < sum(map(len, pres.factored))
+    assert {id(f) for f, _ in mapped} == set(distinct)
+    (images,) = image_sets
+    assert all(handed is images for _, handed in mapped)
 
 
 def test_concurrent_queries_share_one_build_per_slice(monkeypatch):

@@ -162,8 +162,8 @@ MUTANTS = {
     ),
     "membership-zero-test": (
         "src/skychow/oracle.py",
-        "return not any(_slice_vector(ideal, p, True)[1].values())",
-        "return any(_slice_vector(ideal, p, True)[1].values())",
+        "return not any(_slice_vector(ideal, p.terms, True)[1].values())",
+        "return any(_slice_vector(ideal, p.terms, True)[1].values())",
     ),
     "derived-dead-pivot": (
         "src/skychow/oracle.py",
@@ -209,6 +209,11 @@ MUTANTS = {
         "src/skychow/proximity.py",
         "proximate.setdefault(i, []).append(j)",
         "proximate.setdefault(j, []).append(i)",
+    ),
+    "power-terms-variable": (
+        "src/skychow/chowring.py",
+        "exps[i] = d",
+        "exps[0] = d",
     ),
     "rho-image-sign": (
         "src/skychow/chowring.py",
