@@ -4,9 +4,11 @@ This module is the independent check on the rewrite engine: it never looks
 at proximity data or canonical forms, only at a list of homogeneous
 generators.  Each graded slice of the ideal is materialized as an integer
 row lattice (generator times complementary monomial), kept in reduced row
-echelon form over Z, i.e. column-style Hermite normal form.  Membership,
-canonical coset representatives, quotient ranks, torsion and minimal
-generator counts all come out of that lattice by exact arithmetic.
+echelon form over Z, i.e. column-style Hermite normal form, after every
+row it takes: a new or changed pivot row is reduced, and so is each row
+above it with an entry in the pivot's column, so entries stay small.
+Membership, canonical coset representatives, quotient ranks, torsion and
+minimal generator counts all come out of that lattice by exact arithmetic.
 
 Slices are built in ascending degree.  A built slice whose Hermite form
 has a row that is the single entry 1 puts that row's monomial in the
@@ -65,25 +67,23 @@ def _xgcd(a, b):
 
 
 class HermiteLattice:
-    """A sublattice of Z^width held in row echelon form with positive pivots.
+    """A sublattice of Z^width held in Hermite normal form.
 
     Vectors are {column: entry} dicts with columns in 0..width-1.  Each row
     is stored that way without zeros, and every elimination step walks only
-    nonzero columns, in ascending order.  Rows are added one at a time;
-    above-pivot reduction is deferred until the first query needs the fully
-    reduced (Hermite) form, or until GradedIdeal publishes a slice, which it
-    does only in that form.  Rows change only through add_row and that one
-    back-substitution, so queries on a published slice never mutate it.
+    nonzero columns, in ascending order.  The rows are in row echelon form
+    with positive pivots, and every entry above a pivot lies in [0, pivot):
+    add_row restores that form before it returns, so there is one state,
+    and queries on a published slice only read it.
     """
 
-    __slots__ = ("width", "pivot_cols", "_rows", "_pivots", "_reduced")
+    __slots__ = ("width", "pivot_cols", "_rows", "_pivots")
 
     def __init__(self, width):
         self.width = width
         self.pivot_cols = []
         self._rows = []  # sparse rows in pivot_cols order
         self._pivots = {}  # pivot column -> its row
-        self._reduced = True
 
     @property
     def rank(self):
@@ -108,7 +108,6 @@ class HermiteLattice:
         other.pivot_cols = list(self.pivot_cols)
         other._rows = [dict(row) for row in self._rows]
         other._pivots = dict(zip(other.pivot_cols, other._rows))
-        other._reduced = self._reduced
         return other
 
     def _sparse(self, vec, what):
@@ -119,7 +118,8 @@ class HermiteLattice:
         return v
 
     def add_row(self, vec):
-        """Fold a vector into the lattice; True if the rank grew."""
+        """Fold a vector into the lattice, keeping Hermite form; True if the
+        rank grew."""
         vec = self._sparse(vec, "row")
         pivots = self._pivots
         heap = sorted(vec)  # a sorted list is already a heap
@@ -136,7 +136,7 @@ class HermiteLattice:
                 self.pivot_cols.insert(pos, j)
                 self._rows.insert(pos, vec)
                 pivots[j] = vec
-                self._reduced = False
+                self._settle(j, vec, pos)
                 return True
             a = row[j]
             if vj % a == 0:
@@ -152,17 +152,31 @@ class HermiteLattice:
                     if not vt:
                         heappush(heap, t)
                     _put(vec, t, ag * vt - bg * rt)
-                self._reduced = False
+                self._settle(j, row, bisect_left(self.pivot_cols, j))
         return False
 
-    def _reduce_in_place(self, v, cols):
-        """Reduce v at each pivot column among cols, and at any that fills in.
+    def _settle(self, j, row, pos):
+        """Restore Hermite form after the row at pivot column j, position
+        pos, is new or changed (Kannan & Bachem 1979): reduce it right of j,
+        then each row above it that has an entry in column j, from j on.
+        Each reduction reads only the echelon pivots, so the order is free.
+        """
+        if len(row) > 1:  # a single entry is its pivot
+            self._reduce_in_place(row, j + 1)
+        p = row[j]
+        for rk in self._rows[:pos]:
+            if rk.get(j, 0) // p:  # outside [0, p); the rest of rk is reduced
+                self._reduce_in_place(rk, j)
+
+    def _reduce_in_place(self, v, lo):
+        """Reduce v at each of its pivot columns from lo on, and at any that
+        fills in; return v.
 
         Columns are visited in ascending order, so each pivot's entry ends
         in [0, pivot) and later subtractions cannot disturb it.
         """
         pivots = self._pivots
-        heap = [t for t in cols if t in pivots]
+        heap = [t for t in v if t >= lo and t in pivots]
         heapify(heap)
         while heap:
             j = heappop(heap)
@@ -173,28 +187,11 @@ class HermiteLattice:
             q = vj // row[j]
             if q:
                 _axpy(v, -q, row, heap, pivots)
-
-    def _ensure_reduced(self):
-        # Back-substitution: make every entry above a pivot lie in [0, pivot).
-        if self._reduced:
-            return
-        rows, pcols = self._rows, self.pivot_cols
-        for k in range(len(rows) - 2, -1, -1):
-            rk = rows[k]
-            if len(rk) > 1:  # a single entry is its pivot: nothing to reduce
-                own = pcols[k]
-                self._reduce_in_place(rk, [t for t in rk if t != own])
-        self._reduced = True
+        return v
 
     def reduce_vector(self, vec):
         """Canonical coset representative of vec modulo the lattice, zero-free."""
-        return self._reduce_owned(self._sparse(vec, "vector"))
-
-    def _reduce_owned(self, v):
-        """reduce_vector on a fresh zero-free vector in range, reduced in place."""
-        self._ensure_reduced()
-        self._reduce_in_place(v, list(v))
-        return v
+        return self._reduce_in_place(self._sparse(vec, "vector"), 0)
 
     def contains(self, vec):
         return not self.reduce_vector(vec)
@@ -207,7 +204,6 @@ class HermiteLattice:
         {t: 1} and a pivot column p to minus row p without its pivot entry.
         Images are tuples of (column, entry) pairs; the rows are only read.
         """
-        self._ensure_reduced()
         images = [((t, 1),) for t in range(self.width)]
         for p, row in self._pivots.items():
             if row[p] != 1:
@@ -220,8 +216,9 @@ class HermiteLattice:
 
         Alternating Hermite forms (Kannan & Bachem 1979): the columns of the
         rows span the transpose, whose Hermite form has the same divisors.
-        Each pass folds them into a fresh lattice and back-substitutes,
-        until every row has one entry.  The lattice itself is only read.
+        Each pass folds them into a fresh lattice, which add_row keeps in
+        Hermite form, until every row has one entry.  The lattice itself is
+        only read.
         """
         if all(p == 1 for p in self.pivot_values()):
             # unit pivots: the rows extend to a basis of Z^width
@@ -235,7 +232,6 @@ class HermiteLattice:
             lat = HermiteLattice(len(rows))
             for t in sorted(columns):
                 lat.add_row(columns[t])
-            lat._ensure_reduced()
             rows = lat._rows
         divisors = [c for row in rows for c in row.values()]
         # enforce the divisibility chain d_1 | d_2 | ...
@@ -345,8 +341,9 @@ class GradedIdeal:
     slice up to d in ascending degree: each slice's columns grow from the
     live columns of the slices below, those whose Hermite row is not the
     single entry 1.  Slice construction is guarded by a lock so concurrent
-    readers share one build; a slice is published only once it is built and
-    in Hermite form, so a lookup of a published slice takes no lock.
+    readers share one build; a slice is published only once it is built,
+    and its lattice is in Hermite form after every row, so a lookup of a
+    published slice takes no lock.
     """
 
     def __init__(self, nvars, generators, max_degree, weights=None):
@@ -448,12 +445,14 @@ class GradedIdeal:
         singles = set()
         # Generators ascend in degree, so the rows of degree-d generators
         # (r == 0) come after every proper multiple; the ones that raise the
-        # rank are rank(I_d) - rank((m*I)_d).
+        # rank are rank(I_d) - rank((m*I)_d).  Multipliers go smallest
+        # first, so a new pivot tends to land above the rows folded so far,
+        # and fewer rows above it need repair.
         own = [terms for terms, dg in zip(self._terms, self._degrees) if dg == d]
         new = 0
         for terms, dg in self._live + [(terms, d) for terms in own]:
             r = d - dg
-            for k in standard[r] if r < d else column:
+            for k in reversed(standard[r] if r < d else column):
                 row = {}
                 for key, coef in terms:
                     pos = column.get(key + k)
@@ -468,7 +467,6 @@ class GradedIdeal:
                     singles.add(single)
                 if lat.add_row(row) and not r:
                     new += 1
-        lat._ensure_reduced()  # published in Hermite form: queries never mutate it
         # a row that is the single entry 1 puts its monomial in the ideal
         dead = {cols[p][0] for p, row in lat._pivots.items() if len(row) == 1 and row[p] == 1}
         live = standard[d] = {key: (exps, sup) for key, exps, sup in cols if key not in dead}
@@ -533,12 +531,12 @@ def _slice_vector(ideal: GradedIdeal, terms: dict, reduced: bool):
                     v[t] = v.get(t, 0) + coef * c
         else:
             if reduced and images is None:
-                v = piece.lattice._reduce_owned(v)
+                v = piece.lattice._reduce_in_place(v, 0)
             return piece, v
     p = Polynomial._of(ideal.nvars, terms)
     piece = ideal.piece(p.homogeneous_degree(ideal.weights))
     v = piece.vector_of(p)
-    return piece, piece.lattice._reduce_owned(v) if reduced else v
+    return piece, piece.lattice._reduce_in_place(v, 0) if reduced else v
 
 
 def _reduce_terms(ideal: GradedIdeal, terms: dict) -> dict:

@@ -390,8 +390,10 @@ def _smith_divisors(m, ncols):
 class DenseHermiteLattice:
     """Reference for HermiteLattice: the same echelon algorithm on dense rows.
 
-    Every step runs over all columns from the pivot to the end, so the
-    sparse lattice must match it entry for entry after every row.
+    Every step runs over all columns from the pivot to the end, and
+    back-substitution waits for the first query.  Hermite form is unique,
+    so the sparse lattice, which keeps it after every row, must match the
+    back-substituted rows entry for entry.
     """
 
     def __init__(self, width):
@@ -481,10 +483,7 @@ def full_piece(ideal: GradedIdeal, d: int) -> GradedPiece:
 
     It drops no dead column, so the oracle's slice must equal it restricted
     to the oracle's columns, and each column left out must have the unit
-    vector as its row here.  The lattice is back-substituted after every
-    row: its Hermite form is unique, and a deferred back-substitution lets
-    the entries of an unshrunk strict slice grow to hundreds of thousands
-    of bits.
+    vector as its row here.
     """
     nvars, weights = ideal.nvars, ideal.weights
     monos = monomials_of_degree(nvars, d, weights)
@@ -511,7 +510,6 @@ def full_piece(ideal: GradedIdeal, d: int) -> GradedPiece:
                 singles.add(single)
             if lat.add_row(row) and not r:
                 new += 1
-            lat._ensure_reduced()
     return GradedPiece(d, tuple(monos), index, lat, new, weights)
 
 

@@ -150,6 +150,16 @@ MUTANTS = {
         "_put(vec, t, ag * vt - bg * rt)",
         "_put(vec, t, ag * vt + bg * rt)",
     ),
+    "settle-rows-above": (
+        "src/skychow/oracle.py",
+        "self._reduce_in_place(rk, j)",
+        "self._reduce_in_place(rk, j + 1)",
+    ),
+    "settle-changed-row": (
+        "src/skychow/oracle.py",
+        "if len(row) > 1:  # a single entry is its pivot",
+        "if len(row) < 1:  # a single entry is its pivot",
+    ),
     "reduction-image-sign": (
         "src/skychow/oracle.py",
         "tuple([(u, -c) for u, c in row.items() if u != p])",
