@@ -3,10 +3,11 @@
 This module is the independent check on the rewrite engine: it never looks
 at proximity data or canonical forms, only at a list of homogeneous
 generators.  Each graded slice of the ideal is materialized as an integer
-row lattice (generator times complementary monomial), kept in reduced row
-echelon form over Z, i.e. column-style Hermite normal form, after every
-row it takes: a new or changed pivot row is reduced, and so is each row
-above it with an entry in the pivot's column, so entries stay small.
+row lattice.  Every row, a generator times a complementary monomial, goes
+through add_row (a repeat reduces to zero there), which keeps the lattice
+in reduced row echelon form over Z, i.e. column-style Hermite normal form,
+after every row: a new or changed pivot row is reduced, and so is each
+row above it with an entry in the pivot's column, so entries stay small.
 Membership, canonical coset representatives, quotient ranks, torsion and
 minimal generator counts all come out of that lattice by exact arithmetic.
 
@@ -33,10 +34,10 @@ stores each column's image, and a query sums the images of its terms in
 the scan that finds their columns.  Other slices reduce a fresh vector
 against the rows.  Either way a published slice is never mutated.
 
-Queries take a term dict: _slice_vector finds a query's slice and vector,
-_reduce_terms returns its representative's term dict, and membership,
-reduce and rational_membership wrap them for a Polynomial, so a caller
-comparing many term dicts builds no Polynomial per query.
+Queries take a term dict: _slice_vector finds a query's slice and its
+representative's vector, _reduce_terms returns that as a term dict, and
+membership, reduce and rational_membership wrap them for a Polynomial, so
+a caller comparing many term dicts builds no Polynomial per query.
 """
 
 from __future__ import annotations
@@ -440,9 +441,8 @@ class GradedIdeal:
         # term of g is live in g's own degree: a generator enters the
         # slices above its degree with the live terms recorded when its
         # degree was published, and one with none enters none of them.
-        # A row equal to an earlier one already lies in the lattice, so each
-        # distinct (column, coefficient) single is folded once.
-        singles = set()
+        # Every other row goes through add_row: a repeat of an earlier row
+        # already lies in the lattice, so it reduces to zero and adds nothing.
         # Generators ascend in degree, so the rows of degree-d generators
         # (r == 0) come after every proper multiple; the ones that raise the
         # rank are rank(I_d) - rank((m*I)_d).  Multipliers go smallest
@@ -458,14 +458,7 @@ class GradedIdeal:
                     pos = column.get(key + k)
                     if pos is not None:
                         row[pos] = coef
-                if not row:
-                    continue
-                if len(row) == 1:
-                    (single,) = row.items()
-                    if single in singles:
-                        continue
-                    singles.add(single)
-                if lat.add_row(row) and not r:
+                if row and lat.add_row(row) and not r:
                     new += 1
         # a row that is the single entry 1 puts its monomial in the ideal
         dead = {cols[p][0] for p, row in lat._pivots.items() if len(row) == 1 and row[p] == 1}
@@ -494,10 +487,10 @@ class GradedIdeal:
         return piece
 
 
-def _slice_vector(ideal: GradedIdeal, terms: dict, reduced: bool):
-    """The slice holding a nonzero term dict, and a fresh sparse vector in
-    it: the terms' own, or with reduced set, that of their canonical
-    representative, whose entries may then be zero where images cancel.
+def _slice_vector(ideal: GradedIdeal, terms: dict):
+    """The slice holding a nonzero term dict, and a fresh sparse vector of
+    the terms' canonical representative in it, whose entries may be zero
+    where images cancel.
 
     The degree is read off the first term; every other term then has to be
     found in that slice's index or be one of its dead terms, which are
@@ -505,9 +498,10 @@ def _slice_vector(ideal: GradedIdeal, terms: dict, reduced: bool):
     term is dead when it has the ideal's length and the slice's degree;
     other ideals ask the slice's _dead.  On a slice with images the
     representative is summed from the images of the terms in that same
-    scan.  On any other miss the checks run in full on the terms wrapped as
-    a Polynomial, so a bad query raises what the term-by-term homogeneity
-    scan raises first.
+    scan; on any other slice the terms' vector is reduced against the rows.
+    A term found neither way sends the query through the full checks on
+    the terms wrapped as a Polynomial, so a bad query raises what the
+    term-by-term homogeneity scan raises first, and a good one is reduced.
     """
     unit = ideal._unit_weights
     first = next(iter(terms))
@@ -515,7 +509,7 @@ def _slice_vector(ideal: GradedIdeal, terms: dict, reduced: bool):
     if 0 <= d <= ideal.max_degree:
         piece = ideal.piece(d)
         index = piece.index
-        images = piece.images if reduced else None
+        images = piece.images
         nvars = ideal.nvars
         v = {}
         for exps, coef in terms.items():
@@ -530,13 +524,12 @@ def _slice_vector(ideal: GradedIdeal, terms: dict, reduced: bool):
                 for t, c in images[pos]:
                     v[t] = v.get(t, 0) + coef * c
         else:
-            if reduced and images is None:
-                v = piece.lattice._reduce_in_place(v, 0)
+            if images is None:
+                piece.lattice._reduce_in_place(v, 0)
             return piece, v
     p = Polynomial._of(ideal.nvars, terms)
     piece = ideal.piece(p.homogeneous_degree(ideal.weights))
-    v = piece.vector_of(p)
-    return piece, piece.lattice._reduce_in_place(v, 0) if reduced else v
+    return piece, piece.lattice._reduce_in_place(piece.vector_of(p), 0)
 
 
 def _reduce_terms(ideal: GradedIdeal, terms: dict) -> dict:
@@ -544,7 +537,7 @@ def _reduce_terms(ideal: GradedIdeal, terms: dict) -> dict:
     term dict, {} for {}; the query's dict is only read."""
     if not terms:
         return {}
-    piece, v = _slice_vector(ideal, terms, True)
+    piece, v = _slice_vector(ideal, terms)
     monos = piece.monomials
     return {monos[t]: c for t, c in v.items() if c}
 
@@ -553,7 +546,7 @@ def membership(ideal: GradedIdeal, p: Polynomial) -> bool:
     """Exact test p in ideal, for homogeneous p of degree <= max_degree."""
     if not p.terms:
         return True
-    return not any(_slice_vector(ideal, p.terms, True)[1].values())
+    return not any(_slice_vector(ideal, p.terms)[1].values())
 
 
 def reduce(ideal: GradedIdeal, p: Polynomial) -> Polynomial:
@@ -582,10 +575,12 @@ def quotient_rank(ideal: GradedIdeal, d: int) -> int:
 
 
 def rational_membership(ideal: GradedIdeal, p: Polynomial) -> bool:
-    """True when some nonzero integer multiple of p lies in the ideal slice."""
+    """True when some nonzero integer multiple of p lies in the ideal slice:
+    p's representative differs from p by a lattice vector, so folding it
+    into a copy of the lattice raises the rank exactly when p would."""
     if p.is_zero():
         return True
-    piece, v = _slice_vector(ideal, p.terms, False)
+    piece, v = _slice_vector(ideal, p.terms)
     return not piece.lattice.copy().add_row(v)
 
 

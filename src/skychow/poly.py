@@ -46,32 +46,29 @@ def monomials_of_degree(
 
 
 def _slice(nvars: int, degree: int, weights: Sequence[int] | None) -> tuple[Exps, ...]:
-    """The cached slice itself, shared between callers: never mutate it."""
+    """The cached slice itself, shared between callers: never mutate it.
+
+    Unit weights, given or implied, share one cache entry; a refused
+    variable count or weight vector raises before the cache is reached.
+    """
     if degree < 0:
         return ()
-    if weights is not None:
-        if len(weights) != nvars or any(w < 1 for w in weights):
-            raise ValueError("weights must be %d positive integers" % nvars)
-        if any(w != 1 for w in weights):
-            return _weighted_slice(nvars, degree, tuple(weights))
-    return _unit_slice(nvars, degree)
+    if weights is None:
+        weights = (1,) * nvars  # () for a negative count, refused below
+    if len(weights) != nvars or any(w < 1 for w in weights):
+        raise ValueError("weights must be %d positive integers" % nvars)
+    unit = all(w == 1 for w in weights)
+    return _slice_monomials(nvars, degree, None if unit else tuple(weights))
 
 
 @lru_cache(maxsize=128)
-def _unit_slice(nvars: int, degree: int) -> tuple[Exps, ...]:
-    """The unweighted slice: one cache entry whether unit weights are given
-    or implied."""
-    if nvars < 0:
-        raise ValueError("weights must be %d positive integers" % nvars)
-    return _slice_monomials(nvars, degree, (1,) * nvars)
-
-
-def _slice_monomials(nvars: int, degree: int, weights: Exps) -> tuple[Exps, ...]:
+def _slice_monomials(nvars: int, degree: int, weights: Exps | None) -> tuple[Exps, ...]:
     # All monomials of a slice share one weighted degree, so the global order
     # restricted to it is descending lex on the reversed exponent vector:
     # recurse from the last variable down, largest exponent first.
     if nvars == 0:
         return ((),) if degree == 0 else ()
+    weights = weights or (1,) * nvars  # None: every weight 1
     out: list[Exps] = []
     exps = [0] * nvars
 
@@ -88,9 +85,6 @@ def _slice_monomials(nvars: int, degree: int, weights: Exps) -> tuple[Exps, ...]
 
     rec(nvars - 1, degree)
     return tuple(out)
-
-
-_weighted_slice = lru_cache(maxsize=128)(_slice_monomials)
 
 
 def _mul_terms(a: dict, b: dict, out: dict | None = None) -> dict[Exps, int]:
@@ -254,11 +248,11 @@ class Polynomial:
             raise ValueError("polynomial is not homogeneous: degrees %s" % sorted(degs))
         return degs.pop()
 
-    def sorted_terms(self, weights: Sequence[int] | None = None) -> list[tuple[Exps, int]]:
+    def sorted_terms(self) -> list[tuple[Exps, int]]:
         """Terms largest-monomial first under the global order."""
         return sorted(
             self.terms.items(),
-            key=lambda item: monomial_key(item[0], weights),
+            key=lambda item: monomial_key(item[0]),
             reverse=True,
         )
 

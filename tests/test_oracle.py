@@ -89,6 +89,28 @@ class TestHermiteLattice:
         assert lat.contains(sparse([2, 0]))
         assert not lat.contains(sparse([1, 0]))
 
+    def test_a_repeated_row_leaves_the_lattice_unchanged(self):
+        # a slice build folds every row, repeats included: a repeat already
+        # lies in the lattice, so it reduces to zero and changes nothing,
+        # also after an xgcd step rewrote the rows it was folded into
+        for rows in ([[0, 3, 0]], [[2, 1, 0], [0, 3, 1]], [[4, 0, 1], [6, 1, 0]]):
+            lat = HermiteLattice(3)
+            for row in rows:
+                lat.add_row(sparse(row))
+            folded = (lat.rows, list(lat.pivot_cols))
+            for row in rows:
+                assert not lat.add_row(sparse(row))
+                assert (lat.rows, lat.pivot_cols) == folded
+
+    def test_coprime_singles_at_one_column_settle_at_pivot_one(self):
+        lat = HermiteLattice(3)
+        assert lat.add_row({1: 2})
+        assert not lat.add_row({1: 3})  # gcd(2, 3) = 1 at column 1
+        assert lat.rows == [[0, 1, 0]]
+        for c in (2, 3, 1):
+            assert not lat.add_row({1: c})
+            assert lat.rows == [[0, 1, 0]] and lat.pivot_cols == [1]
+
     def test_gcd_step_matches_the_dense_reference(self):
         # pivots a and b that divide neither way: add_row replaces the two
         # rows by a unimodular combination, leaving gcd(a, b) as the pivot
@@ -1025,11 +1047,11 @@ def test_derived_dead_columns_match_the_full_reference():
     assert derived  # some slice drops a monomial no unit generator divides
 
 
-def test_top_slice_folds_each_distinct_single_once(monkeypatch):
+def test_top_slice_folds_every_single_repeats_included(monkeypatch):
     # n=3, s=7: the verify benchmark's top slice; the x_i*x_j are dead from
-    # degree 2 on, so no multiple of one is folded, and each distinct single
-    # is folded once.  The lower slices are built first, so only the top
-    # slice's rows are counted
+    # degree 2 on, so no multiple of one is folded, and every single goes
+    # through add_row, a repeat too.  The lower slices are built first, so
+    # only the top slice's rows are counted
     n, s = 3, 7
     ideal = GradedIdeal(s + 1, total_presentation(ProximityConfig(n=n, s=s)).relations, n + 1)
     ideal.piece(n)
@@ -1044,9 +1066,10 @@ def test_top_slice_folds_each_distinct_single_once(monkeypatch):
     ideal.piece(n + 1)
     monkeypatch.undo()
     # x_i^3 +- x_0^3 times x_i leaves the single x_i^4, times x_0 the single
-    # x_0^4 (7 times, folded once), and times any other variable nothing
+    # x_0^4 (7 times, each folded), and times any other variable nothing
     singles = [tuple(v.items()) for v in folded if len(v) == 1]
-    assert len(singles) == len(set(singles)) == len(folded) == s + 1
+    assert len(singles) == len(folded) == 2 * s
+    assert len(set(singles)) == s + 1
     piece, full = assert_matches_full(ideal, n + 1)
     assert piece.lattice.rank == len(piece.monomials) == s + 1
     assert len(full.monomials) == 330
@@ -1072,8 +1095,8 @@ def test_add_row_counts_are_pinned(monkeypatch):
         ideal.piece(d)
         per_degree.append(len(calls) - before)
     # 28 singles x_i*x_j, 7 power relations, then their multiples by x_0
-    # (one distinct single x_0^4) and by x_i (the single x_i^4)
-    assert per_degree == [0, 0, 28, 7, 8]
+    # (the single x_0^4, 7 times) and by x_i (the single x_i^4)
+    assert per_degree == [0, 0, 28, 7, 14]
     # each x_i*x_j is dead in its own degree, so no slice above multiplies
     # it out; each power relation enters those slices with both its terms
     assert [(len(terms), dg) for terms, dg in ideal._live] == [(2, n)] * s
@@ -1086,8 +1109,8 @@ def test_add_row_counts_are_pinned(monkeypatch):
         curve_ideal(params).piece(4)
         per_ideal.append(len(calls) - before)
     assert len(per_ideal) == 136
-    assert sum(per_ideal) == 2271
-    assert min(per_ideal) == 13 and max(per_ideal) == 17
+    assert sum(per_ideal) == 2296
+    assert min(per_ideal) == 15 and max(per_ideal) == 17
 
 
 def test_total_slices_keep_the_pure_powers_above_degree_two():

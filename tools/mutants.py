@@ -172,8 +172,8 @@ MUTANTS = {
     ),
     "membership-zero-test": (
         "src/skychow/oracle.py",
-        "return not any(_slice_vector(ideal, p.terms, True)[1].values())",
-        "return any(_slice_vector(ideal, p.terms, True)[1].values())",
+        "return not any(_slice_vector(ideal, p.terms)[1].values())",
+        "return any(_slice_vector(ideal, p.terms)[1].values())",
     ),
     "derived-dead-pivot": (
         "src/skychow/oracle.py",
