@@ -426,16 +426,8 @@ def strict_presentation(config: ProximityConfig) -> Presentation:
     y = [Polynomial._of(nv, {unit: 1}) for unit in units]
     for i in range(1, nv):
         rels.append((y[0], y[i]))
-    # Column i of the inverse proximity matrix (E_i in strict coordinates)
-    # counts the proximity chains down to i, so it is the unit at i plus the
-    # columns of the points proximate to i: one descending pass builds them.
-    proximate = config._proximate
-    columns, combos = {}, {}
-    for i in range(s, 0, -1):
-        column = columns[i] = {i: 1}
-        for j in proximate.get(i, ()):
-            for k, c in columns[j].items():
-                column[k] = column.get(k, 0) + c
+    combos = {}
+    for i, column in _inverse_columns(config):
         # a point nothing is proximate to keeps L_i = y_i, the same object
         combos[i] = y[i] if len(column) == 1 else Polynomial._of(
             nv, {units[k]: column[k] for k in sorted(column)}
@@ -445,6 +437,7 @@ def strict_presentation(config: ProximityConfig) -> Presentation:
             rels.append((combos[i], combos[j]))
     # y_i^n + ((-1)^n + m_i) * y_0^n with m_i = #(points proximate to i),
     # written as its term dict; the y_0^n term vanishes when m_i = -(-1)^n
+    proximate = config._proximate
     sign = (-1) ** n
     y0n = (n,) + (0,) * s
     row = [0] * nv
@@ -455,6 +448,24 @@ def strict_presentation(config: ProximityConfig) -> Presentation:
         row[i] = 0
     names = tuple("y%d" % i for i in range(nv))
     return Presentation(names, tuple(rels), "strict")
+
+
+def _inverse_columns(config: ProximityConfig):
+    """Yield (i, column i of the inverse proximity matrix) for i = s..1.
+
+    Column i (E_i in strict coordinates, the coefficients of L_i) counts the
+    proximity chains down to i, so it is the unit at i plus the columns of
+    the points proximate to i: one descending pass builds them.  Each column
+    is a {k: count} dict, its keys the support of L_i.
+    """
+    proximate = config._proximate
+    columns = {}
+    for i in range(config.s, 0, -1):
+        column = columns[i] = {i: 1}
+        for j in proximate.get(i, ()):
+            for k, c in columns[j].items():
+                column[k] = column.get(k, 0) + c
+        yield i, column
 
 
 def rho(config: ProximityConfig, p: Polynomial) -> Polynomial:

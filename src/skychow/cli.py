@@ -6,6 +6,11 @@ rewrite engine against the lattice oracle), dot (proximity graph), and
 curve-example (the curve blow-up ring).  Exit codes: 0 success, 1 a check
 failed, 2 bad user input, 3 the two finality deciders disagreed, 4 an
 internal error (an unexpected exception; its traceback goes to stderr).
+
+A handler refuses input by raising: UsageError for a bound or a bad
+expression, InvalidConfigError for a bad config, OSError for a file it
+cannot read.  main prints each refusal once, as one "error: " line on
+stderr, and returns exit 2.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from random import Random
 from . import curve as curve_mod
 from . import oracle
 from .chowring import (
+    _inverse_columns,
     _normal_terms,
     _power_terms,
     _rho_images,
@@ -78,7 +84,11 @@ MAX_PRESENT_ENTRIES = 25_000_000
 MAX_AMBIENT_DIMENSION = 64
 
 
-class ExpressionError(ValueError):
+class UsageError(ValueError):
+    """Input a subcommand refuses; main prints it and returns exit 2."""
+
+
+class ExpressionError(UsageError):
     pass
 
 
@@ -120,10 +130,7 @@ def load_config(path: str) -> ProximityConfig:
         )
     if not isinstance(points, list) or not points:
         raise InvalidConfigError("points must be a nonempty list")
-    # n is checked after the points, and a bad n is reported before any
-    # crowded point, so until then a limit no list reaches stands in for it.
-    limit = n if type(n) is int else len(points)
-    targets, crowded = {}, 0
+    targets = {}
     for pos, entry in enumerate(points, start=1):
         if not isinstance(entry, dict):
             raise InvalidConfigError("point entry %d must be an object" % pos)
@@ -148,12 +155,7 @@ def load_config(path: str) -> ProximityConfig:
                 break
             prev = t
         targets[pos] = listed
-        if len(listed) > limit and not crowded:
-            crowded = pos
-    snc = doc.get("strict_snc_check", True)
-    if not isinstance(snc, bool):
-        raise InvalidConfigError("strict_snc_check must be a boolean")
-    return ProximityConfig._of(n, len(points), targets, snc, crowded)
+    return ProximityConfig._of(n, len(points), targets, doc.get("strict_snc_check", True))
 
 
 def _checked_targets(pos: int, listed: list) -> list:
@@ -228,21 +230,10 @@ def parse_expression(text: str, config: ProximityConfig):
 
 def _strict_term_bound(config: ProximityConfig) -> int:
     """An upper bound on the terms of strict_presentation: 3s for y_0*y_i and
-    the power relations, plus |L_i| * |L_j| for each product L_i * L_j.
-
-    L_i has a term for i and one for each point with a proximity chain down
-    to i.  Bit k of below[i] marks such a point k; each point's chains go
-    through the points it is proximate to, so one descending pass finds all.
+    the power relations, plus |L_i| * |L_j| for each product L_i * L_j, with
+    |L_i| read off the inverse proximity columns strict_presentation builds.
     """
-    proximate = config._proximate
-    below = [0] * (config.s + 1)
-    sizes = []
-    for i in range(config.s, 0, -1):
-        bits = 0
-        for k in proximate.get(i, ()):
-            bits |= below[k] | (1 << k)
-        below[i] = bits
-        sizes.append(1 + bits.bit_count())
+    sizes = [len(column) for _, column in _inverse_columns(config)]
     total = sum(sizes)
     return 3 * config.s + (total * total - sum(a * a for a in sizes)) // 2
 
@@ -252,8 +243,8 @@ def _present_entries(config: ProximityConfig, basis: str) -> int:
     upper bound for the strict one."""
     s = config.s
     terms = comb(s + 1, 2) + 2 * s  # the total basis
-    # The strict bound is never below the total count, so the bitsets, which
-    # take s^2 bits on a chain, are built only when that count fits.
+    # The strict bound is never below the total count, so the columns, which
+    # hold s^2 / 2 entries on a chain, are built only when that count fits.
     if basis == "strict" and terms * (s + 1) <= MAX_PRESENT_ENTRIES:
         terms = _strict_term_bound(config)
     return terms * (s + 1)
@@ -262,12 +253,10 @@ def _present_entries(config: ProximityConfig, basis: str) -> int:
 def cmd_present(args) -> int:
     config = load_config(args.config)
     if _present_entries(config, args.basis) > MAX_PRESENT_ENTRIES:
-        print(
-            "error: present --basis %s with s=%d is above the limit of %d exponent "
-            "entries (terms times s+1)" % (args.basis, config.s, MAX_PRESENT_ENTRIES),
-            file=sys.stderr,
+        raise UsageError(
+            "present --basis %s with s=%d is above the limit of %d exponent "
+            "entries (terms times s+1)" % (args.basis, config.s, MAX_PRESENT_ENTRIES)
         )
-        return EXIT_USER_ERROR
     pres = (
         total_presentation(config)
         if args.basis == "total"
@@ -417,24 +406,18 @@ def _verify_checks(config, samples, seed):
 
 def cmd_verify(args) -> int:
     if args.samples < 1:
-        print("error: --samples must be at least 1, got %d" % args.samples, file=sys.stderr)
-        return EXIT_USER_ERROR
+        raise UsageError("--samples must be at least 1, got %d" % args.samples)
     if args.samples > MAX_VERIFY_SAMPLES:
-        print(
-            "error: --samples is %d; verify allows at most %d"
-            % (args.samples, MAX_VERIFY_SAMPLES),
-            file=sys.stderr,
+        raise UsageError(
+            "--samples is %d; verify allows at most %d" % (args.samples, MAX_VERIFY_SAMPLES)
         )
-        return EXIT_USER_ERROR
     config = load_config(args.config)
     width = comb(config.s + config.n + 1, config.n + 1)
     if width > MAX_ORACLE_WIDTH:
-        print(
-            "error: the oracle's top slice would have %d columns (n=%d, s=%d); "
-            "verify allows at most %d" % (width, config.n, config.s, MAX_ORACLE_WIDTH),
-            file=sys.stderr,
+        raise UsageError(
+            "the oracle's top slice would have %d columns (n=%d, s=%d); "
+            "verify allows at most %d" % (width, config.n, config.s, MAX_ORACLE_WIDTH)
         )
-        return EXIT_USER_ERROR
     failed = 0
     for ok, name, detail in _verify_checks(config, args.samples, args.seed):
         print("%s %s (%s)" % ("PASS" if ok else "FAIL", name, detail))
@@ -469,8 +452,7 @@ def cmd_curve_example(args) -> int:
         try:
             params = curve_mod.CurveRingParams(gamma=args.gamma, c1=args.c1)
         except ValueError as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return EXIT_USER_ERROR
+            raise UsageError(str(exc)) from exc
     for w in caught:
         print("warning: %s" % w.message, file=sys.stderr)
     basis = curve_mod.curve_basis_elements(params)[1:]  # drop the unit row
@@ -570,10 +552,7 @@ def main(argv=None) -> int:
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return handler(args)
-    except (InvalidConfigError, ExpressionError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USER_ERROR
-    except OSError as exc:
+    except (InvalidConfigError, UsageError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USER_ERROR
     except Exception:

@@ -13,7 +13,6 @@ against.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
@@ -37,11 +36,13 @@ class _LazyPairs:
     def __get__(self, config, owner=None):
         if config is None:
             return frozenset()
-        targets = config.__dict__["_targets"]
-        prox = config.__dict__["prox"] = frozenset(
-            [(j, i) for j, row in targets.items() for i in row]
-        )
+        prox = config.__dict__["prox"] = frozenset(_pairs(config.__dict__["_targets"]))
         return prox
+
+
+def _pairs(targets) -> list:
+    """The (j, i) pairs of a targets map."""
+    return [(j, i) for j, row in targets.items() for i in row]
 
 
 @dataclass(frozen=True, repr=False)
@@ -51,10 +52,13 @@ class ProximityConfig:
     ``prox`` holds pairs (j, i) with j > i meaning the j-th center is
     proximate to the i-th.  ``strict_snc_check`` keeps the validation rule
     that no point is proximate to more than n earlier ones; turn it off to
-    experiment with degenerate configurations.  Construction validates.
-    The repr lists the pairs sorted, so equal configs print alike.  A
-    config a loader built (see _of) holds only its targets lists and
-    builds ``prox`` from them when it is first read, then keeps it.
+    experiment with degenerate configurations.  Construction validates:
+    validate_config checks the pairs, then _check_rules the flag, n and s
+    and that rule.  A config a loader built (see _of) holds only its
+    targets lists, whose entries the loader checked, and _of runs the same
+    _check_rules; it builds ``prox`` from the lists when it is first read,
+    then keeps it.  The repr lists the pairs sorted, so equal configs
+    print alike.
     """
 
     n: int
@@ -74,20 +78,17 @@ class ProximityConfig:
         )
 
     @classmethod
-    def _of(cls, n, s, targets, strict_snc_check, crowded):
+    def _of(cls, n, s, targets, strict_snc_check):
         """Wrap the targets lists a loader has already checked, uncopied.
 
         targets maps each point that is proximate to others to the ascending
         list of those points, its keys ascending, every pair with
-        1 <= i < j <= s.  crowded is the first point proximate to more than
-        n others, or 0.  n and s are checked here, then crowded, in
-        validate_config's order and words.  The lists are the config's
-        data: prox and the reverse map _proximate are built from them only
-        when something reads them.
+        1 <= i < j <= s.  The flag, n and s and the crowding rule are
+        checked here by _check_rules, the one check validate_config also
+        ends with.  The lists are the config's data: prox and the reverse
+        map _proximate are built from them only when something reads them.
         """
-        _check_sizes(n, s)
-        if strict_snc_check and crowded:
-            raise _crowded_error(crowded, len(targets[crowded]), n)
+        _check_rules(n, s, strict_snc_check, targets)
         config = cls.__new__(cls)
         config.__dict__.update(
             n=n, s=s, strict_snc_check=strict_snc_check, _targets=targets
@@ -127,25 +128,22 @@ def validate_config(config: ProximityConfig) -> ProximityConfig:
     ProximityConfig construction calls this, so an invalid config never exists.
     """
     _check_sizes(config.n, config.s)
+    # a loaded config holds only its targets lists (see ProximityConfig._of):
+    # its pairs are read off them, so checking it does not build prox
+    prox = config.__dict__.get("prox") or _pairs(config._targets)
     # type, not isinstance: True is an int, and int() would read 2.7 or "3"
-    bad = [(j, i) for j, i in config.prox if type(j) is not int or type(i) is not int]
+    bad = [(j, i) for j, i in prox if type(j) is not int or type(i) is not int]
     if bad:
         raise InvalidConfigError(
             "proximity pair (%r, %r) must be two integers" % min(bad, key=repr)
         )
-    bad = [(j, i) for j, i in config.prox if not 1 <= i < j <= config.s]
+    bad = [(j, i) for j, i in prox if not 1 <= i < j <= config.s]
     if bad:
         raise InvalidConfigError(
             "proximity pair (%r, %r) must satisfy 1 <= i < j <= s = %d"
             % (*min(bad), config.s)
         )
-    if not isinstance(config.strict_snc_check, bool):
-        raise InvalidConfigError("strict_snc_check must be a boolean")
-    if config.strict_snc_check:
-        counts = Counter(j for j, _ in config.prox)
-        j = min((j for j, c in counts.items() if c > config.n), default=0)
-        if j:
-            raise _crowded_error(j, counts[j], config.n)
+    _check_rules(config.n, config.s, config.strict_snc_check, config._targets)
     return config
 
 
@@ -156,11 +154,21 @@ def _check_sizes(n, s) -> None:
         raise InvalidConfigError("number of points must be an integer >= 1, got %r" % (s,))
 
 
-def _crowded_error(j, count, n) -> InvalidConfigError:
-    return InvalidConfigError(
-        "point %d is proximate to %d points, more than the ambient dimension %d"
-        % (j, count, n)
-    )
+def _check_rules(n, s, strict_snc_check, targets) -> None:
+    """The rules every config keeps, checked in this order: the flag is a
+    bool, n and s are in range, and (with the flag set) no point is
+    proximate to more than n others; the first such point, by id, is named.
+    targets is a targets map, its keys ascending."""
+    if not isinstance(strict_snc_check, bool):
+        raise InvalidConfigError("strict_snc_check must be a boolean")
+    _check_sizes(n, s)
+    if strict_snc_check:
+        for j, row in targets.items():
+            if len(row) > n:
+                raise InvalidConfigError(
+                    "point %d is proximate to %d points, more than the ambient dimension %d"
+                    % (j, len(row), n)
+                )
 
 
 def change_of_basis(config: ProximityConfig, k: int) -> IntMatrix:

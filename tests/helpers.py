@@ -152,7 +152,7 @@ def reference_main(argv=None) -> int:
     handler = getattr(cli, "cmd_" + args.command.replace("-", "_"))
     try:
         return handler(args)
-    except (InvalidConfigError, cli.ExpressionError, OSError) as exc:
+    except (InvalidConfigError, cli.UsageError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return cli.EXIT_USER_ERROR
 

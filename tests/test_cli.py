@@ -255,6 +255,21 @@ class TestLoadConfig:
         cfg = cli.load_config(write_config(tmp_path, self.crowded_doc(strict_snc_check=False)))
         assert cfg.proximity_targets(4) == [1, 2, 3]
 
+    def test_crowded_point_reads_alike_loaded_or_built(self, tmp_path):
+        # one rule check names the first crowded point for both builders
+        doc = self.crowded_doc()
+        doc["points"][6]["proximate_to"] = [1, 2, 3, 4, 5, 6]
+        pairs = frozenset(
+            (p["id"], t) for p in doc["points"] for t in p.get("proximate_to", [])
+        )
+        with pytest.raises(InvalidConfigError) as built:
+            ProximityConfig(2, 7, pairs)
+        with pytest.raises(InvalidConfigError) as loaded:
+            cli.load_config(write_config(tmp_path, doc))
+        assert str(loaded.value) == str(built.value) == (
+            "point 4 is proximate to 3 points, more than the ambient dimension 2"
+        )
+
     def test_unsorted_targets_with_repeats_read_as_a_set(self, tmp_path):
         doc = star_doc(3, 10)
         doc["points"][3]["proximate_to"] = [1, 3, 3]
@@ -300,6 +315,12 @@ class TestLeanLoader:
         sparse_product(cfg, factors)
         assert "prox" not in vars(cfg)
         finality.finality_report(cfg)
+        assert "prox" not in vars(cfg)
+
+    @pytest.mark.parametrize("path", LEAN_PATHS, ids=lambda p: Path(p).stem)
+    def test_validating_a_loaded_config_never_builds_prox(self, path):
+        cfg = cli.load_config(path)
+        assert proximity.validate_config(cfg) is cfg
         assert "prox" not in vars(cfg)
 
     @pytest.mark.parametrize("path", LEAN_PATHS, ids=lambda p: Path(p).stem)
@@ -935,6 +956,80 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0
+
+
+class TestRefusals:
+    """Each subcommand raises UsageError on a bound it refuses, and main
+    alone prints a refusal: one "error: " line on stderr and exit 2."""
+
+    @staticmethod
+    def handler_args(argv):
+        return cli.build_parser().parse_args(argv)
+
+    def test_present_raises_on_its_size_bound(self, monkeypatch):
+        cfg = cli.load_config(SURFACE_PATH)
+        monkeypatch.setattr(cli, "MAX_PRESENT_ENTRIES", cli._present_entries(cfg, "total") - 1)
+        with pytest.raises(cli.UsageError, match=r"^present --basis total with s=2 is above"):
+            cli.cmd_present(self.handler_args(["present", SURFACE_PATH]))
+
+    @pytest.mark.parametrize(
+        "samples, message",
+        [
+            (0, "--samples must be at least 1, got 0"),
+            (
+                cli.MAX_VERIFY_SAMPLES + 1,
+                "--samples is %d; verify allows at most %d"
+                % (cli.MAX_VERIFY_SAMPLES + 1, cli.MAX_VERIFY_SAMPLES),
+            ),
+        ],
+        ids=["zero", "above-max"],
+    )
+    def test_verify_raises_on_its_sample_bounds(self, samples, message):
+        args = self.handler_args(["verify", SURFACE_PATH, "--samples", str(samples)])
+        with pytest.raises(cli.UsageError) as exc:
+            cli.cmd_verify(args)
+        assert str(exc.value) == message
+
+    def test_verify_raises_on_its_width_bound(self, tmp_path):
+        path = write_config(tmp_path, chain_doc(3, 16))
+        with pytest.raises(cli.UsageError) as exc:
+            cli.cmd_verify(self.handler_args(["verify", path]))
+        assert str(exc.value) == (
+            "the oracle's top slice would have 4845 columns (n=3, s=16); verify allows at most 4096"
+        )
+
+    def test_curve_example_raises_on_a_bad_gamma(self):
+        args = self.handler_args(["curve-example", "--gamma", "0", "--c1", "1"])
+        with pytest.raises(cli.UsageError) as exc:
+            cli.cmd_curve_example(args)
+        assert str(exc.value) == "gamma must be a positive integer, got 0"
+        assert isinstance(exc.value.__cause__, ValueError)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["present", "{chain46}", "--basis", "strict"],
+            ["verify", SURFACE_PATH, "--samples", "0"],
+            ["verify", SURFACE_PATH, "--samples", str(cli.MAX_VERIFY_SAMPLES + 1)],
+            ["verify", "{chain16}"],
+            ["curve-example", "--gamma", "0", "--c1", "1"],
+            ["intersect", SURFACE_PATH, "e3"],
+            ["final", "/no/such/file.json"],
+            ["dot", "{crowded}"],
+        ],
+        ids=["present-size", "samples-low", "samples-high", "oracle-width", "gamma",
+             "expression", "missing-file", "bad-config"],
+    )
+    def test_main_prints_each_refusal_once(self, tmp_path, argv):
+        paths = {
+            "{chain46}": write_config(tmp_path, chain_doc(3, 46), "chain46.json"),
+            "{chain16}": write_config(tmp_path, chain_doc(3, 16), "chain16.json"),
+            "{crowded}": write_config(tmp_path, TestLoadConfig.crowded_doc(), "crowded.json"),
+        }
+        code, out, err = run_quiet([paths.get(word, word) for word in argv])
+        assert code == cli.EXIT_USER_ERROR == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
 def run_quiet(argv):

@@ -230,6 +230,11 @@ MUTANTS = {
         "terms[units[j]] = -1",
         "terms[units[j]] = 1",
     ),
+    "crowding-bound": (
+        "src/skychow/proximity.py",
+        "len(row) > n",
+        "len(row) >= n",
+    ),
     "dispatch-leftover-test": (
         "src/skychow/cli.py",
         "if extras:",
