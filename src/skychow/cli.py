@@ -228,25 +228,34 @@ def parse_expression(text: str, config: ProximityConfig):
     return factors, sum(exponents.values())
 
 
-def _strict_term_bound(config: ProximityConfig) -> int:
-    """An upper bound on the terms of strict_presentation: 3s for y_0*y_i and
-    the power relations, plus |L_i| * |L_j| for each product L_i * L_j, with
-    |L_i| read off the inverse proximity columns strict_presentation builds.
-    """
-    sizes = [len(column) for _, column in _inverse_columns(config)]
+def _pair_term_bound(s: int, sizes) -> int:
+    """3s for y_0*y_i and the power relations, plus a * b for each pair of
+    the sizes a, b of L_1..L_s: the terms of strict_presentation when the
+    sizes are the |L_i|.  It grows with each size."""
     total = sum(sizes)
-    return 3 * config.s + (total * total - sum(a * a for a in sizes)) // 2
+    return 3 * s + (total * total - sum(a * a for a in sizes)) // 2
+
+
+def _strict_term_bound(config: ProximityConfig) -> int:
+    """An upper bound on the terms of strict_presentation, with |L_i| read
+    off the inverse proximity columns strict_presentation builds."""
+    return _pair_term_bound(config.s, [len(column) for _, column in _inverse_columns(config)])
 
 
 def _present_entries(config: ProximityConfig, basis: str) -> int:
     """Exponent entries a presentation holds: exact for the total basis, an
-    upper bound for the strict one."""
+    upper bound for the strict one, or a count already over the limit."""
     s = config.s
     terms = comb(s + 1, 2) + 2 * s  # the total basis
-    # The strict bound is never below the total count, so the columns, which
-    # hold s^2 / 2 entries on a chain, are built only when that count fits.
+    # The strict bound is never below the total count, and L_i holds y_i and
+    # each y_j with j proximate to i, so the bound on those sizes is a lower
+    # one.  The columns, which hold s^2 / 2 entries on a chain and sum big
+    # chain counts on dense configs, are built only when both fit.
     if basis == "strict" and terms * (s + 1) <= MAX_PRESENT_ENTRIES:
-        terms = _strict_term_bound(config)
+        proximate = config._proximate
+        terms = _pair_term_bound(s, [1 + len(proximate.get(i, ())) for i in range(1, s + 1)])
+        if terms * (s + 1) <= MAX_PRESENT_ENTRIES:
+            terms = _strict_term_bound(config)
     return terms * (s + 1)
 
 

@@ -35,9 +35,13 @@ the scan that finds their columns.  Other slices reduce a fresh vector
 against the rows.  Either way a published slice is never mutated.
 
 Queries take a term dict: _slice_vector finds a query's slice and its
-representative's vector, _reduce_terms returns that as a term dict, and
-membership, reduce and rational_membership wrap them for a Polynomial, so
-a caller comparing many term dicts builds no Polynomial per query.
+representative's vector, and _reduce_terms returns that as a term dict.
+These cores trust their callers, as Polynomial._of does: every term is of
+the ideal's length and of one degree in the materialized range, and any
+term missing from the slice is dead.  membership, reduce and
+rational_membership check a Polynomial once (_check_query) and wrap the
+cores, so a caller comparing many term dicts that are valid by
+construction builds no Polynomial and runs no check per query.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd
 from operator import itemgetter, mul
 
-from .poly import Polynomial, monomial_degree
+from .poly import Polynomial, _checked_weights
 
 
 def _xgcd(a, b):
@@ -292,33 +296,10 @@ class GradedPiece:
     index: dict
     lattice: HermiteLattice
     new_generators: int
-    weights: tuple
     images: tuple | None = None
 
-    def _dead(self, exps):
-        """True for a monomial missing from the index that lies in this slice:
-        the ideal's number of variables and this degree."""
-        weights = self.weights
-        return len(exps) == len(weights) and sum(map(mul, exps, weights)) == self.degree
-
-    def vector_of(self, p):
-        """The sparse {column: coefficient} vector of a polynomial of this degree.
-
-        Dead terms are dropped: they lie in the ideal.
-        """
-        v = {}
-        for exps, coef in p.terms.items():
-            pos = self.index.get(exps)
-            if pos is not None:
-                v[pos] = coef
-            elif not self._dead(exps):
-                raise ValueError(
-                    "monomial %r does not have degree %d" % (exps, self.degree)
-                )
-        return v
-
     def polynomial_of(self, vec, nvars):
-        """The polynomial of a sparse vector, inverse to vector_of."""
+        """The polynomial of a sparse {column: coefficient} vector."""
         monos = self.monomials
         return Polynomial._of(nvars, {monos[pos]: coef for pos, coef in vec.items() if coef})
 
@@ -348,11 +329,7 @@ class GradedIdeal:
     """
 
     def __init__(self, nvars, generators, max_degree, weights=None):
-        if weights is None:
-            weights = (1,) * nvars
-        weights = tuple(int(w) for w in weights)
-        if len(weights) != nvars or any(w < 1 for w in weights):
-            raise ValueError("weights must be %d positive integers" % nvars)
+        weights = _checked_weights(nvars, weights)
         kept = []  # (degree, generator)
         for g in generators:
             if g.nvars != nvars:
@@ -373,8 +350,6 @@ class GradedIdeal:
         self._degrees = tuple(d for d, _ in kept)  # homogeneous degree of each generator
         self.max_degree = int(max_degree)
         self.weights = weights
-        # every weight 1: a term's degree is sum(exps), read without the weights
-        self._unit_weights = all(w == 1 for w in weights)
         # A monomial of degree at most max_degree has no exponent above it, so
         # with base max_degree + 1 the digits never carry: key(a*b) is
         # key(a) + key(b), and keys order like the global monomial order.
@@ -469,7 +444,7 @@ class GradedIdeal:
                 self._live.append((terms, d))
         images = lat.unit_pivot_images()
         index = {m: i for i, m in enumerate(monos)}
-        return GradedPiece(d, monos, index, lat, new, self.weights, images)
+        return GradedPiece(d, monos, index, lat, new, images)
 
     def piece(self, d):
         if not 0 <= d <= self.max_degree:
@@ -487,54 +462,54 @@ class GradedIdeal:
         return piece
 
 
+def _check_query(ideal: GradedIdeal, p: Polynomial) -> None:
+    """Raise unless a nonzero polynomial is a query the cores take, checking
+    in this order: it is homogeneous under the ideal's weights, its degree
+    lies in the materialized range, and each term has the ideal's length.
+    The public queries run it once, before their core."""
+    d = p.homogeneous_degree(ideal.weights)
+    ideal.piece(d)
+    nvars = ideal.nvars
+    for exps in p.terms:
+        if len(exps) != nvars:
+            raise ValueError("monomial %r does not have degree %d" % (exps, d))
+
+
 def _slice_vector(ideal: GradedIdeal, terms: dict):
     """The slice holding a nonzero term dict, and a fresh sparse vector of
     the terms' canonical representative in it, whose entries may be zero
     where images cancel.
 
-    The degree is read off the first term; every other term then has to be
-    found in that slice's index or be one of its dead terms, which are
-    dropped.  When every weight is 1 a term's degree is sum(exps), and a
-    term is dead when it has the ideal's length and the slice's degree;
-    other ideals ask the slice's _dead.  On a slice with images the
-    representative is summed from the images of the terms in that same
-    scan; on any other slice the terms' vector is reduced against the rows.
-    A term found neither way sends the query through the full checks on
-    the terms wrapped as a Polynomial, so a bad query raises what the
-    term-by-term homogeneity scan raises first, and a good one is reduced.
+    The core trusts its caller: the terms are homogeneous, of a degree in
+    the materialized range, and each of the ideal's length, as _check_query
+    checks.  The degree is read off the first term, and a term missing from
+    that slice's index is dead: it lies in the ideal and is dropped.  On a
+    slice with images the representative is summed from the images of the
+    terms in that same scan; on any other slice the terms' vector is
+    reduced against the rows.
     """
-    unit = ideal._unit_weights
-    first = next(iter(terms))
-    d = sum(first) if unit else monomial_degree(first, ideal.weights)
-    if 0 <= d <= ideal.max_degree:
-        piece = ideal.piece(d)
-        index = piece.index
-        images = piece.images
-        nvars = ideal.nvars
-        v = {}
-        for exps, coef in terms.items():
-            pos = index.get(exps)
-            if pos is None:
-                if (len(exps) == nvars and sum(exps) == d) if unit else piece._dead(exps):
-                    continue
-                break
-            if images is None:
-                v[pos] = coef
-            else:
-                for t, c in images[pos]:
-                    v[t] = v.get(t, 0) + coef * c
+    piece = ideal.piece(sum(map(mul, next(iter(terms)), ideal.weights)))
+    index = piece.index
+    images = piece.images
+    v = {}
+    for exps, coef in terms.items():
+        pos = index.get(exps)
+        if pos is None:
+            continue  # dead
+        if images is None:
+            v[pos] = coef
         else:
-            if images is None:
-                piece.lattice._reduce_in_place(v, 0)
-            return piece, v
-    p = Polynomial._of(ideal.nvars, terms)
-    piece = ideal.piece(p.homogeneous_degree(ideal.weights))
-    return piece, piece.lattice._reduce_in_place(piece.vector_of(p), 0)
+            for t, c in images[pos]:
+                v[t] = v.get(t, 0) + coef * c
+    if images is None:
+        piece.lattice._reduce_in_place(v, 0)
+    return piece, v
 
 
 def _reduce_terms(ideal: GradedIdeal, terms: dict) -> dict:
     """reduce's core: the term dict of the canonical representative of a
-    term dict, {} for {}; the query's dict is only read."""
+    term dict, {} for {}; the query's dict is only read, and trusted as
+    _slice_vector trusts it."""
     if not terms:
         return {}
     piece, v = _slice_vector(ideal, terms)
@@ -546,6 +521,7 @@ def membership(ideal: GradedIdeal, p: Polynomial) -> bool:
     """Exact test p in ideal, for homogeneous p of degree <= max_degree."""
     if not p.terms:
         return True
+    _check_query(ideal, p)
     return not any(_slice_vector(ideal, p.terms)[1].values())
 
 
@@ -553,10 +529,12 @@ def reduce(ideal: GradedIdeal, p: Polynomial) -> Polynomial:
     """Canonical coset representative of p modulo the ideal's slice lattice.
 
     Representatives are unique per coset, so reduce(p) == reduce(q) exactly
-    when p - q lies in the ideal's degree slice.  The result wraps
-    _reduce_terms, which builds it from the representative's vector as
-    polynomial_of builds it.
+    when p - q lies in the ideal's degree slice.  A nonzero p is checked
+    once; the result wraps _reduce_terms, which builds it from the
+    representative's vector as polynomial_of builds it.
     """
+    if p.terms:
+        _check_query(ideal, p)
     return Polynomial._of(ideal.nvars, _reduce_terms(ideal, p.terms))
 
 
@@ -580,6 +558,7 @@ def rational_membership(ideal: GradedIdeal, p: Polynomial) -> bool:
     into a copy of the lattice raises the rank exactly when p would."""
     if p.is_zero():
         return True
+    _check_query(ideal, p)
     piece, v = _slice_vector(ideal, p.terms)
     return not piece.lattice.copy().add_row(v)
 

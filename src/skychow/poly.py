@@ -28,6 +28,16 @@ def monomial_degree(exps: Sequence[int], weights: Sequence[int] | None = None) -
     return sum(map(mul, exps, weights))
 
 
+def _checked_weights(nvars: int, weights: Sequence[int] | None) -> Exps:
+    """The weights of a grading of nvars variables as a tuple, every weight
+    1 for None; ValueError unless they are nvars ints (bools refused), each
+    at least 1."""
+    weights = (1,) * nvars if weights is None else tuple(weights)
+    if len(weights) != nvars or any(type(w) is not int or w < 1 for w in weights):
+        raise ValueError("weights must be %d positive integers" % nvars)
+    return weights
+
+
 def monomial_key(exps: Sequence[int], weights: Sequence[int] | None = None):
     """Sort key realizing graded lex with the last variable most significant."""
     return (monomial_degree(exps, weights), tuple(reversed(exps)))
@@ -53,12 +63,9 @@ def _slice(nvars: int, degree: int, weights: Sequence[int] | None) -> tuple[Exps
     """
     if degree < 0:
         return ()
-    if weights is None:
-        weights = (1,) * nvars  # () for a negative count, refused below
-    if len(weights) != nvars or any(w < 1 for w in weights):
-        raise ValueError("weights must be %d positive integers" % nvars)
+    weights = _checked_weights(nvars, weights)
     unit = all(w == 1 for w in weights)
-    return _slice_monomials(nvars, degree, None if unit else tuple(weights))
+    return _slice_monomials(nvars, degree, None if unit else weights)
 
 
 @lru_cache(maxsize=128)

@@ -510,9 +510,15 @@ def full_piece(ideal: GradedIdeal, d: int) -> GradedPiece:
                 singles.add(single)
             if lat.add_row(row) and not r:
                 new += 1
-    return GradedPiece(d, tuple(monos), index, lat, new, weights)
+    return GradedPiece(d, tuple(monos), index, lat, new)
+
+
+def full_vector(full: GradedPiece, p: Polynomial) -> dict:
+    """The {column: coefficient} vector of a p of a full reference slice's
+    degree: that slice has a column for every monomial of the degree."""
+    return {full.index[exps]: coef for exps, coef in p.terms.items()}
 
 
 def full_reduce(full: GradedPiece, p: Polynomial) -> Polynomial:
     """reduce on a full reference slice, for a p of its degree."""
-    return full.polynomial_of(full.lattice.reduce_vector(full.vector_of(p)), p.nvars)
+    return full.polynomial_of(full.lattice.reduce_vector(full_vector(full, p)), p.nvars)

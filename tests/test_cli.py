@@ -423,6 +423,26 @@ class TestPresent:
             assert captured.out == ""
             assert "with s=%d is above the limit" % s in captured.err
 
+    @pytest.mark.parametrize("n", (3, 64))
+    def test_dense_strict_configs_are_refused_without_chain_counts(
+        self, tmp_path, capsys, monkeypatch, n
+    ):
+        # s=366 (the total basis just fits), each point proximate to the n
+        # before it: the sizes 1 + |P(i)| alone put the strict bound over
+        # the limit, so the inverse columns are never summed
+        def never(config):
+            raise AssertionError("present summed the proximity chain counts")
+
+        monkeypatch.setattr(cli, "_inverse_columns", never)
+        monkeypatch.setattr(chowring, "_inverse_columns", never)
+        s = 366
+        points = [{"id": j, "proximate_to": list(range(max(1, j - n), j))} for j in range(1, s + 1)]
+        path = write_config(tmp_path, {"ambient_dimension": n, "points": points})
+        assert cli.main(["present", path, "--basis", "strict"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "with s=366 is above the limit" in captured.err
+
     @given(st.integers(0, 2**30))
     def test_entry_counts_bound_the_presentations(self, seed):
         rng = Random(seed)

@@ -28,6 +28,7 @@ from helpers import (
     cached_total_ideal,
     full_piece,
     full_reduce,
+    full_vector,
     random_config,
     reference_verify_samples,
 )
@@ -369,26 +370,18 @@ class TestGradedIdeal:
         assert (1, 1, 1) not in piece.index
         live = x[0] ** 3 + 2 * x[2] ** 3
         p = live + 5 * dead
-        assert piece.vector_of(p) == piece.vector_of(live)
-        assert piece.vector_of(dead) == {}
+        assert _reduce_terms(SURFACE_IDEAL, p.terms) == _reduce_terms(SURFACE_IDEAL, live.terms)
+        assert _reduce_terms(SURFACE_IDEAL, live.terms) == reduce(SURFACE_IDEAL, live).terms
+        assert _reduce_terms(SURFACE_IDEAL, dead.terms) == {}
         assert reduce(SURFACE_IDEAL, p) == reduce(SURFACE_IDEAL, live)
         assert membership(SURFACE_IDEAL, dead)
         assert membership(SURFACE_IDEAL, p) == membership(SURFACE_IDEAL, live)
         assert rational_membership(SURFACE_IDEAL, dead)
 
-    def test_vector_of_names_the_first_bad_term_after_dead_ones(self):
-        piece = SURFACE_IDEAL.piece(3)
-        # a dead term, then a term of degree 1
-        p = Polynomial(3, {(1, 1, 1): 1, (1, 0, 0): 1})
-        with pytest.raises(ValueError) as err:
-            piece.vector_of(p)
-        assert str(err.value) == "monomial (1, 0, 0) does not have degree 3"
-        # a term of another ring is never dead, even where its first
-        # exponents spell a dead monomial of this one
-        q = Polynomial(4, {(1, 1, 1, 0): 1, (0, 0, 0, 3): 1})
-        with pytest.raises(ValueError) as err:
-            piece.vector_of(q)
-        assert str(err.value) == "monomial (1, 1, 1, 0) does not have degree 3"
+    @pytest.mark.parametrize("weights", [(1.5, 1), (True, 1), ("1", 1)])
+    def test_weights_must_be_ints(self, weights):
+        with pytest.raises(ValueError, match="weights must be 2 positive integers"):
+            GradedIdeal(2, [], 3, weights=weights)
 
     def test_generator_degree_must_fit(self):
         gens = total_presentation(ProximityConfig(n=2, s=2)).relations
@@ -447,10 +440,9 @@ class TestGradedIdeal:
 
 
 class TestUnitWeightScan:
-    """The degree and dead-term tests of a query read sum(exps) when every
-    weight is 1.  On the total ideals (n = 2, 3 with s = 3) a bad query
-    raises what the term-by-term checks raise, and dead terms of the
-    slice's degree are still dropped."""
+    """Queries on unit-weight ideals.  On the total ideals (n = 2, 3 with
+    s = 3) a bad query raises what the term-by-term checks raise, before
+    any core runs, and dead terms of the slice's degree are dropped."""
 
     S = 3
 
@@ -482,11 +474,36 @@ class TestUnitWeightScan:
     @pytest.mark.parametrize("query", (membership, reduce, rational_membership))
     def test_bad_queries_raise_what_the_full_checks_raise(self, n, query):
         ideal = cached_total_ideal(n, self.S)
-        assert ideal._unit_weights
         for p, message in self._bad_queries(n):
             with pytest.raises(ValueError) as err:
                 query(ideal, p)
             assert str(err.value) == message, p
+
+    @pytest.mark.parametrize("n", (2, 3))
+    def test_bad_queries_never_reach_the_core(self, n, monkeypatch):
+        # each public query checks its polynomial before the term-dict
+        # cores run, on the total ideal and on weighted curve ideals
+        reached = []
+        for name in ("_slice_vector", "_reduce_terms"):
+            core = getattr(skychow.oracle, name)
+
+            def record(*args, core=core, name=name):
+                reached.append(name)
+                return core(*args)
+
+            monkeypatch.setattr(skychow.oracle, name, record)
+        ideal = cached_total_ideal(n, self.S)
+        for p, _ in self._bad_queries(n):
+            for query in (membership, reduce, rational_membership):
+                with pytest.raises(ValueError):
+                    query(ideal, p)
+        assert_bad_queries_agree(ideal)
+        for gamma, c1 in ((2, 6), (3, -4), (4, 5)):
+            assert_bad_queries_agree(curve_ideal(CurveRingParams(gamma=gamma, c1=c1)))
+        assert reached == []
+        # the recording sees a good query reach the cores
+        reduce(ideal, Polynomial.monomial(self.S + 1, (2, 0, 0, 0)))
+        assert reached == ["_reduce_terms", "_slice_vector"]
 
     @pytest.mark.parametrize("n", (2, 3))
     def test_dead_terms_of_the_degree_are_dropped(self, n):
@@ -503,10 +520,6 @@ class TestUnitWeightScan:
                 assert reduce(ideal, p) == reduce(ideal, live)
                 assert membership(ideal, p) == membership(ideal, live)
             assert membership(ideal, live) == (d == n + 1)
-
-    def test_weighted_ideals_keep_the_weighted_reading(self):
-        assert not curve_ideal(CurveRingParams(gamma=2, c1=6))._unit_weights
-        assert GradedIdeal(2, [], 3, weights=(1, 1))._unit_weights
 
 
 class TestAgainstRewriteEngine:
@@ -646,7 +659,7 @@ def assert_oracle_matches_full(ideal, rng, queries=20):
         assert reduce(ideal, p) == residue
         assert membership(ideal, p) == residue.is_zero()
         assert rational_membership(ideal, p) == (
-            not full.lattice.copy().add_row(full.vector_of(p))
+            not full.lattice.copy().add_row(full_vector(full, p))
         )
 
 
@@ -785,13 +798,13 @@ def assert_core_matches_reduce(ideal, p):
 
 
 def bad_query_message(ideal, terms):
-    """The one message a bad term dict raises through _reduce_terms and
-    through each query that wraps the terms, unchecked, as a Polynomial."""
+    """The one message a bad term dict raises through each query that
+    wraps the terms, unchecked, as a Polynomial."""
     p = Polynomial._of(ideal.nvars, terms)
     messages = set()
-    for query in (_reduce_terms, reduce, membership, rational_membership):
+    for query in (reduce, membership, rational_membership):
         with pytest.raises(ValueError) as err:
-            query(ideal, terms if query is _reduce_terms else p)
+            query(ideal, p)
         messages.add(str(err.value))
     (message,) = messages
     return message
@@ -799,8 +812,8 @@ def bad_query_message(ideal, terms):
 
 def assert_bad_queries_agree(ideal):
     """Queries of a wrong degree raise what the full checks raise, through
-    the core and the wrappers alike; one with a term of the wrong length
-    raises the index miss of the degree its first term reads."""
+    each wrapper; one with a term of the wrong length names that term and
+    the query's degree."""
     nvars = ideal.nvars
     x0 = (1,) + (0,) * (nvars - 1)
     past = (ideal.max_degree + 1,) + (0,) * (nvars - 1)

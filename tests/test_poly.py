@@ -95,6 +95,16 @@ def test_weighted_enumeration_curve_grading():
     assert monomials_of_degree(3, 0, weights=(1, 1, 2)) == [(0, 0, 0)]
 
 
+@pytest.mark.parametrize("weights", [(1.5, 1), (True, 1), ("1", 1)])
+def test_weights_must_be_ints(weights):
+    # a float, a bool or a string is refused, never read as an int
+    message = "weights must be 2 positive integers"
+    with pytest.raises(ValueError, match=message):
+        monomials_of_degree(2, 2, weights)
+    with pytest.raises(ValueError, match=message):
+        random_homogeneous(Random(0), 2, 2, weights)
+
+
 def test_constructor_rejects_bad_exponents():
     with pytest.raises(ValueError):
         Polynomial(2, {(1,): 1})

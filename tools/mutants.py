@@ -165,10 +165,12 @@ MUTANTS = {
         "tuple([(u, -c) for u, c in row.items() if u != p])",
         "tuple([(u, c) for u, c in row.items() if u != p])",
     ),
+    # named for the unit-weight dead-term test it once targeted: a term of
+    # the wrong length is now refused by the public queries' one check
     "unit-dead-term": (
         "src/skychow/oracle.py",
-        "sum(exps) == d",
-        "sum(exps) >= d",
+        "if len(exps) != nvars:",
+        "if len(exps) > nvars:",
     ),
     "membership-zero-test": (
         "src/skychow/oracle.py",
@@ -239,6 +241,16 @@ MUTANTS = {
         "src/skychow/cli.py",
         "if extras:",
         "if not extras:",
+    ),
+    "weights-int-type": (
+        "src/skychow/poly.py",
+        "type(w) is not int or w < 1",
+        "not isinstance(w, int) or w < 1",
+    ),
+    "strict-lower-bound": (
+        "src/skychow/cli.py",
+        "        if terms * (s + 1) <= MAX_PRESENT_ENTRIES:",
+        "        if terms * (s + 1) > MAX_PRESENT_ENTRIES:",
     ),
 }
 
