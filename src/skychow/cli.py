@@ -22,24 +22,23 @@ import sys
 import warnings
 from dataclasses import replace
 from math import comb
+from operator import add
 from random import Random
 
 from . import curve as curve_mod
 from . import oracle
 from .chowring import (
-    _inverse_columns,
     _normal_terms,
     _power_terms,
     _rho_images,
     degree_integral,
     graded_rank,
-    normal_form,
     sparse_product,
     strict_presentation,
     total_presentation,
 )
-from .finality import final_by_proximity, finality_report
-from .poly import _draw_terms, _mul_terms, _slice, format_polynomial
+from .finality import finality_report
+from .poly import Polynomial, _draw_terms, _mul_terms, _slice, format_polynomial
 from .proximity import InvalidConfigError, ProximityConfig, strict_class_in_total
 
 EXIT_OK = 0
@@ -228,34 +227,23 @@ def parse_expression(text: str, config: ProximityConfig):
     return factors, sum(exponents.values())
 
 
-def _pair_term_bound(s: int, sizes) -> int:
-    """3s for y_0*y_i and the power relations, plus a * b for each pair of
-    the sizes a, b of L_1..L_s: the terms of strict_presentation when the
-    sizes are the |L_i|.  It grows with each size."""
-    total = sum(sizes)
-    return 3 * s + (total * total - sum(a * a for a in sizes)) // 2
-
-
-def _strict_term_bound(config: ProximityConfig) -> int:
-    """An upper bound on the terms of strict_presentation, with |L_i| read
-    off the inverse proximity columns strict_presentation builds."""
-    return _pair_term_bound(config.s, [len(column) for _, column in _inverse_columns(config)])
-
-
 def _present_entries(config: ProximityConfig, basis: str) -> int:
     """Exponent entries a presentation holds: exact for the total basis, an
     upper bound for the strict one, or a count already over the limit."""
     s = config.s
     terms = comb(s + 1, 2) + 2 * s  # the total basis
-    # The strict bound is never below the total count, and L_i holds y_i and
-    # each y_j with j proximate to i, so the bound on those sizes is a lower
-    # one.  The columns, which hold s^2 / 2 entries on a chain and sum big
-    # chain counts on dense configs, are built only when both fit.
     if basis == "strict" and terms * (s + 1) <= MAX_PRESENT_ENTRIES:
-        proximate = config._proximate
-        terms = _pair_term_bound(s, [1 + len(proximate.get(i, ())) for i in range(1, s + 1)])
-        if terms * (s + 1) <= MAX_PRESENT_ENTRIES:
-            terms = _strict_term_bound(config)
+        # 3s terms for y_0*y_i and the power relations, at most |L_i| * |L_j|
+        # for each L_i*L_j; the support of L_i is i and those of the points
+        # proximate to i, one descending pass of bitset unions
+        proximate, supports = config._proximate, [0] * (s + 1)
+        for i in range(s, 0, -1):
+            supports[i] = 1 << i
+            for j in proximate.get(i, ()):
+                supports[i] |= supports[j]
+        sizes = [support.bit_count() for support in supports]  # supports[0] is 0
+        total = sum(sizes)
+        terms = 3 * s + (total * total - sum(a * a for a in sizes)) // 2
     return terms * (s + 1)
 
 
@@ -320,7 +308,9 @@ def _verify_checks(config, samples, seed):
 
     # rho is a ring map, so a relation's image is the product of its factors'
     # images; the images of y_0..y_s are built once, and each shared factor
-    # (y_i, L_i) is mapped once, keyed by identity
+    # (y_i, L_i) is mapped once, keyed by identity.  Both engines' cores, as
+    # in check 2, must reduce each image to zero; its terms are valid by
+    # construction (s + 1 exponents each, and rho keeps the degree).
     rho_images = _rho_images(config)
     images = {}
     bad = 0
@@ -331,9 +321,8 @@ def _verify_checks(config, samples, seed):
             if img is None:
                 img = images[id(f)] = f.substitute(rho_images)
             image = img if image is None else image * img
-        if not normal_form(config, image).is_zero() or not oracle.membership(
-            ideal, image
-        ):
+        terms = image.terms
+        if _normal_terms(n, terms) or oracle._reduce_terms(ideal, terms):
             bad += 1
     yield (
         bad == 0,
@@ -443,11 +432,15 @@ def cmd_dot(args) -> int:
     lines = ["digraph proximity {"]
     lines.append("  rankdir=BT;")
     lines.append("  node [shape=circle];")
+    # a point is final when nothing is proximate to it; the edges come off
+    # the targets lists, whose keys and rows ascend
+    proximate = config._proximate
     for i in range(1, config.s + 1):
-        style = ", peripheries=2, style=bold" if final_by_proximity(config, i) else ""
+        style = "" if i in proximate else ", peripheries=2, style=bold"
         lines.append('  p%d [label="P%d"%s];' % (i, i, style))
-    for j, i in sorted(config.prox):
-        lines.append("  p%d -> p%d;" % (j, i))
+    for j, row in config._targets.items():
+        for i in row:
+            lines.append("  p%d -> p%d;" % (j, i))
     lines.append("}")
     print("\n".join(lines))
     return EXIT_OK
@@ -464,9 +457,15 @@ def cmd_curve_example(args) -> int:
             raise UsageError(str(exc)) from exc
     for w in caught:
         print("warning: %s" % w.message, file=sys.stderr)
-    basis = curve_mod.curve_basis_elements(params)[1:]  # drop the unit row
-    labels = [label for label, _ in basis]
-    table = [[str(el * other) for _, other in basis] for _, el in basis]
+    # each entry rewrites the product of two basis monomials by the route
+    # --check compares with the oracle on every monomial up to degree 4
+    labels = curve_mod._BASIS_LABELS[1:]  # drop the unit row
+    exponents = curve_mod._BASIS_EXPONENTS[1:]
+    rewrite = curve_mod.curve_normal_form
+    table = [
+        [str(rewrite(params, Polynomial._of(3, {tuple(map(add, a, b)): 1}))) for b in exponents]
+        for a in exponents
+    ]
     width = max(len(cell) for cells in table for cell in cells)
     width = max(width, max(len(l) for l in labels))
     print(

@@ -89,20 +89,6 @@ def _pairs(config, i):
     return pairs
 
 
-def _meeting(config, i):
-    """(j, shared) for each j != i, ascending, with e_i * e_j nonzero.
-
-    Below degree n the product is coordinate-wise: nonzero iff the supports
-    overlap.  For n = 2 the product is the point integral, which can still
-    be zero.  The pairs come from _pairs.
-    """
-    pairs = _pairs(config, i)
-    meeting = [(j, pairs[j]) for j in sorted(pairs)]
-    if config.n == 2:
-        return [(j, sh) for j, sh in meeting if _point_integral(2, sh)]
-    return meeting
-
-
 def _check_index(config, i):
     # type, not isinstance: True is an int, and 2.5 passes the range test
     if type(i) is not int:
@@ -121,10 +107,16 @@ def intersecting_indices(config: ProximityConfig, i: int) -> set:
     """Indices j != i whose strict class has nonzero product with the i-th.
 
     Computed in the ring, not from proximity; on iterated blow-ups the two
-    can differ (a satellite point can separate two earlier divisors).
+    can differ (a satellite point can separate two earlier divisors).  Below
+    degree n the product is coordinate-wise, nonzero iff the supports
+    overlap, which _pairs reads off; for n = 2 it is the point integral,
+    which can still be zero.
     """
     _check_index(config, i)
-    return {j for j, _ in _meeting(config, i)}
+    pairs = _pairs(config, i)
+    if config.n == 2:
+        return {j for j, sh in pairs.items() if _point_integral(2, sh)}
+    return set(pairs)
 
 
 _CONDITION_TEN = "condition (10) fails for j=%d at r=%d: integral %d, expected %d"
@@ -147,7 +139,7 @@ def _chow_conditions(config, i):
         point = _point_integral(n, shared)
         if point != 1:
             if not point and n == 2:
-                continue  # e_i * e_j = 0: j does not meet i (see _meeting)
+                continue  # e_i * e_j = 0: j does not meet i (see intersecting_indices)
             return (
                 False,
                 "condition (11) fails for j=%d: integral %d, expected 1" % (j, point),

@@ -274,7 +274,8 @@ def reference_pair_integral(n, shared, r):
 
 
 def reference_meeting(config, i, ei):
-    """Reference for finality._meeting: (j, shared) for each j != i,
+    """Reference for the meeting pairs of finality._pairs, filtered at n = 2
+    as intersecting_indices filters them: (j, shared) for each j != i,
     ascending, with e_i * e_j nonzero; the n = 2 test by reference_pair_integral."""
     targets = config._targets
     shared = {}

@@ -194,6 +194,10 @@ class TestStorage:
 
 
 class TestRingArithmetic:
+    def test_constructor_refuses_small_n(self):
+        with pytest.raises(ValueError, match="^need n >= 2 and s >= 1, got n=1 s=1$"):
+            ChowElement(1, 1)
+
     @given(ring_elements(SURFACE), ring_elements(SURFACE), ring_elements(SURFACE))
     def test_ring_axioms(self, a, b, c):
         assert a * b == b * a
@@ -483,6 +487,10 @@ class TestRho:
         y0 = Polynomial.variable(3, 0)
         assert rho(SURFACE, y0) == Polynomial.variable(3, 0)
 
+    def test_variable_count_must_be_s_plus_one(self):
+        with pytest.raises(ValueError, match=r"^polynomial has 2 variables, expected s \+ 1 = 3$"):
+            rho(SURFACE, Polynomial.variable(2, 0))
+
     def test_power_relation_lands_in_the_ideal(self):
         rel = Polynomial(3, {(0, 2, 0): 1, (2, 0, 0): 2})  # y1^2 + 2 y0^2
         image = rho(SURFACE, rel)
@@ -560,6 +568,11 @@ class TestSerialization:
         pres = total_presentation(SURFACE)
         doc = pres.to_json_dict()
         assert Presentation.from_json_dict(doc) == pres
+
+    def test_bad_basis_is_refused(self):
+        doc = {"vars": ["x0"], "basis": "mixed", "relations": []}
+        with pytest.raises(ValueError, match="^basis must be 'total' or 'strict', got 'mixed'$"):
+            Presentation.from_json_dict(doc)
 
     def test_json_round_trip_strict(self):
         cfg = ProximityConfig(n=3, s=3, prox=frozenset({(2, 1), (3, 1)}))

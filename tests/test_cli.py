@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
@@ -24,7 +25,7 @@ from helpers import (
     reference_verify_samples,
     support,
 )
-from skychow import chowring, finality, proximity
+from skychow import chowring, curve, finality, proximity
 from skychow.chowring import (
     ChowElement,
     Presentation,
@@ -36,7 +37,7 @@ from skychow.chowring import (
 )
 from skychow.finality import DivisorFinality, FinalityReport
 from skychow.poly import Polynomial
-from skychow.proximity import InvalidConfigError, ProximityConfig
+from skychow.proximity import InvalidConfigError, ProximityConfig, enumerate_proximity_configs
 
 SURFACE_DOC = {
     "ambient_dimension": 2,
@@ -428,12 +429,12 @@ class TestPresent:
         self, tmp_path, capsys, monkeypatch, n
     ):
         # s=366 (the total basis just fits), each point proximate to the n
-        # before it: the sizes 1 + |P(i)| alone put the strict bound over
-        # the limit, so the inverse columns are never summed
+        # before it: the support sizes |L_i| put the strict bound over the
+        # limit, and they come from bitset unions, so the inverse columns
+        # are never summed
         def never(config):
             raise AssertionError("present summed the proximity chain counts")
 
-        monkeypatch.setattr(cli, "_inverse_columns", never)
         monkeypatch.setattr(chowring, "_inverse_columns", never)
         s = 366
         points = [{"id": j, "proximate_to": list(range(max(1, j - n), j))} for j in range(1, s + 1)]
@@ -442,6 +443,25 @@ class TestPresent:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "with s=366 is above the limit" in captured.err
+
+    def test_strict_bound_reads_the_inverse_column_sizes(self):
+        # the support of L_i, from bitset unions, is the key set of inverse
+        # column i (chain counts are positive), so the bound is the one the
+        # columns' sizes give: 3s plus a * b for each pair of sizes
+        def column_bound(cfg):
+            sizes = [len(column) for _, column in chowring._inverse_columns(cfg)]
+            total = sum(sizes)
+            terms = 3 * cfg.s + (total * total - sum(a * a for a in sizes)) // 2
+            return terms * (cfg.s + 1)
+
+        configs = [
+            cfg for n in (2, 3) for s in range(1, 6) for cfg in enumerate_proximity_configs(n, s)
+        ]
+        rng = Random(35)
+        configs += [random_config(rng, rng.randint(2, 6), rng.randint(6, 60)) for _ in range(50)]
+        assert len(configs) == 1718 + 50
+        for cfg in configs:
+            assert cli._present_entries(cfg, "strict") == column_bound(cfg)
 
     @given(st.integers(0, 2**30))
     def test_entry_counts_bound_the_presentations(self, seed):
@@ -452,7 +472,7 @@ class TestPresent:
             if basis == "total":
                 assert cli._present_entries(cfg, basis) == terms * (cfg.s + 1)
             else:
-                assert cli._strict_term_bound(cfg) >= terms
+                assert cli._present_entries(cfg, basis) >= terms * (cfg.s + 1)
 
 
 class TestIntersect:
@@ -782,8 +802,9 @@ class TestVerify:
     def test_flipped_point_class_sign_fails_the_second_check(
         self, surface_path, capsys, monkeypatch
     ):
-        # check 2 reads the rewrite engine through its term-dict core; check 1
-        # goes through normal_form, which this leaves alone
+        # both checks read the rewrite engine through its term-dict core;
+        # check 1 asks only that each image reduces to zero, which a flipped
+        # sign leaves alone
         def flipped(n, terms):
             out = chowring._normal_terms(n, terms)
             if (n, 0) in out:
@@ -821,8 +842,8 @@ class TestVerify:
 
     def test_one_oracle_reduction_a_sample(self, capsys, monkeypatch):
         # check 2 reads membership off the representative of the oracle's
-        # term-dict core and never builds a Polynomial for reduce; membership
-        # is queried only by check 1, once per strict relation
+        # term-dict core and never builds a Polynomial for reduce; check 1
+        # asks the same core once per strict relation, so no public query runs
         calls = {"_reduce_terms": 0, "reduce": 0, "membership": 0}
 
         def counted(name):
@@ -839,16 +860,18 @@ class TestVerify:
         assert cli.main(["verify", SURFACE_PATH, "--samples", "20"]) == 0
         relations = len(strict_presentation(cli.load_config(SURFACE_PATH)).factored)
         assert relations == 5
-        assert calls == {"_reduce_terms": 20, "reduce": 0, "membership": relations}
+        assert calls == {"_reduce_terms": 20 + relations, "reduce": 0, "membership": 0}
 
     @pytest.mark.parametrize("which", ("threefold_chain", "random n=3 s=7"))
     def test_sample_draws_are_pinned(self, monkeypatch, which):
         # check 2 draws straight from getrandbits; the term dicts it hands to
-        # both engines' cores are those of Random's own calls, in the same order
+        # both engines' cores are those of Random's own calls, in the same
+        # order, after check 1's one call to each core per strict relation
         if which == "threefold_chain":
             config = cli.load_config(THREEFOLD_PATH)
         else:
             config = random_config(Random(26), 3, 7)
+        relations = len(strict_presentation(config).factored)
         to_oracle, to_rewrite = [], []
         real_reduce, real_normal = cli.oracle._reduce_terms, cli._normal_terms
         monkeypatch.setattr(
@@ -866,8 +889,8 @@ class TestVerify:
             to_rewrite.clear()
             assert all(ok for ok, _, _ in cli._verify_checks(config, 250, seed))
             expected = [p.terms for p in reference_verify_samples(config, 250, seed)]
-            assert to_oracle == expected
-            assert to_rewrite == expected
+            assert to_oracle[relations:] == expected
+            assert to_rewrite[relations:] == expected
 
     def test_zero_oracle_representatives_fail_the_second_check(self, capsys, monkeypatch):
         monkeypatch.setattr(cli.oracle, "_reduce_terms", lambda ideal, terms: {})
@@ -943,6 +966,27 @@ class TestCurveExample:
         assert "multiplication table" in out
         assert "2*w1" in out
         assert "Z/2" in out
+
+    def test_a_wrong_rewrite_fails_loudly(self, capsys, monkeypatch):
+        # x1*w1 -> +x0^3 in place of -x0^3: the table prints the rewrite that
+        # --check compares with the oracle, so its cell shows the FAIL's value
+        real = curve._put
+
+        def flipped(acc, a, b, c, coef):
+            if (a, b, c) == (0, 1, 1):
+                return real(acc, 3, 0, 0, coef)
+            return real(acc, a, b, c, coef)
+
+        monkeypatch.setattr(curve, "_put", flipped)
+        assert cli.main(["curve-example", "--gamma", "2", "--c1", "3", "--check"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert "FAIL confluence: x1*w1 rewrites to x0^3 but oracle says -x0^3" in lines
+        # cells are padded to one width and joined by two spaces; none holds two
+        cells = lambda line: re.split(r"\s{2,}", line.split(" | ", 1)[1].strip())
+        labels = cells(lines[1])
+        rows = {line.split()[0]: cells(line) for line in lines[3:8]}
+        assert rows["x1"][labels.index("w1")] == "x0^3"
+        assert rows["w1"][labels.index("x1")] == "x0^3"
 
     def test_bad_gamma(self, capsys):
         assert cli.main(["curve-example", "--gamma", "0", "--c1", "1"]) == 2

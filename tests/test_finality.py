@@ -24,7 +24,7 @@ from skychow.chowring import degree_integral, from_divisor
 from skychow.poly import Polynomial
 from skychow.finality import (
     _chow_conditions,
-    _meeting,
+    _pairs,
     _parity_integrals,
     _point_integral,
     _self_integral,
@@ -45,6 +45,15 @@ from skychow.proximity import (
 SURFACE = ProximityConfig(n=2, s=2, prox=frozenset({(2, 1)}))
 THREEFOLD = ProximityConfig(n=3, s=2, prox=frozenset({(2, 1)}))
 SATELLITE = ProximityConfig(n=2, s=3, prox=frozenset({(2, 1), (3, 1), (3, 2)}))
+
+
+def meeting(config, i):
+    """(j, shared) for each j != i, ascending, with e_i * e_j nonzero: the
+    pairs of _pairs, filtered at n = 2 as intersecting_indices filters them."""
+    pairs = sorted(_pairs(config, i).items())
+    if config.n == 2:
+        return [(j, sh) for j, sh in pairs if _point_integral(2, sh)]
+    return pairs
 
 
 class TestProximityDecider:
@@ -257,7 +266,7 @@ class TestClosedFormMatchesRing:
                 if j != i and not (powers[i][1] * powers[j][1]).is_zero()
             }
             assert intersecting_indices(cfg, i) == meets
-            pairs = _meeting(cfg, i)
+            pairs = meeting(cfg, i)
             assert [j for j, _ in pairs] == sorted(meets)
             assert _self_integral(n, cfg.proximate_points(i)) == degree_integral(powers[i][n])
             # conditions (10) and (11) integrate e_i^(n-r) e_j^r for r in 1..n-1;
@@ -308,7 +317,7 @@ class TestOracleCertifiesIntegrals:
 
             for i in range(1, s + 1):
                 certify(strict[i] ** n, _self_integral(n, cfg.proximate_points(i)))
-                for j, shared in _meeting(cfg, i):
+                for j, shared in meeting(cfg, i):
                     odd, even = _parity_integrals(n, shared, _point_integral(n, shared))
                     for r in range(1, n):
                         c = odd if r % 2 else even
@@ -345,4 +354,6 @@ class TestOnePassMatchesReference:
             d = report.divisors[i - 1]
             assert (d.final_chow, d.witness) == want
             ei = strict_class_in_total(cfg, i)
-            assert _meeting(cfg, i) == reference_meeting(cfg, i, ei)
+            want = reference_meeting(cfg, i, ei)
+            assert meeting(cfg, i) == want
+            assert intersecting_indices(cfg, i) == {j for j, _ in want}

@@ -383,6 +383,20 @@ class TestGradedIdeal:
         with pytest.raises(ValueError, match="weights must be 2 positive integers"):
             GradedIdeal(2, [], 3, weights=weights)
 
+    def test_generators_must_share_the_variable_count(self):
+        with pytest.raises(ValueError, match="^generator has 2 variables, expected 3$"):
+            GradedIdeal(3, [Polynomial.variable(2, 0)], 2)
+
+    def test_zero_generators_are_skipped(self):
+        x = [Polynomial.variable(3, i) for i in range(3)]
+        gens = [x[0] * x[1], x[1] * x[2]]
+        with_zero = GradedIdeal(3, gens[:1] + [Polynomial.zero(3)] + gens[1:], 3)
+        assert with_zero.generators == tuple(gens)
+        assert minimal_generator_count(with_zero) == minimal_generator_count(
+            GradedIdeal(3, gens, 3)
+        ) == {2: 2}
+        assert GradedIdeal(3, [Polynomial.zero(3)], 2).generators == ()
+
     def test_generator_degree_must_fit(self):
         gens = total_presentation(ProximityConfig(n=2, s=2)).relations
         with pytest.raises(ValueError, match="max_degree"):

@@ -153,6 +153,21 @@ def test_substitute():
     assert image == x1 * x1 - 2 * x1 * x2 + x2 * x2
 
 
+def test_substitute_refuses_bad_images():
+    p = Polynomial.variable(2, 0)
+    with pytest.raises(ValueError, match="^need 2 images, got 1$"):
+        p.substitute([Polynomial.variable(3, 0)])
+    with pytest.raises(ValueError, match="^cannot substitute in a ring with no variables$"):
+        Polynomial(0, {(): 2}).substitute([])
+    with pytest.raises(ValueError, match="^images live in different rings$"):
+        p.substitute([Polynomial.variable(3, 0), Polynomial.variable(2, 1)])
+
+
+def test_no_variables_have_only_the_constant():
+    assert monomials_of_degree(0, 0) == [()]
+    assert monomials_of_degree(0, 1) == []
+
+
 @pytest.mark.parametrize(
     "p",
     [

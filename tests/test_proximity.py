@@ -192,6 +192,11 @@ class TestMatrices:
         with pytest.raises(ValueError):
             invert_unitriangular(((1, 5), (0, 1)))
 
+    @pytest.mark.parametrize("m", [((1, 0),), ((1,), (0, 1))], ids=["wide", "ragged"])
+    def test_invert_rejects_non_square(self, m):
+        with pytest.raises(ValueError, match="^matrix is not square$"):
+            invert_unitriangular(m)
+
     @given(configs())
     def test_inverse_is_exact(self, cfg):
         m = change_of_basis(cfg, cfg.s)

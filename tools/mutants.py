@@ -8,10 +8,13 @@ survives; the script prints the survivors and exits 1 if there are any
 With --verify the mutated copy runs the user-facing checks instead of the
 suite: `skychow verify` on every file in configs/ plus
 tests/configs/threefold_mixed.json, with seeds 0-2, and `skychow
-curve-example --check` on a few fixed (gamma, c1).  A mutant is detected
-when any run's stdout or exit code differs from the unmutated tree's; the
-script prints the mutants these checks miss and the kill rate, and exits 0
-(2 if a mutation is stale).
+curve-example --check` on a few fixed (gamma, c1).  Each mutant is put in
+one class against the unmutated tree's runs: "exit code" when some run's
+exit code differs (a check failed or the run broke), "stdout only" when no
+exit code differs but some stdout does (every check still passed), and
+"missed" otherwise.  The script prints both counts, the mutants these
+checks miss and the kill rate (the exit-code count), and exits 0 (2 if a
+mutation is stale).
 
     python tools/mutants.py               # every mutant, about 10 s each
     python tools/mutants.py meeting-test  # only the named ones
@@ -39,8 +42,8 @@ MUTANTS = {
     ),
     "meeting-test": (
         "src/skychow/finality.py",
-        "if _point_integral(2, sh)]",
-        "if _point_integral(3, sh)]",
+        "if _point_integral(2, sh)}",
+        "if _point_integral(3, sh)}",
     ),
     "meeting-skip": (
         "src/skychow/finality.py",
@@ -247,10 +250,17 @@ MUTANTS = {
         "type(w) is not int or w < 1",
         "not isinstance(w, int) or w < 1",
     ),
+    # named for the lower-bound prefilter it once targeted: the support
+    # union of present's one strict size bound
     "strict-lower-bound": (
         "src/skychow/cli.py",
-        "        if terms * (s + 1) <= MAX_PRESENT_ENTRIES:",
-        "        if terms * (s + 1) > MAX_PRESENT_ENTRIES:",
+        "supports[i] |= supports[j]",
+        "supports[i] &= supports[j]",
+    ),
+    "curve-table-product": (
+        "src/skychow/cli.py",
+        "tuple(map(add, a, b))",
+        "tuple(map(max, a, b))",
     ),
 }
 
@@ -326,11 +336,15 @@ def verify_outputs(tree: Path) -> list:
 
 
 def verify_mutant(name: str, reference: list) -> str:
-    """'detected', 'missed' or 'stale': does any fixed run's output change?"""
+    """'exit code', 'stdout only', 'missed' or 'stale': what of the fixed
+    runs' output changes?"""
     with tree_copy(name) as tree:
         if tree is None:
             return "stale"
-        return "missed" if verify_outputs(tree) == reference else "detected"
+        outputs = verify_outputs(tree)
+    if any(code != ref for (code, _), (ref, _) in zip(outputs, reference)):
+        return "exit code"
+    return "missed" if outputs == reference else "stdout only"
 
 
 def main(argv) -> int:
@@ -350,12 +364,15 @@ def main(argv) -> int:
     stale = "stale" in verdicts.values()
     if verify:
         missed = [n for n, v in verdicts.items() if v == "missed"]
-        detected = sum(v == "detected" for v in verdicts.values())
-        tried = detected + len(missed)
+        failed = sum(v == "exit code" for v in verdicts.values())
+        stdout_only = sum(v == "stdout only" for v in verdicts.values())
+        tried = failed + stdout_only + len(missed)
+        print("user checks change an exit code on %d, only stdout on %d"
+              % (failed, stdout_only))
         print("user checks miss: %s" % (", ".join(missed) or "none"))
         print("user checks kill rate: %d of %d (%.0f%%) over %d configs x %d seeds"
               " and %d curve-example runs"
-              % (detected, tried, 100 * detected / max(tried, 1),
+              % (failed, tried, 100 * failed / max(tried, 1),
                  len(VERIFY_CONFIGS), len(VERIFY_SEEDS), len(CURVE_PARAMS)))
         return 2 if stale else 0
     survivors = [n for n, v in verdicts.items() if v == "survived"]
