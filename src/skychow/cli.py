@@ -22,7 +22,6 @@ import sys
 import warnings
 from dataclasses import replace
 from math import comb
-from operator import add
 from random import Random
 
 from . import curve as curve_mod
@@ -37,8 +36,8 @@ from .chowring import (
     strict_presentation,
     total_presentation,
 )
-from .finality import finality_report
-from .poly import Polynomial, _draw_terms, _mul_terms, _slice, format_polynomial
+from .finality import final_by_proximity, finality_report
+from .poly import _draw_terms, _mul_terms, _slice, format_polynomial
 from .proximity import InvalidConfigError, ProximityConfig, strict_class_in_total
 
 EXIT_OK = 0
@@ -308,9 +307,9 @@ def _verify_checks(config, samples, seed):
 
     # rho is a ring map, so a relation's image is the product of its factors'
     # images; the images of y_0..y_s are built once, and each shared factor
-    # (y_i, L_i) is mapped once, keyed by identity.  Both engines' cores, as
-    # in check 2, must reduce each image to zero; its terms are valid by
-    # construction (s + 1 exponents each, and rho keeps the degree).
+    # (y_i, L_i) is mapped once, keyed by identity.  Each image must be
+    # homogeneous, since the oracle's core reads the degree off one term,
+    # and both engines' cores, as in check 2, must reduce it to zero.
     rho_images = _rho_images(config)
     images = {}
     bad = 0
@@ -322,7 +321,11 @@ def _verify_checks(config, samples, seed):
                 img = images[id(f)] = f.substitute(rho_images)
             image = img if image is None else image * img
         terms = image.terms
-        if _normal_terms(n, terms) or oracle._reduce_terms(ideal, terms):
+        if (
+            len(set(map(sum, terms))) > 1
+            or _normal_terms(n, terms)
+            or oracle._reduce_terms(ideal, terms)
+        ):
             bad += 1
     yield (
         bad == 0,
@@ -432,11 +435,8 @@ def cmd_dot(args) -> int:
     lines = ["digraph proximity {"]
     lines.append("  rankdir=BT;")
     lines.append("  node [shape=circle];")
-    # a point is final when nothing is proximate to it; the edges come off
-    # the targets lists, whose keys and rows ascend
-    proximate = config._proximate
     for i in range(1, config.s + 1):
-        style = "" if i in proximate else ", peripheries=2, style=bold"
+        style = ", peripheries=2, style=bold" if final_by_proximity(config, i) else ""
         lines.append('  p%d [label="P%d"%s];' % (i, i, style))
     for j, row in config._targets.items():
         for i in row:
@@ -457,15 +457,9 @@ def cmd_curve_example(args) -> int:
             raise UsageError(str(exc)) from exc
     for w in caught:
         print("warning: %s" % w.message, file=sys.stderr)
-    # each entry rewrites the product of two basis monomials by the route
-    # --check compares with the oracle on every monomial up to degree 4
-    labels = curve_mod._BASIS_LABELS[1:]  # drop the unit row
-    exponents = curve_mod._BASIS_EXPONENTS[1:]
-    rewrite = curve_mod.curve_normal_form
-    table = [
-        [str(rewrite(params, Polynomial._of(3, {tuple(map(add, a, b)): 1}))) for b in exponents]
-        for a in exponents
-    ]
+    basis = curve_mod.curve_basis_elements(params)[1:]  # drop the unit row
+    labels = [label for label, _ in basis]
+    table = [[str(el * other) for _, other in basis] for _, el in basis]
     width = max(len(cell) for cells in table for cell in cells)
     width = max(width, max(len(l) for l in labels))
     print(

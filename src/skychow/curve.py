@@ -8,14 +8,13 @@ Additively the ring is spanned by {1; x0, x1; x0^2, w1; x0^3} and degree
 4 vanishes up to possible finite torsion, which the checks report.
 
 A ring element is an immutable named tuple: its parameters, then its six
-coordinates over the basis.  Products come straight from the structure
-constants of that basis, the products the rewrite rules give for pairs of
-basis monomials, and build their result as one tuple.  Two reduction routes
-are implemented: a rewrite system driving every monomial to the
-canonical basis, and the generic graded-lattice oracle on the defining
-ideal.  curve_ring_checks compares them on all 22 monomials of weighted
-degree at most 4 and classifies any difference as torsion (a class
-killed by an integer multiple) or a genuine failure.
+coordinates over the basis.  A product of two elements is the rewrite of
+their product as polynomials.  Two reduction routes are implemented: a
+rewrite system driving every monomial to the canonical basis, and the
+generic graded-lattice oracle on the defining ideal.  curve_ring_checks
+compares them on all 22 monomials of weighted degree at most 4 and
+classifies any difference as torsion (a class killed by an integer
+multiple) or a genuine failure.
 """
 
 from __future__ import annotations
@@ -101,23 +100,16 @@ class CurveRingElement(
             return CurveRingElement(self.params, *(c * other for c in self.coords()))
         if not isinstance(other, CurveRingElement):
             return NotImplemented
-        params, a0, a1, a2, a3, a4, a5 = self
-        other_params, b0, b1, b2, b3, b4, b5 = other
-        if params != other_params:
+        if self.params != other.params:
             raise ValueError("elements belong to different parameter values")
-        g, c1 = params.gamma, params.c1
-        # the basis products: x0*x0 = x0^2, x0*x1 = gamma*w1,
-        # x1*x1 = c1*w1 - gamma*x0^2, x0*x0^2 = x0^3, x1*w1 = -x0^3, and
-        # x0*w1 = x1*x0^2 = 0; every product above degree 3 dies
-        return tuple.__new__(CurveRingElement, (
-            params,
-            a0 * b0,
-            a0 * b1 + a1 * b0,
-            a0 * b2 + a2 * b0,
-            a0 * b3 + a3 * b0 + a1 * b1 - g * a2 * b2,
-            a0 * b4 + a4 * b0 + g * (a1 * b2 + a2 * b1) + c1 * a2 * b2,
-            a0 * b5 + a5 * b0 + a1 * b3 + a3 * b1 - a2 * b4 - a4 * b2,
-        ))
+        # curve_normal_form of the product, one pair of basis terms at a time
+        acc = [self.params, 0, 0, 0, 0, 0, 0]
+        for (a, b, c), x in zip(_BASIS_EXPONENTS, self.coords()):
+            if x:
+                for (d, e, f), y in zip(_BASIS_EXPONENTS, other.coords()):
+                    if y:
+                        _put(acc, a + d, b + e, c + f, x * y)
+        return tuple.__new__(CurveRingElement, acc)
 
     __rmul__ = __mul__
 

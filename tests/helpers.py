@@ -18,7 +18,6 @@ from skychow.curve import (
     TOP_DEGREE,
     CurveRingElement,
     CurveRingParams,
-    curve_normal_form,
 )
 from skychow.oracle import GradedIdeal, GradedPiece, HermiteLattice, _xgcd
 from skychow.poly import Polynomial, _slice, format_polynomial, monomials_of_degree
@@ -158,11 +157,25 @@ def reference_main(argv=None) -> int:
 
 
 def reference_curve_product(a: CurveRingElement, b: CurveRingElement) -> CurveRingElement:
-    """Reference for CurveRingElement.__mul__: the polynomial product of the
-    two representatives, sent back through the rewrite system."""
-    if a.params != b.params:
+    """Reference for CurveRingElement.__mul__: the structure constants of the
+    basis, written out by hand from the ring's relations."""
+    params, a0, a1, a2, a3, a4, a5 = a
+    other_params, b0, b1, b2, b3, b4, b5 = b
+    if params != other_params:
         raise ValueError("elements belong to different parameter values")
-    return curve_normal_form(a.params, a.to_polynomial() * b.to_polynomial())
+    g, c1 = params.gamma, params.c1
+    # x0*x0 = x0^2, x0*x1 = gamma*w1, x1*x1 = c1*w1 - gamma*x0^2,
+    # x0*x0^2 = x0^3, x1*w1 = -x0^3, x0*w1 = x1*x0^2 = 0, and every product
+    # above degree 3 dies
+    return CurveRingElement(
+        params,
+        a0 * b0,
+        a0 * b1 + a1 * b0,
+        a0 * b2 + a2 * b0,
+        a0 * b3 + a3 * b0 + a1 * b1 - g * a2 * b2,
+        a0 * b4 + a4 * b0 + g * (a1 * b2 + a2 * b1) + c1 * a2 * b2,
+        a0 * b5 + a5 * b0 + a1 * b3 + a3 * b1 - a2 * b4 - a4 * b2,
+    )
 
 
 def reference_curve_str(a: CurveRingElement) -> str:

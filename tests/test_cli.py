@@ -840,6 +840,23 @@ class TestVerify:
         )
         assert all(l.startswith("PASS") for l in lines[:1] + lines[2:])
 
+    def test_inhomogeneous_image_fails_the_first_check(self, capsys, monkeypatch):
+        # the oracle's core reads one term's degree and drops terms of any
+        # other; with both cores calling every image zero, the image of the
+        # extra relation y_1 + y_1^2 still fails on its mixed degrees
+        def extended(config):
+            pres = strict_presentation(config)
+            extra = (Polynomial(3, {(0, 1, 0): 1, (0, 2, 0): 1}),)
+            return replace(pres, factored=pres.factored + (extra,))
+
+        monkeypatch.setattr(cli, "strict_presentation", extended)
+        monkeypatch.setattr(cli, "_normal_terms", lambda n, terms: {})
+        monkeypatch.setattr(cli.oracle, "_reduce_terms", lambda ideal, terms: {})
+        assert cli.main(["verify", SURFACE_PATH, "--samples", "20"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "FAIL strict ideal maps into the total ideal (6 relations checked)"
+        assert all(l.startswith("PASS") for l in lines[1:])
+
     def test_one_oracle_reduction_a_sample(self, capsys, monkeypatch):
         # check 2 reads membership off the representative of the oracle's
         # term-dict core and never builds a Polynomial for reduce; check 1

@@ -176,8 +176,8 @@ class TestRewriteMatchesReference:
 
 
 class TestClosedFormProduct:
-    """Products and printing on the six coordinates against the polynomial
-    route they replaced, kept in tests/helpers.py."""
+    """Products against the basis's structure constants and printing against
+    the printed representative, both kept in tests/helpers.py."""
 
     def test_basis_pairs_match_the_reference(self):
         # both routes are bilinear in the coordinates and linear in
@@ -207,15 +207,15 @@ class TestClosedFormProduct:
                 runs.append((code, out.getvalue(), err.getvalue()))
             return runs
 
-        closed_form = run_grid()
+        rewritten = run_grid()
         monkeypatch.setattr(CurveRingElement, "__mul__", reference_curve_product)
         monkeypatch.setattr(CurveRingElement, "__rmul__", reference_curve_product)
         monkeypatch.setattr(CurveRingElement, "__str__", reference_curve_str)
-        assert run_grid() == closed_form
+        assert run_grid() == rewritten
 
 
 class TestRingLaws:
-    """The closed-form product makes the six coordinates a commutative ring."""
+    """The product makes the six coordinates a commutative ring."""
 
     @staticmethod
     @lru_cache(maxsize=None)

@@ -128,10 +128,10 @@ MUTANTS = {
         "[(j, i) for j, row in",
         "[(i, j) for j, row in",
     ),
-    "curve-x1w1-sign": (
+    "curve-product-exponent-sum": (
         "src/skychow/curve.py",
-        "- a2 * b4 - a4 * b2",
-        "+ a2 * b4 - a4 * b2",
+        "a + d, b + e, c + f",
+        "a + d, b + e, c * f",
     ),
     "curve-rewrite-x1w1-sign": (
         "src/skychow/curve.py",
@@ -250,17 +250,10 @@ MUTANTS = {
         "type(w) is not int or w < 1",
         "not isinstance(w, int) or w < 1",
     ),
-    # named for the lower-bound prefilter it once targeted: the support
-    # union of present's one strict size bound
-    "strict-lower-bound": (
+    "strict-support-union": (
         "src/skychow/cli.py",
         "supports[i] |= supports[j]",
         "supports[i] &= supports[j]",
-    ),
-    "curve-table-product": (
-        "src/skychow/cli.py",
-        "tuple(map(add, a, b))",
-        "tuple(map(max, a, b))",
     ),
 }
 
