@@ -23,7 +23,6 @@ from .curve import (
     CurveCheckReport,
     CurveRingElement,
     CurveRingParams,
-    curve_degree_integral,
     curve_ideal,
     curve_ideal_generators,
     curve_normal_form,

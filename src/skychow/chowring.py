@@ -30,7 +30,6 @@ from .poly import (
     Polynomial,
     format_polynomial,
     format_terms,
-    poly_from_term_list,
     poly_to_term_list,
 )
 from .proximity import ProximityConfig
@@ -103,16 +102,6 @@ class ChowElement:
 
     def is_zero(self):
         return not self.terms
-
-    def component(self, d):
-        """Degree-d data: an int for d in {0, n}, a coefficient tuple otherwise."""
-        if d == 0:
-            return self.deg0
-        if d == self.n:
-            return self.top
-        if 1 <= d < self.n:
-            return tuple(self.terms.get((d, i), 0) for i in range(self.s + 1))
-        return 0
 
     def _check_match(self, other):
         if (self.n, self.s) != (other.n, other.s):
@@ -375,16 +364,6 @@ class Presentation:
             quote(self.basis),
             block(relations, " " * 4),
         )
-
-    @classmethod
-    def from_json_dict(cls, doc) -> "Presentation":
-        variables = tuple(str(v) for v in doc["vars"])
-        basis = doc.get("basis", "total")
-        if basis not in ("total", "strict"):
-            raise ValueError("basis must be 'total' or 'strict', got %r" % basis)
-        nvars = len(variables)
-        relations = tuple((poly_from_term_list(nvars, rel),) for rel in doc["relations"])
-        return cls(variables, relations, basis)
 
 
 def total_presentation(config: ProximityConfig) -> Presentation:

@@ -194,11 +194,6 @@ def curve_normal_form(params: CurveRingParams, p: Polynomial) -> CurveRingElemen
     return tuple.__new__(CurveRingElement, acc)
 
 
-def curve_degree_integral(element: CurveRingElement) -> int:
-    """Coefficient of the point class x0^3."""
-    return element.x0_cu
-
-
 @dataclass(frozen=True)
 class CurveCheckReport:
     """Outcome of the dual-route consistency run for one parameter value."""

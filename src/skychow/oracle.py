@@ -198,9 +198,6 @@ class HermiteLattice:
         """Canonical coset representative of vec modulo the lattice, zero-free."""
         return self._reduce_in_place(self._sparse(vec, "vector"), 0)
 
-    def contains(self, vec):
-        return not self.reduce_vector(vec)
-
     def unit_pivot_images(self):
         """Each column's canonical representative, or None unless every pivot is 1.
 
@@ -297,11 +294,6 @@ class GradedPiece:
     lattice: HermiteLattice
     new_generators: int
     images: tuple | None = None
-
-    def polynomial_of(self, vec, nvars):
-        """The polynomial of a sparse {column: coefficient} vector."""
-        monos = self.monomials
-        return Polynomial._of(nvars, {monos[pos]: coef for pos, coef in vec.items() if coef})
 
 
 class QuotientSlice(namedtuple("QuotientSlice", ("degree", "rank", "torsion"))):
@@ -530,8 +522,8 @@ def reduce(ideal: GradedIdeal, p: Polynomial) -> Polynomial:
 
     Representatives are unique per coset, so reduce(p) == reduce(q) exactly
     when p - q lies in the ideal's degree slice.  A nonzero p is checked
-    once; the result wraps _reduce_terms, which builds it from the
-    representative's vector as polynomial_of builds it.
+    once; the result wraps the term dict _reduce_terms reads off the
+    representative's vector.
     """
     if p.terms:
         _check_query(ideal, p)

@@ -1,7 +1,8 @@
 """Sparse multivariate polynomials over the integers.
 
 Exponent vectors are tuples of length ``nvars`` and coefficients are plain
-Python ints, so every computation in the package is exact at any size.  A
+Python ints, so every computation in the package is exact at any size; the
+public ``Polynomial`` constructor refuses any other type, bools included.  A
 single graded lexicographic order (variable 0 smallest, the last variable
 largest) is used everywhere: it fixes the column order of the brute-force
 ideal slices, the pivot choice of their echelon forms, and the term order
@@ -130,8 +131,11 @@ class Polynomial:
                     "exponent vector %r has length %d, expected %d"
                     % (exps, len(exps), nvars)
                 )
-            if any(e < 0 for e in exps):
-                raise ValueError("negative exponent in %r" % (exps,))
+            # type, not isinstance: True is an int, and a float would add inexactly
+            if any(type(e) is not int or e < 0 for e in exps):
+                raise ValueError("exponent vector %r is not of nonnegative ints" % (exps,))
+            if type(coef) is not int:
+                raise ValueError("coefficient %r is not an int" % (coef,))
             c = merged.get(exps, 0) + coef
             if c:
                 merged[exps] = c
@@ -179,8 +183,8 @@ class Polynomial:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = Polynomial.constant(self.nvars, other)
+        if isinstance(other, int):  # a bool compares as the int it equals
+            other = Polynomial.constant(self.nvars, int(other))
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self.nvars == other.nvars and self.terms == other.terms
@@ -350,17 +354,6 @@ def poly_to_term_list(p: Polynomial) -> list[dict]:
     return [
         {"exps": list(exps), "coef": coef} for exps, coef in p.sorted_terms()
     ]
-
-
-def poly_from_term_list(nvars: int, data) -> Polynomial:
-    terms = []
-    for entry in data:
-        exps = entry["exps"]
-        coef = entry["coef"]
-        if not isinstance(coef, int):
-            raise ValueError("coefficient %r is not an integer" % (coef,))
-        terms.append((tuple(int(e) for e in exps), coef))
-    return Polynomial(nvars, terms)
 
 
 def random_homogeneous(

@@ -535,4 +535,6 @@ def full_vector(full: GradedPiece, p: Polynomial) -> dict:
 
 def full_reduce(full: GradedPiece, p: Polynomial) -> Polynomial:
     """reduce on a full reference slice, for a p of its degree."""
-    return full.polynomial_of(full.lattice.reduce_vector(full_vector(full, p)), p.nvars)
+    monos = full.monomials
+    v = full.lattice.reduce_vector(full_vector(full, p))
+    return Polynomial(p.nvars, {monos[t]: c for t, c in v.items()})

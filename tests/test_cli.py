@@ -28,7 +28,6 @@ from helpers import (
 from skychow import chowring, curve, finality, proximity
 from skychow.chowring import (
     ChowElement,
-    Presentation,
     from_divisor,
     graded_rank,
     sparse_product,
@@ -371,13 +370,13 @@ class TestPresent:
         assert cli.main(["present", surface_path, "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         cfg = ProximityConfig(n=2, s=2, prox=frozenset({(2, 1)}))
-        assert Presentation.from_json_dict(doc) == total_presentation(cfg)
+        assert doc == total_presentation(cfg).to_json_dict()
 
     def test_strict_json_round_trips(self, surface_path, capsys):
         assert cli.main(["present", surface_path, "--basis", "strict", "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         cfg = ProximityConfig(n=2, s=2, prox=frozenset({(2, 1)}))
-        assert Presentation.from_json_dict(doc) == strict_presentation(cfg)
+        assert doc == strict_presentation(cfg).to_json_dict()
 
     def test_missing_file_is_a_user_error(self, capsys):
         assert cli.main(["present", "/no/such/file.json"]) == 2

@@ -21,7 +21,6 @@ from skychow.curve import (
     CurveRingElement,
     CurveRingParams,
     curve_basis_elements,
-    curve_degree_integral,
     curve_ideal,
     curve_ideal_generators,
     curve_normal_form,
@@ -138,7 +137,7 @@ class TestRewrite:
         assert left.coords() == right.coords()
 
     def test_degree_integral(self):
-        assert curve_degree_integral(curve_normal_form(self.P, mono(0, 1, 1))) == -1
+        assert curve_normal_form(self.P, mono(0, 1, 1)).x0_cu == -1
 
     def test_mixed_params_are_rejected(self):
         other = CurveRingParams(gamma=3, c1=6)

@@ -55,15 +55,12 @@ MUTANTS = {
         "if ein != -odd:",
         "if ein != odd:",
     ),
-    # the next four keep the names of the running-product pass they once
-    # targeted: condition (10)'s r = 2 bound, the parity selection of
-    # _parity_integrals, and the signs of its odd-r and even-r values
-    "running-product-bound": (
+    "condition-ten-even-bound": (
         "src/skychow/finality.py",
         "if n > 2 and ein != even:",
         "if n > 3 and ein != even:",
     ),
-    "running-product-step": (
+    "parity-integrals-select": (
         "src/skychow/finality.py",
         "if n % 2:\n        return sum(",
         "if not n % 2:\n        return sum(",
@@ -168,9 +165,7 @@ MUTANTS = {
         "tuple([(u, -c) for u, c in row.items() if u != p])",
         "tuple([(u, c) for u, c in row.items() if u != p])",
     ),
-    # named for the unit-weight dead-term test it once targeted: a term of
-    # the wrong length is now refused by the public queries' one check
-    "unit-dead-term": (
+    "query-length-check": (
         "src/skychow/oracle.py",
         "if len(exps) != nvars:",
         "if len(exps) > nvars:",
@@ -249,6 +244,11 @@ MUTANTS = {
         "src/skychow/poly.py",
         "type(w) is not int or w < 1",
         "not isinstance(w, int) or w < 1",
+    ),
+    "coefficient-int-type": (
+        "src/skychow/poly.py",
+        "if type(coef) is not int:",
+        "if not isinstance(coef, int):",
     ),
     "strict-support-union": (
         "src/skychow/cli.py",
