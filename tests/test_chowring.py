@@ -563,7 +563,27 @@ class TestGradedRank:
             graded_rank(SURFACE, -1)
 
 
+def read_presentation(doc: dict) -> Presentation:
+    """A presentation read back from its JSON document, one factor a relation."""
+    nvars = len(doc["vars"])
+    relations = tuple(
+        (Polynomial(nvars, [(tuple(t["exps"]), t["coef"]) for t in rel]),)
+        for rel in doc["relations"]
+    )
+    return Presentation(tuple(doc["vars"]), relations, doc["basis"])
+
+
 class TestSerialization:
+    def test_json_round_trip_total(self):
+        pres = total_presentation(SURFACE)
+        assert read_presentation(json.loads(pres.to_json_text())) == pres
+
+    def test_json_round_trip_strict(self):
+        cfg = ProximityConfig(n=3, s=3, prox=frozenset({(2, 1), (3, 1)}))
+        pres = strict_presentation(cfg)
+        assert pres.basis == "strict"
+        assert read_presentation(json.loads(pres.to_json_text())) == pres
+
     def test_json_text_matches_the_stdlib_encoder(self):
         configs = 0
         for n in (2, 3):

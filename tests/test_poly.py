@@ -24,6 +24,7 @@ from skychow.poly import (
     format_polynomial,
     monomial_key,
     monomials_of_degree,
+    poly_to_term_list,
     random_homogeneous,
 )
 from skychow.proximity import ProximityConfig
@@ -212,6 +213,16 @@ def test_formatting():
     assert format_polynomial(p, names) == "x1^2 + 2*x0^2"
     q = Polynomial(3, {(2, 0, 0): -1, (1, 1, 0): 1})
     assert format_polynomial(q, names) == "x0*x1 - x0^2"
+
+
+@given(small_polys())
+def test_term_list_round_trip(p):
+    # the JSON term list lists each term once, largest monomial first, with
+    # plain int fields, and reads back through the constructor
+    terms = poly_to_term_list(p)
+    assert [(tuple(t["exps"]), t["coef"]) for t in terms] == p.sorted_terms()
+    assert all(type(e) is int for t in terms for e in t["exps"])
+    assert Polynomial(3, [(tuple(t["exps"]), t["coef"]) for t in terms]) == p
 
 
 @given(st.integers(0, 10_000), st.integers(1, 4))
