@@ -26,12 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import mul
 
-from .poly import (
-    Polynomial,
-    format_polynomial,
-    format_terms,
-    poly_to_term_list,
-)
+from .poly import Polynomial, _json_list, format_polynomial, format_terms
 from .proximity import ProximityConfig
 
 
@@ -327,32 +322,21 @@ class Presentation:
             lines.append(format_polynomial(rel, self.variables))
         return "\n".join(lines)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "vars": list(self.variables),
-            "basis": self.basis,
-            "relations": [poly_to_term_list(rel) for rel in self.relations],
-        }
-
     def to_json_text(self) -> str:
-        """json.dumps(self.to_json_dict(), indent=2), written directly.
+        """The presentation as JSON in json.dumps's indent-2 layout: "vars",
+        "basis", then "relations", each relation a list of {"exps", "coef"}
+        terms, largest monomial first.
 
         The stdlib drops to its pure-Python encoder whenever indent is set;
         strings go through the C function it would use for them.
         """
         from json.encoder import encode_basestring_ascii as quote
 
-        def block(items, pad):
-            # a list whose items are already rendered, each item indented by pad
-            if not items:
-                return "[]"
-            return "[\n" + pad + (",\n" + pad).join(items) + "\n" + pad[:-2] + "]"
-
         relations = [
-            block(
+            _json_list(
                 [
                     '{\n        "exps": %s,\n        "coef": %d\n      }'
-                    % (block(list(map(str, exps)), " " * 10), coef)
+                    % (_json_list(list(map(str, exps)), " " * 10), coef)
                     for exps, coef in rel.sorted_terms()
                 ],
                 " " * 6,
@@ -360,9 +344,9 @@ class Presentation:
             for rel in self.relations
         ]
         return '{\n  "vars": %s,\n  "basis": %s,\n  "relations": %s\n}' % (
-            block([quote(v) for v in self.variables], " " * 4),
+            _json_list([quote(v) for v in self.variables], " " * 4),
             quote(self.basis),
-            block(relations, " " * 4),
+            _json_list(relations, " " * 4),
         )
 
 

@@ -25,20 +25,22 @@ from dataclasses import dataclass
 from operator import add, itemgetter
 
 from . import oracle
-from .poly import Polynomial, format_polynomial, format_terms, monomials_of_degree
+from .poly import Polynomial, format_monomial, format_polynomial, format_terms
+from .poly import monomial_key, monomials_of_degree
 
 # public variable order and weights
 CURVE_VARIABLES = ("x0", "x1", "w1")
 CURVE_WEIGHTS = (1, 1, 2)
 TOP_DEGREE = 3
 
-_BASIS_LABELS = ("1", "x0", "x1", "x0^2", "w1", "x0^3")
 # the basis monomials' public exponents, in coordinate order
 _BASIS_EXPONENTS = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (2, 0, 0), (0, 0, 1), (3, 0, 0))
-# format_polynomial's term order on the basis: x0^3, x0^2, w1, x1, x0, 1,
-# and the element fields that hold those coordinates
-_PRINT_ORDER = ("x0^3", "x0^2", "w1", "x1", "x0", "")
-_print_coords = itemgetter(6, 4, 5, 3, 2, 1)
+_BASIS_LABELS = tuple(format_monomial(e, CURVE_VARIABLES) or "1" for e in _BASIS_EXPONENTS)
+# format_polynomial's term order on the basis (x0^3, x0^2, w1, x1, x0, 1):
+# those monomials' texts, and the element fields that hold their coordinates
+_by_print = sorted(range(6), key=lambda k: monomial_key(_BASIS_EXPONENTS[k]), reverse=True)
+_PRINT_ORDER = tuple(format_monomial(_BASIS_EXPONENTS[k], CURVE_VARIABLES) for k in _by_print)
+_print_coords = itemgetter(*(k + 1 for k in _by_print))
 
 
 def _basis_terms(coords) -> dict:

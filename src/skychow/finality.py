@@ -21,6 +21,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 
+from .poly import _json_list
 from .proximity import ProximityConfig
 
 
@@ -178,39 +179,25 @@ class DivisorFinality(
 
 @dataclass(frozen=True)
 class FinalityReport:
-    config: ProximityConfig
     divisors: tuple
 
     @property
     def all_agree(self):
         return all(d.agree for d in self.divisors)
 
-    def to_json_dict(self):
-        return {
-            "divisors": [
-                {
-                    "i": d.index,
-                    "final_proximity": d.final_proximity,
-                    "final_chow": d.final_chow,
-                    "witness": d.witness,
-                }
-                for d in self.divisors
-            ]
-        }
-
     def to_json_text(self):
-        """json.dumps(self.to_json_dict(), indent=2), written directly.
+        """The report as JSON in json.dumps's indent-2 layout: a "divisors"
+        list with one {"i", "final_proximity", "final_chow", "witness"}
+        object per divisor.
 
         The stdlib drops to its pure-Python encoder whenever indent is set;
         strings go through the C function it would use for them.
         """
         from json.encoder import encode_basestring_ascii as quote
 
-        if not self.divisors:
-            return '{\n  "divisors": []\n}'
         word = {True: "true", False: "false", None: "null"}
         items = [
-            '    {\n      "i": %d,\n      "final_proximity": %s,\n'
+            '{\n      "i": %d,\n      "final_proximity": %s,\n'
             '      "final_chow": %s,\n      "witness": %s\n    }'
             % (
                 d.index,
@@ -220,7 +207,7 @@ class FinalityReport:
             )
             for d in self.divisors
         ]
-        return '{\n  "divisors": [\n' + ",\n".join(items) + "\n  ]\n}"
+        return '{\n  "divisors": %s\n}' % _json_list(items, " " * 4)
 
 
 def finality_report(config: ProximityConfig) -> FinalityReport:
@@ -230,4 +217,4 @@ def finality_report(config: ProximityConfig) -> FinalityReport:
     for i in range(1, config.s + 1):
         by_chow, witness = _chow_conditions(config, i)
         entries.append(DivisorFinality(i, i not in proximate, by_chow, witness))
-    return FinalityReport(config, tuple(entries))
+    return FinalityReport(tuple(entries))

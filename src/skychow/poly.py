@@ -338,6 +338,14 @@ def format_terms(pairs) -> str:
     return " ".join(chunks) or "0"
 
 
+def _json_list(items, pad: str) -> str:
+    """json.dumps's indent-2 layout of a list whose items are already
+    rendered: each item on its own line after pad, the bracket two less."""
+    if not items:
+        return "[]"
+    return "[\n" + pad + (",\n" + pad).join(items) + "\n" + pad[:-2] + "]"
+
+
 def format_polynomial(p: Polynomial, names: Sequence[str]) -> str:
     """Human-readable form, terms largest first, explicit * and ^."""
     if p.is_zero():
@@ -347,13 +355,6 @@ def format_polynomial(p: Polynomial, names: Sequence[str]) -> str:
     return format_terms(
         (format_monomial(exps, names), coef) for exps, coef in p.sorted_terms()
     )
-
-
-def poly_to_term_list(p: Polynomial) -> list[dict]:
-    """JSON-ready term list, deterministic (largest monomial first)."""
-    return [
-        {"exps": list(exps), "coef": coef} for exps, coef in p.sorted_terms()
-    ]
 
 
 def random_homogeneous(

@@ -10,8 +10,10 @@ from math import gcd
 from operator import mul
 from random import Random
 
+from hypothesis import strategies as st
+
 from skychow import cli
-from skychow.chowring import total_presentation
+from skychow.chowring import Presentation, total_presentation
 from skychow.cli import MAX_AMBIENT_DIMENSION
 from skychow.curve import (
     CURVE_VARIABLES,
@@ -274,6 +276,59 @@ def assert_well_stored(p: Polynomial) -> None:
         assert type(exps) is tuple and len(exps) == p.nvars, exps
         assert all(type(e) is int and e >= 0 for e in exps), exps
         assert type(coef) is int and coef != 0, (exps, coef)
+
+
+def small_polys(nvars=3, max_exp=3, max_terms=4):
+    """Hypothesis strategy: polynomials of up to max_terms terms, exponents
+    up to max_exp, coefficients in -9..9 (terms may merge or cancel)."""
+    exps = st.tuples(*(st.integers(0, max_exp) for _ in range(nvars)))
+    term = st.tuples(exps, st.integers(-9, 9))
+    return st.lists(term, max_size=max_terms).map(lambda t: Polynomial(nvars, t))
+
+
+def parse_indent2(text: str):
+    """The JSON document text holds, asserted to be laid out exactly as
+    json.dumps(..., indent=2) lays it out."""
+    doc = json.loads(text)
+    assert json.dumps(doc, indent=2) == text
+    return doc
+
+
+def read_presentation(doc: dict) -> Presentation:
+    """A presentation read back from its JSON document, one factor a relation.
+
+    Asserts the document's shape on the way: keys in the order vars, basis,
+    relations and exps, coef, and each relation listing its terms once,
+    largest monomial first (sorted_terms() order), with plain int fields.
+    """
+    assert list(doc) == ["vars", "basis", "relations"]
+    nvars = len(doc["vars"])
+    relations = []
+    for rel in doc["relations"]:
+        assert all(list(t) == ["exps", "coef"] for t in rel)
+        terms = [(tuple(t["exps"]), t["coef"]) for t in rel]
+        assert all(type(x) is int for exps, coef in terms for x in (*exps, coef))
+        poly = Polynomial(nvars, terms)
+        assert terms == poly.sorted_terms()
+        relations.append((poly,))
+    return Presentation(tuple(doc["vars"]), tuple(relations), doc["basis"])
+
+
+def read_divisors(doc: dict) -> list:
+    """The (i, final_proximity, final_chow, witness) rows of a finality
+    report's JSON document, its keys asserted in that order and each value
+    of the type the report holds: i an int, the verdicts bool or None, the
+    witness str or None."""
+    assert list(doc) == ["divisors"]
+    rows = []
+    for d in doc["divisors"]:
+        assert list(d) == ["i", "final_proximity", "final_chow", "witness"]
+        i, by_proximity, by_chow, witness = row = tuple(d.values())
+        assert type(i) is int
+        assert {type(by_proximity), type(by_chow)} <= {bool, type(None)}
+        assert witness is None or type(witness) is str
+        rows.append(row)
+    return rows
 
 
 def reference_pair_integral(n, shared, r):

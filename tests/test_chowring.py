@@ -15,9 +15,12 @@ from helpers import (
     assert_well_stored,
     cached_total_ideal,
     dense_class,
+    parse_indent2,
     random_config,
+    read_presentation,
     reference_rho,
     reference_verify_samples,
+    small_polys,
     support,
 )
 from skychow import oracle
@@ -563,16 +566,6 @@ class TestGradedRank:
             graded_rank(SURFACE, -1)
 
 
-def read_presentation(doc: dict) -> Presentation:
-    """A presentation read back from its JSON document, one factor a relation."""
-    nvars = len(doc["vars"])
-    relations = tuple(
-        (Polynomial(nvars, [(tuple(t["exps"]), t["coef"]) for t in rel]),)
-        for rel in doc["relations"]
-    )
-    return Presentation(tuple(doc["vars"]), relations, doc["basis"])
-
-
 class TestSerialization:
     def test_json_round_trip_total(self):
         pres = total_presentation(SURFACE)
@@ -593,9 +586,17 @@ class TestSerialization:
                 for cfg in enumerate_proximity_configs(n, s):
                     configs += 1
                     for pres in (total[s], strict_presentation(cfg)):
-                        want = json.dumps(pres.to_json_dict(), indent=2)
-                        assert pres.to_json_text() == want
+                        doc = parse_indent2(pres.to_json_text())
+                        assert read_presentation(doc) == pres
         assert configs == 142
+
+    @given(st.lists(small_polys(), max_size=3))
+    def test_json_read_back_of_any_relations(self, relations):
+        # not only the ring's relations: read_presentation holds each term
+        # list to sorted_terms() order, each term once, with int fields
+        factored = tuple((p,) for p in relations)
+        pres = Presentation(("x0", "x1", "x2"), factored, "total")
+        assert read_presentation(parse_indent2(pres.to_json_text())) == pres
 
     @pytest.mark.parametrize(
         "pres",
@@ -608,7 +609,7 @@ class TestSerialization:
         ids=["no-relations", "zero-relation", "no-variables", "escaped-names"],
     )
     def test_json_text_edge_cases(self, pres):
-        assert pres.to_json_text() == json.dumps(pres.to_json_dict(), indent=2)
+        assert read_presentation(parse_indent2(pres.to_json_text())) == pres
 
     def test_text_form(self):
         text = total_presentation(SURFACE).to_text()

@@ -19,7 +19,9 @@ import skychow
 import skychow.cli as cli
 from helpers import (
     dense_class,
+    parse_indent2,
     random_config,
+    read_presentation,
     reference_load_config,
     reference_main,
     reference_verify_samples,
@@ -368,15 +370,15 @@ class TestPresent:
 
     def test_json_round_trips(self, surface_path, capsys):
         assert cli.main(["present", surface_path, "--format", "json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
+        doc = parse_indent2(capsys.readouterr().out[:-1])  # print's newline
         cfg = ProximityConfig(n=2, s=2, prox=frozenset({(2, 1)}))
-        assert doc == total_presentation(cfg).to_json_dict()
+        assert read_presentation(doc) == total_presentation(cfg)
 
     def test_strict_json_round_trips(self, surface_path, capsys):
         assert cli.main(["present", surface_path, "--basis", "strict", "--format", "json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
+        doc = parse_indent2(capsys.readouterr().out[:-1])  # print's newline
         cfg = ProximityConfig(n=2, s=2, prox=frozenset({(2, 1)}))
-        assert doc == strict_presentation(cfg).to_json_dict()
+        assert read_presentation(doc) == strict_presentation(cfg)
 
     def test_missing_file_is_a_user_error(self, capsys):
         assert cli.main(["present", "/no/such/file.json"]) == 2
@@ -694,13 +696,8 @@ class TestFinal:
         assert divisors[1]["witness"] == "condition (10) fails for j=1 at r=1: integral 1, expected 0"
 
     def test_disagreement_exit_code(self, surface_path, capsys, monkeypatch):
-        cfg = cli.load_config(surface_path)
         fake = FinalityReport(
-            cfg,
-            (
-                DivisorFinality(1, True, False, "synthetic"),
-                DivisorFinality(2, True, True, None),
-            ),
+            (DivisorFinality(1, True, False, "synthetic"), DivisorFinality(2, True, True, None))
         )
         monkeypatch.setattr(cli, "finality_report", lambda _cfg: fake)
         assert cli.main(["final", surface_path]) == 3
@@ -775,8 +772,7 @@ class TestVerify:
         assert "(50 sampled polynomials (seed 0))" in lines[1]
 
     def test_finality_disagreement_fails_the_last_check(self, surface_path, capsys, monkeypatch):
-        cfg = cli.load_config(surface_path)
-        fake = FinalityReport(cfg, (DivisorFinality(1, True, False, "synthetic"),))
+        fake = FinalityReport((DivisorFinality(1, True, False, "synthetic"),))
         monkeypatch.setattr(cli, "finality_report", lambda _cfg: fake)
         assert cli.main(["verify", surface_path, "--samples", "5"]) == 1
         out = capsys.readouterr().out

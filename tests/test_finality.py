@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 from helpers import (
     cached_total_ideal,
     dense_class,
+    parse_indent2,
     random_config,
+    read_divisors,
     reference_chow_conditions,
     reference_meeting,
     support,
@@ -54,6 +56,11 @@ def meeting(config, i):
     if config.n == 2:
         return [(j, sh) for j, sh in pairs if _point_integral(2, sh)]
     return pairs
+
+
+def fields(divisors):
+    """Each divisor's fields in the order its JSON object lists them."""
+    return [(d.index, d.final_proximity, d.final_chow, d.witness) for d in divisors]
 
 
 class TestProximityDecider:
@@ -154,15 +161,10 @@ class TestReport:
         assert [d.final_chow for d in report.divisors] == [False, False, True]
 
     def test_json_shape(self):
-        doc = finality_report(SURFACE).to_json_dict()
-        assert set(doc) == {"divisors"}
-        assert [d["i"] for d in doc["divisors"]] == [1, 2]
-        assert set(doc["divisors"][0]) == {
-            "i",
-            "final_proximity",
-            "final_chow",
-            "witness",
-        }
+        report = finality_report(SURFACE)
+        rows = read_divisors(json.loads(report.to_json_text()))
+        assert [i for i, *_ in rows] == [1, 2]
+        assert rows == fields(report.divisors)
 
 
 class TestConditionTenAtEvenR:
@@ -195,7 +197,8 @@ class TestConditionTenAtEvenR:
 
 
 class TestJsonText:
-    """FinalityReport.to_json_text against the stdlib's indent=2 encoder."""
+    """FinalityReport.to_json_text read back: the stdlib's indent=2 layout,
+    and each divisor's fields, in order."""
 
     @staticmethod
     def blanked(report, method):
@@ -216,8 +219,8 @@ class TestJsonText:
                     report = finality_report(cfg)
                     for method in ("proximity", "chow", "both"):
                         shown = self.blanked(report, method)
-                        want = json.dumps(shown.to_json_dict(), indent=2)
-                        assert shown.to_json_text() == want
+                        rows = read_divisors(parse_indent2(shown.to_json_text()))
+                        assert rows == fields(shown.divisors)
         assert configs == 142
 
     @pytest.mark.parametrize(
@@ -230,8 +233,8 @@ class TestJsonText:
         ids=["empty", "escaped-witness", "blank-columns"],
     )
     def test_edge_cases(self, divisors):
-        report = FinalityReport(SURFACE, divisors)
-        assert report.to_json_text() == json.dumps(report.to_json_dict(), indent=2)
+        rows = read_divisors(parse_indent2(FinalityReport(divisors).to_json_text()))
+        assert rows == fields(divisors)
 
 
 class TestEquivalenceSamples:

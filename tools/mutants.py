@@ -255,6 +255,11 @@ MUTANTS = {
         "supports[i] |= supports[j]",
         "supports[i] &= supports[j]",
     ),
+    "json-list-close-pad": (
+        "src/skychow/poly.py",
+        "pad[:-2]",
+        "pad[:-1]",
+    ),
 }
 
 IGNORED = shutil.ignore_patterns(
