@@ -27,7 +27,7 @@ from functools import cached_property, reduce
 from operator import mul
 
 from .poly import Polynomial, _json_list, format_polynomial, format_terms
-from .proximity import ProximityConfig
+from .proximity import ProximityConfig, strict_class_in_total
 
 
 def _add_power(terms, n, d, i, c):
@@ -210,7 +210,8 @@ def _normal_terms(n, terms):
 
 def _power_terms(nv, terms):
     """to_polynomial's core: the term dict {exps: c} over nv variables of a
-    canonical {(d, i): c} dict, each x_i^d with a fresh exponent tuple."""
+    {(d, i): c} dict, each x_i^d with a fresh exponent tuple.  The
+    presentations and rho's images write their pure powers through it too."""
     out = {}
     for (d, i), c in terms.items():
         exps = [0] * nv
@@ -364,11 +365,8 @@ def total_presentation(config: ProximityConfig) -> Presentation:
             row[j] = 0
         row[i] = 0
     sign = (-1) ** n
-    x0n = (n,) + (0,) * s
     for i in range(1, nv):
-        row[i] = n
-        rels.append((Polynomial._of(nv, {tuple(row): sign, x0n: 1}),))
-        row[i] = 0
+        rels.append((Polynomial._of(nv, _power_terms(nv, {(n, i): sign, (n, 0): 1})),))
     names = tuple("x%d" % i for i in range(nv))
     return Presentation(names, tuple(rels), "total")
 
@@ -385,30 +383,26 @@ def strict_presentation(config: ProximityConfig) -> Presentation:
     n, s = config.n, config.s
     nv = s + 1
     rels = []
-    units = [tuple(int(t == k) for t in range(nv)) for k in range(nv)]
-    y = [Polynomial._of(nv, {unit: 1}) for unit in units]
+    y = [Polynomial.variable(nv, k) for k in range(nv)]
     for i in range(1, nv):
         rels.append((y[0], y[i]))
     combos = {}
     for i, column in _inverse_columns(config):
         # a point nothing is proximate to keeps L_i = y_i, the same object
         combos[i] = y[i] if len(column) == 1 else Polynomial._of(
-            nv, {units[k]: column[k] for k in sorted(column)}
+            nv, _power_terms(nv, {(1, k): column[k] for k in sorted(column)})
         )
     for i in range(1, nv):
         for j in range(i + 1, nv):
             rels.append((combos[i], combos[j]))
-    # y_i^n + ((-1)^n + m_i) * y_0^n with m_i = #(points proximate to i),
-    # written as its term dict; the y_0^n term vanishes when m_i = -(-1)^n
+    # y_i^n + ((-1)^n + m_i) * y_0^n with m_i = #(points proximate to i);
+    # the y_0^n term vanishes when m_i = -(-1)^n
     proximate = config._proximate
     sign = (-1) ** n
-    y0n = (n,) + (0,) * s
-    row = [0] * nv
     for i in range(1, nv):
-        row[i] = n
         c = sign + len(proximate.get(i, ()))
-        rels.append((Polynomial._of(nv, {tuple(row): 1, y0n: c} if c else {tuple(row): 1}),))
-        row[i] = 0
+        powers = {(n, i): 1, (n, 0): c} if c else {(n, i): 1}
+        rels.append((Polynomial._of(nv, _power_terms(nv, powers)),))
     names = tuple("y%d" % i for i in range(nv))
     return Presentation(names, tuple(rels), "strict")
 
@@ -451,16 +445,12 @@ def _rho_images(config: ProximityConfig) -> tuple[Polynomial, ...]:
 
     substitute only reads them and returns fresh terms, so a caller mapping
     many polynomials builds them once and hands them to each substitute.
-    Every strict class is needed, so they are read off the reverse map, not
-    built one strict_class_in_total scan at a time.
+    The image of y_i is the strict class strict_class_in_total gives, the
+    one intersect multiplies.
     """
     nv = config.s + 1
-    units = [tuple(int(t == k) for t in range(nv)) for k in range(nv)]
-    proximate = config._proximate
-    images = [Polynomial._of(nv, {units[0]: 1})]
+    images = [Polynomial.variable(nv, 0)]
     for i in range(1, nv):
-        terms = {units[i]: 1}
-        for j in proximate.get(i, ()):
-            terms[units[j]] = -1
-        images.append(Polynomial._of(nv, terms))
+        terms = {(1, t): c for t, c in strict_class_in_total(config, i).items()}
+        images.append(Polynomial._of(nv, _power_terms(nv, terms)))
     return tuple(images)

@@ -20,7 +20,6 @@ import json
 import re
 import sys
 import warnings
-from dataclasses import replace
 from math import comb
 from random import Random
 
@@ -36,7 +35,7 @@ from .chowring import (
     strict_presentation,
     total_presentation,
 )
-from .finality import final_by_proximity, finality_report
+from .finality import FinalityReport, final_by_proximity, finality_report
 from .poly import _draw_terms, _mul_terms, _slice, format_polynomial
 from .proximity import InvalidConfigError, ProximityConfig, strict_class_in_total
 
@@ -84,10 +83,6 @@ MAX_AMBIENT_DIMENSION = 64
 
 class UsageError(ValueError):
     """Input a subcommand refuses; main prints it and returns exit 2."""
-
-
-class ExpressionError(UsageError):
-    pass
 
 
 _NO_TARGETS = []  # a missing proximate_to; shared, so never stored or changed
@@ -195,25 +190,25 @@ def parse_expression(text: str, config: ProximityConfig):
     Atoms are checked in order, so the first bad one is the one reported.
     """
     if not text or not text.strip():
-        raise ExpressionError("empty expression")
+        raise UsageError("empty expression")
     exponents = {}  # (index, letter) of each distinct atom, h at index 0 -> exponent
     for chunk in text.split("*"):
         token = chunk.strip()
         m = _ATOM_RE.match(token)
         if not m:
-            raise ExpressionError(
+            raise UsageError(
                 "bad factor %r: expected h, Ei or ei with an optional ^k" % token
             )
         atom, exp = m.group(1), m.group(2)
         k = _bounded_int(exp, config.n + 1) if exp is not None else 1
         if k < 1:
-            raise ExpressionError("exponent in %r must be at least 1" % token)
+            raise UsageError("exponent in %r must be at least 1" % token)
         if atom == "h":
             key = (0, "h")
         else:
             idx = _bounded_int(atom[1:], config.s + 1)
             if not 1 <= idx <= config.s:
-                raise ExpressionError(
+                raise UsageError(
                     "index %s in %r out of range 1..%d"
                     % (_decimal(atom[1:]), token, config.s)
                 )
@@ -282,7 +277,7 @@ def cmd_final(args) -> int:
         # blank the column that was not asked for, and the witness
         blank = "final_chow" if args.method == "proximity" else "final_proximity"
         divisors = tuple(d._replace(**{blank: None, "witness": None}) for d in report.divisors)
-        report = replace(report, divisors=divisors)
+        report = FinalityReport(divisors)
     if args.format == "json":
         print(report.to_json_text())
     else:

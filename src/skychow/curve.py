@@ -200,7 +200,6 @@ def curve_normal_form(params: CurveRingParams, p: Polynomial) -> CurveRingElemen
 class CurveCheckReport:
     """Outcome of the dual-route consistency run for one parameter value."""
 
-    params: CurveRingParams
     ranks: tuple
     expected_ranks: tuple
     torsion: dict
@@ -294,7 +293,6 @@ def curve_ring_checks(params: CurveRingParams) -> CurveCheckReport:
             else:
                 mismatches.append((mono, rewrite, residue))
     return CurveCheckReport(
-        params=params,
         ranks=ranks,
         expected_ranks=(1, 2, 2, 1, 0),
         torsion=torsion,

@@ -794,6 +794,18 @@ class TestVerify:
         assert lines[0] == "FAIL strict ideal maps into the total ideal (5 relations checked)"
         assert all(l.startswith("PASS") for l in lines[1:])
 
+    def test_check_one_reads_the_strict_classes_intersect_reads(self, capsys, monkeypatch):
+        # rho's images are the classes intersect multiplies, so a sign slip
+        # in strict_class_in_total surfaces in verify's first check
+        def flipped(config, i):
+            e = proximity.strict_class_in_total(config, i)
+            return {t: c if t == i else -c for t, c in e.items()}
+
+        monkeypatch.setattr(chowring, "strict_class_in_total", flipped)
+        assert cli.main(["verify", THREEFOLD_PATH, "--samples", "20"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("FAIL strict ideal maps into the total ideal")
+
     def test_flipped_point_class_sign_fails_the_second_check(
         self, surface_path, capsys, monkeypatch
     ):

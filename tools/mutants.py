@@ -227,8 +227,8 @@ MUTANTS = {
     ),
     "rho-image-sign": (
         "src/skychow/chowring.py",
-        "terms[units[j]] = -1",
-        "terms[units[j]] = 1",
+        "{(1, t): c for t, c in strict_class_in_total",
+        "{(1, t): -c for t, c in strict_class_in_total",
     ),
     "crowding-bound": (
         "src/skychow/proximity.py",
