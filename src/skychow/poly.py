@@ -59,24 +59,22 @@ def monomials_of_degree(
 def _slice(nvars: int, degree: int, weights: Sequence[int] | None) -> tuple[Exps, ...]:
     """The cached slice itself, shared between callers: never mutate it.
 
-    Unit weights, given or implied, share one cache entry; a refused
-    variable count or weight vector raises before the cache is reached.
+    Unit weights, given or implied, share one cache entry (the checked
+    weights tuple); a refused variable count or weight vector raises
+    before the cache is reached.
     """
     if degree < 0:
         return ()
-    weights = _checked_weights(nvars, weights)
-    unit = all(w == 1 for w in weights)
-    return _slice_monomials(nvars, degree, None if unit else weights)
+    return _slice_monomials(nvars, degree, _checked_weights(nvars, weights))
 
 
 @lru_cache(maxsize=128)
-def _slice_monomials(nvars: int, degree: int, weights: Exps | None) -> tuple[Exps, ...]:
+def _slice_monomials(nvars: int, degree: int, weights: Exps) -> tuple[Exps, ...]:
     # All monomials of a slice share one weighted degree, so the global order
     # restricted to it is descending lex on the reversed exponent vector:
     # recurse from the last variable down, largest exponent first.
     if nvars == 0:
         return ((),) if degree == 0 else ()
-    weights = weights or (1,) * nvars  # None: every weight 1
     out: list[Exps] = []
     exps = [0] * nvars
 

@@ -26,8 +26,8 @@ class InvalidConfigError(ValueError):
 
 class _LazyPairs:
     """The prox field of ProximityConfig: frozenset() as the default, and on
-    a loaded config (see ProximityConfig._of), which holds only its targets
-    lists, the pairs built from them on first read and then kept.
+    a config, which holds only its targets lists, the pairs built from them
+    on first read and then kept.
 
     It defines no __set__, so a prox in the instance's __dict__ is read
     without calling it.
@@ -36,12 +36,12 @@ class _LazyPairs:
     def __get__(self, config, owner=None):
         if config is None:
             return frozenset()
-        prox = config.__dict__["prox"] = frozenset(_pairs(config.__dict__["_targets"]))
+        prox = config.__dict__["prox"] = frozenset(_pairs(config._targets))
         return prox
 
 
 def _pairs(targets) -> list:
-    """The (j, i) pairs of a targets map."""
+    """The (j, i) pairs of a targets map, sorted: its keys and rows ascend."""
     return [(j, i) for j, row in targets.items() for i in row]
 
 
@@ -52,13 +52,14 @@ class ProximityConfig:
     ``prox`` holds pairs (j, i) with j > i meaning the j-th center is
     proximate to the i-th.  ``strict_snc_check`` keeps the validation rule
     that no point is proximate to more than n earlier ones; turn it off to
-    experiment with degenerate configurations.  Construction validates:
-    validate_config checks the pairs, then _check_rules the flag, n and s
-    and that rule.  A config a loader built (see _of) holds only its
-    targets lists, whose entries the loader checked, and _of runs the same
-    _check_rules; it builds ``prox`` from the lists when it is first read,
-    then keeps it.  The repr lists the pairs sorted, so equal configs
-    print alike.
+    experiment with degenerate configurations.  A config holds n, s, the
+    flag and its targets lists (each point that is proximate to others ->
+    the ascending list of those points, keys ascending), whichever route
+    built it: the constructor checks the pairs, turns them into the lists
+    and keeps no pair set; a loader hands its checked lists to _of.  Both
+    end in validate_config.  ``prox`` is built from the lists when it is
+    first read, then kept.  The repr lists the pairs sorted, so equal
+    configs print alike.
     """
 
     n: int
@@ -67,12 +68,13 @@ class ProximityConfig:
     strict_snc_check: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "prox", frozenset([(j, i) for j, i in self.prox]))
+        targets = self.__dict__["_targets"] = {}
+        for j, i in sorted(_checked_pairs(self.__dict__.pop("prox"), self.s)):
+            targets.setdefault(j, []).append(i)
         validate_config(self)
 
     def __repr__(self):
-        # the pairs sorted: a frozenset iterates in an order its insertions set
-        pairs = "{%s}" % ", ".join(map(repr, sorted(self.prox))) if self.prox else ""
+        pairs = "{%s}" % ", ".join(map(repr, _pairs(self._targets))) if self._targets else ""
         return "ProximityConfig(n=%r, s=%r, prox=frozenset(%s), strict_snc_check=%r)" % (
             self.n, self.s, pairs, self.strict_snc_check
         )
@@ -83,25 +85,14 @@ class ProximityConfig:
 
         targets maps each point that is proximate to others to the ascending
         list of those points, its keys ascending, every pair with
-        1 <= i < j <= s.  The flag, n and s and the crowding rule are
-        checked here by _check_rules, the one check validate_config also
-        ends with.  The lists are the config's data: prox and the reverse
-        map _proximate are built from them only when something reads them.
+        1 <= i < j <= s: the lists the constructor builds from its pairs.
+        validate_config checks the rest, as it does for the constructor.
         """
-        _check_rules(n, s, strict_snc_check, targets)
         config = cls.__new__(cls)
         config.__dict__.update(
             n=n, s=s, strict_snc_check=strict_snc_check, _targets=targets
         )
-        return config
-
-    @cached_property
-    def _targets(self):
-        # point -> ascending list of the points it is proximate to; keys ascend
-        targets = {}
-        for j, i in sorted(self.prox):
-            targets.setdefault(j, []).append(i)
-        return targets
+        return validate_config(config)
 
     @cached_property
     def _proximate(self):
@@ -122,53 +113,52 @@ class ProximityConfig:
         return list(self._targets.get(j, ()))
 
 
-def validate_config(config: ProximityConfig) -> ProximityConfig:
-    """Return the config unchanged, or raise InvalidConfigError naming the bad invariant.
-
-    ProximityConfig construction calls this, so an invalid config never exists.
-    """
-    _check_sizes(config.n, config.s)
-    # a loaded config holds only its targets lists (see ProximityConfig._of):
-    # its pairs are read off them, so checking it does not build prox
-    prox = config.__dict__.get("prox") or _pairs(config._targets)
+def _checked_pairs(prox, s) -> set:
+    """The constructor's pairs as a set, or InvalidConfigError naming the
+    first bad one: each must be two ints with 1 <= i < j <= s.  A bound s
+    that is not an int is left for validate_config to refuse."""
+    try:
+        pairs = {(j, i) for j, i in prox}
+    except (TypeError, ValueError) as exc:
+        raise InvalidConfigError("prox must hold (j, i) pairs: %s" % exc) from None
     # type, not isinstance: True is an int, and int() would read 2.7 or "3"
-    bad = [(j, i) for j, i in prox if type(j) is not int or type(i) is not int]
+    bad = [(j, i) for j, i in pairs if type(j) is not int or type(i) is not int]
     if bad:
         raise InvalidConfigError(
             "proximity pair (%r, %r) must be two integers" % min(bad, key=repr)
         )
-    bad = [(j, i) for j, i in prox if not 1 <= i < j <= config.s]
+    bad = [(j, i) for j, i in pairs if not 1 <= i < j or type(s) is int and j > s]
     if bad:
         raise InvalidConfigError(
-            "proximity pair (%r, %r) must satisfy 1 <= i < j <= s = %d"
-            % (*min(bad), config.s)
+            "proximity pair (%r, %r) must satisfy 1 <= i < j <= s = %r" % (*min(bad), s)
         )
-    _check_rules(config.n, config.s, config.strict_snc_check, config._targets)
-    return config
+    return pairs
 
 
-def _check_sizes(n, s) -> None:
+def validate_config(config: ProximityConfig) -> ProximityConfig:
+    """Return the config unchanged, or raise InvalidConfigError naming the
+    first rule it breaks, checked in this order: the flag is a bool, n and
+    s are in range, and (with the flag set) no point is proximate to more
+    than n others; the first such point, by id, is named.
+
+    Both construction routes end here, on the config's targets lists, so an
+    invalid config never exists.
+    """
+    n, s = config.n, config.s
+    if not isinstance(config.strict_snc_check, bool):
+        raise InvalidConfigError("strict_snc_check must be a boolean")
     if type(n) is not int or n < 2:
         raise InvalidConfigError("ambient dimension must be an integer >= 2, got %r" % (n,))
     if type(s) is not int or s < 1:
         raise InvalidConfigError("number of points must be an integer >= 1, got %r" % (s,))
-
-
-def _check_rules(n, s, strict_snc_check, targets) -> None:
-    """The rules every config keeps, checked in this order: the flag is a
-    bool, n and s are in range, and (with the flag set) no point is
-    proximate to more than n others; the first such point, by id, is named.
-    targets is a targets map, its keys ascending."""
-    if not isinstance(strict_snc_check, bool):
-        raise InvalidConfigError("strict_snc_check must be a boolean")
-    _check_sizes(n, s)
-    if strict_snc_check:
-        for j, row in targets.items():
+    if config.strict_snc_check:
+        for j, row in config._targets.items():
             if len(row) > n:
                 raise InvalidConfigError(
                     "point %d is proximate to %d points, more than the ambient dimension %d"
                     % (j, len(row), n)
                 )
+    return config
 
 
 def change_of_basis(config: ProximityConfig, k: int) -> IntMatrix:
@@ -267,7 +257,7 @@ def strict_to_total(config: ProximityConfig, v: DivisorVector) -> DivisorVector:
         raise ValueError("expected a strict-basis vector, got basis %r" % v.basis)
     _check_length(config, v)
     out = list(v.coords)
-    for j, i in config.prox:
+    for j, i in _pairs(config._targets):
         out[j] -= v.coords[i]
     return DivisorVector("total", tuple(out))
 

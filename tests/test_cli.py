@@ -272,6 +272,20 @@ class TestLoadConfig:
             "point 4 is proximate to 3 points, more than the ambient dimension 2"
         )
 
+    @pytest.mark.parametrize("n,s", [(1, 2), (2, 0)], ids=["bad-n", "bad-s"])
+    def test_bad_flag_is_named_before_a_bad_size_on_both_routes(self, tmp_path, n, s):
+        routes = [
+            lambda: ProximityConfig(n, s, strict_snc_check="no"),
+            lambda: ProximityConfig._of(n, s, {}, "no"),  # the loader's tail
+        ]
+        if s:  # a file cannot hold 0 points: the loader refuses it first
+            path = write_config(tmp_path, dict(chain_doc(n, s), strict_snc_check="no"))
+            routes += [lambda: cli.load_config(path), lambda: reference_load_config(path)]
+        for route in routes:
+            with pytest.raises(InvalidConfigError) as exc:
+                route()
+            assert str(exc.value) == "strict_snc_check must be a boolean"
+
     def test_unsorted_targets_with_repeats_read_as_a_set(self, tmp_path):
         doc = star_doc(3, 10)
         doc["points"][3]["proximate_to"] = [1, 3, 3]
@@ -348,11 +362,29 @@ class TestLeanLoader:
         dots.append(run_quiet(["dot", path]))
         assert dots[0] == dots[1] and dots[0][0] == cli.EXIT_OK
 
-    def test_strict_to_total_reads_the_pairs(self):
+    def test_strict_to_total_reads_the_targets_lists(self):
         cfg = cli.load_config(SATELLITE_PATH)
         v = proximity.DivisorVector.strict((0, 1, 0, 0))
         assert proximity.strict_to_total(cfg, v).coords == (0, 1, -1, -1)
-        assert vars(cfg)["prox"] == frozenset({(2, 1), (3, 1), (3, 2)})
+        assert "prox" not in vars(cfg)
+
+    @pytest.mark.parametrize("path", LEAN_PATHS, ids=lambda p: Path(p).stem)
+    def test_both_routes_hold_only_the_targets_lists(self, path):
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        pairs = frozenset(
+            (p["id"], t) for p in doc["points"] for t in p.get("proximate_to", [])
+        )
+        build = (
+            lambda: cli.load_config(path),
+            lambda: ProximityConfig(doc["ambient_dimension"], len(doc["points"]), pairs),
+        )
+        unit = proximity.DivisorVector.strict((0, 1) + (0,) * (len(doc["points"]) - 1))
+        for read in (repr, lambda c: proximity.strict_to_total(c, unit), proximity.validate_config):
+            for cfg in (b() for b in build):
+                assert set(vars(cfg)) == {"n", "s", "strict_snc_check", "_targets"}
+                read(cfg)
+                assert "prox" not in vars(cfg)
+        assert [cfg.prox for cfg in (b() for b in build)] == [pairs, pairs]
 
 
 class TestPresent:

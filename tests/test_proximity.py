@@ -77,6 +77,17 @@ class TestValidation:
             ProximityConfig(n=3, s=3, prox={pair})
         assert str(exc.value) == "proximity pair %s must be two integers" % shown
 
+    @pytest.mark.parametrize("prox", [{(1, 2, 3)}, {5}, None], ids=["triple", "int", "none"])
+    def test_rejects_prox_that_does_not_hold_pairs(self, prox):
+        with pytest.raises(InvalidConfigError, match=r"^prox must hold \(j, i\) pairs: "):
+            ProximityConfig(n=2, s=3, prox=prox)
+
+    @pytest.mark.parametrize("s", ["3", 2.5, None], ids=["str", "float", "none"])
+    def test_pairs_leave_a_bad_size_to_the_rules(self, s):
+        with pytest.raises(InvalidConfigError) as exc:
+            ProximityConfig(n=2, s=s, prox={(2, 1)})
+        assert str(exc.value) == "number of points must be an integer >= 1, got %r" % (s,)
+
     @pytest.mark.parametrize(
         "n,s,message",
         [

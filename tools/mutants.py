@@ -215,6 +215,11 @@ MUTANTS = {
         "if i in row:",
         "if i not in row:",
     ),
+    "targets-orientation": (
+        "src/skychow/proximity.py",
+        "targets.setdefault(j, []).append(i)",
+        "targets.setdefault(i, []).append(j)",
+    ),
     "reverse-map-orientation": (
         "src/skychow/proximity.py",
         "proximate.setdefault(i, []).append(j)",
