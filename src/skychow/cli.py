@@ -73,11 +73,10 @@ MAX_PRESENT_ENTRIES = 25_000_000
 # chain with n=64, s=2000: intersect "e1^64" about 0.002 s, final about
 # 0.010 s in either format; a seeded random n=64, s=2000 config with 0-3
 # proximities a point: final about 0.012 s; in-process, best of 40 runs,
-# fastest of 12 processes, 2-vCPU host).  final reads the shared
-# coefficients of each meeting pair off the adjacency lists once and reads
-# condition (11)'s integral off that list first; only a pair that passes it
-# has condition (10) compared, at r = 1 and r = 2, as its integral depends
-# on r's parity only.
+# fastest of 12 processes, 2-vCPU host).  final reads two counts per meeting
+# pair off the adjacency lists once and evaluates condition (11)'s integral
+# from them first; only a pair that passes it has condition (10) compared,
+# at r = 1 and r = 2, as its integral depends on r's parity only.
 MAX_AMBIENT_DIMENSION = 64
 
 

@@ -2,18 +2,18 @@
 
 The combinatorial one reads the proximity relation: a divisor is final
 when no later point is proximate to it.  The ring-theoretic one decides
-from intersection numbers alone.  It reads the coefficients each strict
-class shares with e_i straight off the adjacency lists (e_i is E_i minus
-the E_t of the points proximate to i), evaluates the integrals in closed
-form on those coefficients, finds the divisors meeting E_i, and then
-tests, pair by pair, the two intersection-product conditions that
-characterize finality: condition (11) first, and condition (10) only on
-a pair that passes it.  Every coefficient of a strict class is +-1, so
-condition (10)'s integral takes one value at odd r and one at even r,
-and comparing r = 1 and r = 2 covers every r.  The two deciders provably
-agree, and the test suite checks that exhaustively on small cases; a
-disagreement would mean an implementation bug, not a mathematical
-surprise.
+from intersection numbers alone.  Every coefficient of a strict class
+is +-1 (e_i is E_i minus the E_t of the points proximate to i), so each
+integral e_i^(n-r) * e_j^r depends on two counts per pair, read straight
+off the adjacency lists: whether one point is proximate to the other,
+and how many points are proximate to both.  From those it finds the
+divisors meeting E_i and tests, pair by pair, the two
+intersection-product conditions that characterize finality: condition
+(11) first, and condition (10) only on a pair that passes it.  Condition
+(10)'s integral takes one value at odd r and one at even r, so comparing
+r = 1 and r = 2 covers every r.  The two deciders provably agree, and the
+test suite checks that exhaustively on small cases; a disagreement would
+mean an implementation bug, not a mathematical surprise.
 """
 
 from __future__ import annotations
@@ -23,33 +23,6 @@ from dataclasses import dataclass
 
 from .poly import _json_list
 from .proximity import ProximityConfig
-
-
-def _point_integral(n, shared):
-    """Integral of e_i * e_j^(n-1), condition (11)'s, given shared =
-    [(e_i[t], e_j[t]) for each t in both supports].
-
-    Mixed products vanish and each E_t^n integrates to (-1)^(n+1), so only
-    the shared points contribute.  Every coefficient of a strict class is
-    +-1, so x^(n-r) * y^r depends only on the parities of n and r; here,
-    at r = n-1, it is x for odd n and x * y for even n.
-    """
-    total = 0
-    for x, y in shared:
-        total += x if n % 2 else -x * y
-    return total
-
-
-def _parity_integrals(n, shared, point):
-    """(odd, even): the integral of e_i^(n-r) * e_j^r at odd r and at even
-    r, point being _point_integral's value, the one at r = n-1.
-
-    x^(n-r) * y^r is y at odd r and x at even r for odd n, x * y and 1 for
-    even n.
-    """
-    if n % 2:
-        return sum(y for _, y in shared), point
-    return point, -len(shared)
 
 
 def _self_integral(n, proximate):
@@ -62,32 +35,26 @@ def _self_integral(n, proximate):
 
 
 def _pairs(config, i):
-    """{j: shared} for each j != i whose strict class shares a support
-    point with e_i, shared = [(e_i[t], e_j[t]) for each such t], t
-    ascending, read off the adjacency lists in one pass.
+    """(direct, common) for e_i, read off the adjacency lists in one pass.
 
-    e_i is +1 at i and -1 on P(i), the points proximate to i.  The classes
-    holding a point t are e_t, with coefficient +1, and the e_k of the
-    points t is proximate to, with coefficient -1.  So t = i gives (1, -1)
-    to each e_k with i proximate to k, and t in P(i) gives (-1, 1) to e_t
-    and (-1, -1) to each other e_k with t proximate to k.  Every
-    coefficient is +-1.
+    direct has a key for each j != i whose strict class shares a support
+    point with e_i: its value is 1 when i is proximate to j, -1 when j is
+    proximate to i, and 0 otherwise.  common[j] counts the points
+    proximate to both i and j.  e_i is +1 at i and -1 on P(i), the points
+    proximate to i, and e_j likewise, so the points the two share are i
+    (coefficients (1, -1), when i is proximate to j), j ((-1, 1), when j is
+    in P(i)) and the points of P(i) proximate to j ((-1, -1) each).
     """
     targets, proximate = config._targets, config._proximate
-    pairs = {}
-    for k in targets.get(i, ()):
-        pairs[k] = [(1, -1)]
+    direct = dict.fromkeys(targets.get(i, ()), 1)
+    common = {}
     for t in proximate.get(i, ()):
-        # e_t's first pair: the points that give it (-1, -1) come after t
-        pairs[t] = [(-1, 1)]
+        direct[t] = -1
         for k in targets[t]:
             if k != i:
-                shared = pairs.get(k)
-                if shared is None:
-                    pairs[k] = [(-1, -1)]
-                else:
-                    shared.append((-1, -1))
-    return pairs
+                direct.setdefault(k, 0)
+                common[k] = common.get(k, 0) + 1
+    return direct, common
 
 
 def _check_index(config, i):
@@ -110,14 +77,14 @@ def intersecting_indices(config: ProximityConfig, i: int) -> set:
     Computed in the ring, not from proximity; on iterated blow-ups the two
     can differ (a satellite point can separate two earlier divisors).  Below
     degree n the product is coordinate-wise, nonzero iff the supports
-    overlap, which _pairs reads off; for n = 2 it is the point integral,
-    which can still be zero.
+    overlap, which _pairs reads off; for n = 2 it is the point integral
+    |direct| - common, which can still be zero.
     """
     _check_index(config, i)
-    pairs = _pairs(config, i)
+    direct, common = _pairs(config, i)
     if config.n == 2:
-        return {j for j, sh in pairs.items() if _point_integral(2, sh)}
-    return set(pairs)
+        return {j for j in direct if abs(direct[j]) != common.get(j, 0)}
+    return set(direct)
 
 
 _CONDITION_TEN = "condition (10) fails for j=%d at r=%d: integral %d, expected %d"
@@ -126,18 +93,27 @@ _CONDITION_TEN = "condition (10) fails for j=%d at r=%d: integral %d, expected %
 def _chow_conditions(config, i):
     """(final?, witness) from the intersection-product characterization.
 
-    Each meeting pair's condition (11) integral is read first, once: at
-    n = 2 it is the product e_i * e_j itself, and a candidate whose value
-    is 0 does not meet e_i.  Only a pair that passes it has condition (10)
-    compared, at r = 1 and then, for n >= 3, at r = 2, and e_i^n is
-    computed once, when the first pair gets that far.
+    With d = direct[j] and c = common[j], e_i^(n-r) * e_j^r integrates to
+    (-1)^(n+1) * ((-1)^r [d = 1] + (-1)^(n-r) [d = -1] + (-1)^n c), which
+    takes one value at odd r and one at even r; condition (11)'s r = n-1
+    is among them.  Each meeting pair's condition (11) is checked first: at
+    n = 2 its integral is the product e_i * e_j itself, and a candidate
+    whose value is 0 does not meet e_i.  Only a pair that passes it has
+    condition (10) compared, at r = 1 and then, for n >= 3, at r = 2, and
+    e_i^n is computed once, when the first pair gets that far.
     """
-    n, pairs = config.n, _pairs(config, i)
+    n, (direct, common) = config.n, _pairs(config, i)
     ein = None
-    for j in sorted(pairs):
-        shared = pairs[j]
+    for j in sorted(direct):
+        d, c = direct[j], common.get(j, 0)
+        # the integral at even r and at odd r; r = n-1 is the point integral
+        if n % 2:
+            point = even = d - c
+            odd = -d - c
+        else:
+            point = odd = abs(d) - c
+            even = -abs(d) - c
         # condition (11): e_j^(n-1) * e_i must be the point class
-        point = _point_integral(n, shared)
         if point != 1:
             if not point and n == 2:
                 continue  # e_i * e_j = 0: j does not meet i (see intersecting_indices)
@@ -147,10 +123,8 @@ def _chow_conditions(config, i):
             )
         if ein is None:
             ein = _self_integral(n, config._proximate.get(i, ()))
-        # condition (10): e_i^n == (-1)^r e_i^(n-r) e_j^r for every r; the
-        # integral takes one value at odd r and one at even r, so r = 1 and,
-        # for n >= 3, r = 2 stand for all of them
-        odd, even = _parity_integrals(n, shared, point)
+        # condition (10): e_i^n == (-1)^r e_i^(n-r) e_j^r for every r; r = 1
+        # and, for n >= 3, r = 2 stand for all of them
         if ein != -odd:
             return False, _CONDITION_TEN % (j, 1, -odd, ein)
         if n > 2 and ein != even:

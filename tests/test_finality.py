@@ -27,8 +27,6 @@ from skychow.poly import Polynomial
 from skychow.finality import (
     _chow_conditions,
     _pairs,
-    _parity_integrals,
-    _point_integral,
     _self_integral,
     DivisorFinality,
     FinalityReport,
@@ -49,13 +47,30 @@ THREEFOLD = ProximityConfig(n=3, s=2, prox=frozenset({(2, 1)}))
 SATELLITE = ProximityConfig(n=2, s=3, prox=frozenset({(2, 1), (3, 1), (3, 2)}))
 
 
+def integral(n, r, direct, common):
+    """Integral of e_i^(n-r) * e_j^r from the pair's two counts: the shared
+    points are i, coefficients (1, -1), when direct is 1, j, (-1, 1), when
+    direct is -1, and common points with (-1, -1), each E_t^n integrating
+    to (-1)^(n+1)."""
+    return (-1) ** (n + 1) * (
+        (-1) ** r * (direct == 1) + (-1) ** (n - r) * (direct == -1) + (-1) ** n * common
+    )
+
+
 def meeting(config, i):
-    """(j, shared) for each j != i, ascending, with e_i * e_j nonzero: the
-    pairs of _pairs, filtered at n = 2 as intersecting_indices filters them."""
-    pairs = sorted(_pairs(config, i).items())
+    """(j, (direct, common)) for each j != i, ascending, with e_i * e_j
+    nonzero: the counts of _pairs, filtered at n = 2 as
+    intersecting_indices filters them."""
+    direct, common = _pairs(config, i)
+    pairs = [(j, (direct[j], common.get(j, 0))) for j in sorted(direct)]
     if config.n == 2:
-        return [(j, sh) for j, sh in pairs if _point_integral(2, sh)]
+        return [(j, dc) for j, dc in pairs if integral(2, 1, *dc)]
     return pairs
+
+
+def counts(shared):
+    """(direct, common) of a reference list [(e_i[t], e_j[t]), ...]."""
+    return sum(x for x, y in shared if x != y), sum(x == y for x, y in shared)
 
 
 def fields(divisors):
@@ -144,20 +159,16 @@ class TestReport:
         assert "condition (11)" in one.witness
         assert "integral -1" in one.witness
 
-    def test_point_integral_once_per_candidate_pair(self, monkeypatch):
+    def test_satellite_pair_counts(self):
         # the satellite's six candidate pairs (supports overlap) include 1-2
-        # and 2-1, whose product is 0 at n = 2; the decider reads each
-        # candidate's condition (11) integral once and skips those two
-        calls = []
-        point_integral = finality._point_integral
-
-        def counted(n, shared):
-            calls.append(n)
-            return point_integral(n, shared)
-
-        monkeypatch.setattr(finality, "_point_integral", counted)
+        # and 2-1, with |direct| = common = 1: point 3 is proximate to both,
+        # so their product is 0 at n = 2 and the decider skips them
+        assert [_pairs(SATELLITE, i) for i in (1, 2, 3)] == [
+            ({2: -1, 3: -1}, {2: 1}),
+            ({1: 1, 3: -1}, {1: 1}),
+            ({1: 1, 2: 1}, {}),
+        ]
         report = finality_report(SATELLITE)
-        assert calls == [2] * 6
         assert [d.final_chow for d in report.divisors] == [False, False, True]
 
     def test_json_shape(self):
@@ -172,26 +183,26 @@ class TestConditionTenAtEvenR:
 
     On strict classes a pair that passes (11) and (10) at r = 1 passes
     (10) at r = 2 too, so no config reaches a failure there; these feed the
-    decider e_i and the shared coefficients (+-1, as on strict classes)
-    directly (e_i through the config's proximity pairs, the shared lists
-    in place of _pairs), to pin the comparison and its witness.
+    decider e_i and the pair's counts directly (e_i through the config's
+    proximity pairs, counts no config has in place of _pairs), to pin the
+    comparison and its witness.
     """
 
     @pytest.mark.parametrize(
-        "n, ei, shared, rhs",
+        "n, ei, direct, common, rhs",
         [
-            # (11): sum x = 1; r = 1: -sum y = -1 = e_i^3 = 2 - 3; r = 2: sum x
-            (3, {1: 1, 2: -1, 3: -1}, [(1, 1)], 1),
-            # (11): -sum x * y = 1; r = 1: -1 = e_i^4 = -1; r = 2: -|shared|
-            (4, {1: 1}, [(1, -1), (1, -1), (1, 1)], -3),
+            # (11): d - c = 1; r = 1: d + c = -1 = e_i^3 = 1 - 2; r = 2: d - c
+            (3, {1: 1, 2: -1, 3: -1}, 0, -1, 1),
+            # (11): |d| - c = 1; r = 1: -1 = e_i^4 = -1; r = 2: -|d| - c
+            (4, {1: 1}, 2, 1, -3),
         ],
     )
-    def test_witness_names_r_2(self, monkeypatch, n, ei, shared, rhs):
+    def test_witness_names_r_2(self, monkeypatch, n, ei, direct, common, rhs):
         # e_1 is ei: the points it puts -1 on are proximate to 1
         prox = frozenset((t, 1) for t in ei if t != 1)
         cfg = ProximityConfig(n=n, s=max(2, *ei), prox=prox)
         assert strict_class_in_total(cfg, 1) == ei
-        monkeypatch.setattr(finality, "_pairs", lambda config, i: {2: shared})
+        monkeypatch.setattr(finality, "_pairs", lambda config, i: ({2: direct}, {2: common}))
         witness = "condition (10) fails for j=2 at r=2: integral %d, expected -1" % rhs
         assert _chow_conditions(cfg, 1) == (False, witness)
 
@@ -272,15 +283,12 @@ class TestClosedFormMatchesRing:
             pairs = meeting(cfg, i)
             assert [j for j, _ in pairs] == sorted(meets)
             assert _self_integral(n, cfg.proximate_points(i)) == degree_integral(powers[i][n])
-            # conditions (10) and (11) integrate e_i^(n-r) e_j^r for r in 1..n-1;
-            # _parity_integrals gives one value for odd r and one for even r
-            for j, shared in pairs:
-                point = _point_integral(n, shared)
-                assert point == degree_integral(powers[i][1] * powers[j][n - 1])
-                odd, even = _parity_integrals(n, shared, point)
+            # conditions (10) and (11) integrate e_i^(n-r) e_j^r for r in 1..n-1,
+            # each a closed form in the pair's two counts
+            for j, (direct, common) in pairs:
                 for r in range(1, n):
                     ring = degree_integral(powers[i][n - r] * powers[j][r])
-                    assert (odd if r % 2 else even) == ring
+                    assert integral(n, r, direct, common) == ring
 
 
 class TestOracleCertifiesIntegrals:
@@ -290,7 +298,8 @@ class TestOracleCertifiesIntegrals:
     e_i = x_i - sum of x_j over the points j proximate to i, straight from
     the proximity relation.  An integral c of a degree-n product p holds
     exactly when p - c * x0^n lies in the total ideal, since x0^n does not.
-    The n = 4 configs certify the -|shared| value at even r of an even n.
+    The n = 4 configs certify the -|direct| - common value at even r of an
+    even n.
     """
 
     def test_meeting_pair_integrals(self):
@@ -320,10 +329,9 @@ class TestOracleCertifiesIntegrals:
 
             for i in range(1, s + 1):
                 certify(strict[i] ** n, _self_integral(n, cfg.proximate_points(i)))
-                for j, shared in meeting(cfg, i):
-                    odd, even = _parity_integrals(n, shared, _point_integral(n, shared))
+                for j, (direct, common) in meeting(cfg, i):
                     for r in range(1, n):
-                        c = odd if r % 2 else even
+                        c = integral(n, r, direct, common)
                         certify(strict[i] ** (n - r) * strict[j] ** r, c)
                         even_n_even_r += not (n % 2 or r % 2)
         assert checked > 1800 and nonzero > 1700 and even_n_even_r > 70
@@ -358,5 +366,34 @@ class TestOnePassMatchesReference:
             assert (d.final_chow, d.witness) == want
             ei = strict_class_in_total(cfg, i)
             want = reference_meeting(cfg, i, ei)
-            assert meeting(cfg, i) == want
+            assert meeting(cfg, i) == [(j, counts(sh)) for j, sh in want]
             assert intersecting_indices(cfg, i) == {j for j, _ in want}
+
+
+class TestExhaustiveMatchesReference:
+    """Every config with s <= 5 for n = 2 and n = 3: finality_report's
+    verdicts and witnesses against reference_chow_conditions, and
+    intersecting_indices against the nonzero ChowElement products."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_every_small_config(self, n):
+        configs = 0
+        for s in range(1, 6):
+            for cfg in enumerate_proximity_configs(n, s):
+                configs += 1
+                e = [None] + [
+                    from_divisor(cfg, support(dense_class(cfg, "e", i))) for i in range(1, s + 1)
+                ]
+                meets = {i: set() for i in range(1, s + 1)}
+                for i in range(1, s + 1):
+                    for j in range(i + 1, s + 1):
+                        if not (e[i] * e[j]).is_zero():
+                            meets[i].add(j)
+                            meets[j].add(i)
+                report = finality_report(cfg)
+                for d in report.divisors:
+                    i = d.index
+                    assert d.final_proximity == (not cfg.proximate_points(i))
+                    assert (d.final_chow, d.witness) == reference_chow_conditions(cfg, i)
+                    assert intersecting_indices(cfg, i) == meets[i]
+        assert configs == {2: 683, 3: 1035}[n]

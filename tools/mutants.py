@@ -37,13 +37,13 @@ ROOT = Path(__file__).resolve().parents[1]
 MUTANTS = {
     "point-integral-sign": (
         "src/skychow/finality.py",
-        "total += x if n % 2 else -x * y",
-        "total += x if n % 2 else x * y",
+        "point = odd = abs(d) - c",
+        "point = odd = -abs(d) - c",
     ),
     "meeting-test": (
         "src/skychow/finality.py",
-        "if _point_integral(2, sh)}",
-        "if _point_integral(3, sh)}",
+        "abs(direct[j]) != common.get(j, 0)}",
+        "abs(direct[j]) > common.get(j, 0)}",
     ),
     "meeting-skip": (
         "src/skychow/finality.py",
@@ -62,18 +62,18 @@ MUTANTS = {
     ),
     "parity-integrals-select": (
         "src/skychow/finality.py",
-        "if n % 2:\n        return sum(",
-        "if not n % 2:\n        return sum(",
+        "if n % 2:\n            point = even",
+        "if not n % 2:\n            point = even",
     ),
     "first-integral-sign": (
         "src/skychow/finality.py",
-        "return sum(y for _, y in shared), point",
-        "return -sum(y for _, y in shared), point",
+        "odd = -d - c",
+        "odd = d - c",
     ),
     "lower-integral-sign": (
         "src/skychow/finality.py",
-        "return point, -len(shared)",
-        "return point, len(shared)",
+        "even = -abs(d) - c",
+        "even = abs(d) - c",
     ),
     "self-integral-sign": (
         "src/skychow/finality.py",
@@ -82,13 +82,13 @@ MUTANTS = {
     ),
     "pair-target-sign": (
         "src/skychow/finality.py",
-        "pairs[k] = [(1, -1)]",
-        "pairs[k] = [(1, 1)]",
+        "dict.fromkeys(targets.get(i, ()), 1)",
+        "dict.fromkeys(targets.get(i, ()), -1)",
     ),
     "pair-proximate-sign": (
         "src/skychow/finality.py",
-        "pairs[t] = [(-1, 1)]",
-        "pairs[t] = [(1, 1)]",
+        "direct[t] = -1",
+        "direct[t] = 1",
     ),
     "pair-self-exclusion": (
         "src/skychow/finality.py",
